@@ -28,12 +28,11 @@ from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, VoxelGrid, c
                               init_temporal_params, load_queue, queue_push, save_queue,
                               squeeze_bev, temporal_attention, temporal_backward_arrays,
                               temporal_forward_arrays, unsqueeze_voxel, warp_bev, warp_queue)
-from .view_attention import (ProjFirstParams, QueryContext, TraceRecord, ViewAttnParams,
-                             attn_backward_batch, attn_forward_batch, camera_coverage,
-                             generate_attention, generate_offsets, init_proj_first_params,
+from .view_attention import (AttnParams, QueryContext, TraceRecord, attn_backward_batch,
+                             attn_forward_batch, camera_coverage, deform_aggregate,
+                             deform_aggregate_backward, init_proj_first_params,
                              init_view_attn_params, proj_first_backward_batch,
-                             proj_first_forward_batch, projection_first_backward,
-                             projection_first_forward, view_attn_backward,
-                             view_attn_forward)
+                             proj_first_forward_batch, projection_first_forward,
+                             view_attn_backward, view_attn_forward)
 
 __version__ = "0.1.0"

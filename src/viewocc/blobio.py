@@ -1,14 +1,17 @@
 """Deterministic array containers: a JSON header plus one raw binary blob.
 
 `write_blob(prefix, arrays, meta)` produces `<prefix>.json` and
-`<prefix>.bin`. Arrays are stored little-endian, C-order, concatenated in
-sorted-name order, so identical inputs yield identical bytes. float64 arrays
-round-trip bit for bit.
+`<prefix>.bin`, appending to the whole prefix, so `out/frame.1` and
+`out/frame.2` name different blobs. Arrays are stored little-endian, C-order,
+concatenated in sorted-name order, so identical inputs yield identical bytes.
+float64 arrays round-trip bit for bit. `read_blob` checks every header entry
+against the data file before reading it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,13 @@ from .errors import ContractViolation
 _DTYPES = {"float64": "<f8", "int64": "<i8", "uint8": "|u1", "bool": "|b1"}
 
 
+def _paths(prefix) -> tuple[Path, Path]:
+    return Path(f"{prefix}.json"), Path(f"{prefix}.bin")
+
+
 def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    json_path, bin_path = _paths(prefix)
+    json_path.parent.mkdir(parents=True, exist_ok=True)
     header = {"meta": meta or {}, "arrays": {}}
     chunks = []
     offset = 0
@@ -38,25 +45,52 @@ def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
         }
         chunks.append(raw)
         offset += len(raw)
-    with open(prefix.with_suffix(".json"), "w") as fh:
+    with open(json_path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(prefix.with_suffix(".bin"), "wb") as fh:
+    with open(bin_path, "wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_array(raw: bytes, name: str, spec) -> np.ndarray:
+    """One array of a blob, once its header entry is shown to fit the data."""
+    spec = spec if isinstance(spec, dict) else {}
+    if not isinstance(spec.get("dtype"), str) or spec["dtype"] not in _DTYPES:
+        raise ContractViolation(f"read_blob: array {name!r} has no dtype among {sorted(_DTYPES)}")
+    shape, offset, nbytes = spec.get("shape"), spec.get("offset"), spec.get("nbytes")
+    if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+        raise ContractViolation(f"read_blob: array {name!r} shape {shape!r} is not a list "
+                                "of non-negative integers")
+    if not (_is_count(offset) and _is_count(nbytes)):
+        raise ContractViolation(f"read_blob: array {name!r} offset and nbytes must be "
+                                "non-negative integers")
+    dtype = np.dtype(_DTYPES[spec["dtype"]])
+    need = math.prod(shape) * dtype.itemsize
+    if nbytes != need:
+        raise ContractViolation(f"read_blob: array {name!r} has {nbytes} bytes, but shape "
+                                f"{shape} of {spec['dtype']} needs {need}")
+    if offset + nbytes > len(raw):
+        raise ContractViolation(f"read_blob: array {name!r} ends at byte {offset + nbytes}, "
+                                f"past the {len(raw)}-byte data file")
+    arr = np.frombuffer(raw[offset:offset + nbytes], dtype=dtype)
+    return arr.reshape(shape).astype(spec["dtype"], copy=False)
+
+
 def read_blob(prefix):
-    prefix = Path(prefix)
+    json_path, bin_path = _paths(prefix)
     try:
-        with open(prefix.with_suffix(".json")) as fh:
+        with open(json_path) as fh:
             header = json.load(fh)
-        raw = prefix.with_suffix(".bin").read_bytes()
+        raw = bin_path.read_bytes()
     except (OSError, json.JSONDecodeError) as exc:
         raise ContractViolation(f"read_blob: cannot read {prefix}: {exc}") from exc
-    arrays = {}
-    for name, spec in header["arrays"].items():
-        start, nbytes = spec["offset"], spec["nbytes"]
-        arr = np.frombuffer(raw[start:start + nbytes], dtype=_DTYPES[spec["dtype"]])
-        arrays[name] = arr.reshape(spec["shape"]).astype(spec["dtype"], copy=False)
+    specs = header.get("arrays") if isinstance(header, dict) else None
+    if not isinstance(specs, dict):
+        raise ContractViolation(f"read_blob: {json_path} has no 'arrays' table")
+    arrays = {name: _read_array(raw, name, spec) for name, spec in specs.items()}
     return arrays, header.get("meta", {})

@@ -29,8 +29,7 @@ from .objective import PredictionBundle
 from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, VoxelGrid,
                               init_temporal_params, squeeze_bev, temporal_backward_arrays,
                               temporal_forward_arrays, unsqueeze_voxel, warp_queue)
-from .view_attention import (ProjFirstParams, ViewAttnParams, attn_backward_batch,
-                             attn_forward_batch, init_proj_first_params,
+from .view_attention import (attn_backward_batch, attn_forward_batch, init_proj_first_params,
                              init_view_attn_params, proj_first_backward_batch,
                              proj_first_forward_batch)
 

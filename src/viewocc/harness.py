@@ -215,6 +215,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
     frame does one optimizer step. History rows carry the per-epoch mean loss
     terms plus metrics accumulated from the training predictions themselves.
     """
+    require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
     _check_geometry(scene, config)
     data = prepare_frames(scene, frames)
     rig = scene.cameras

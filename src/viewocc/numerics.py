@@ -145,16 +145,17 @@ def softmax_backward(probs: np.ndarray, g_probs: np.ndarray, axis: int = -1) -> 
     return probs * (g_probs - dot)
 
 
-def _corner_indices(u: np.ndarray, v: np.ndarray, height: int, width: int):
+def corner_indices(u: np.ndarray, v: np.ndarray, height, width):
     """Lower-left corner indices and fractional weights for bilinear sampling.
 
     Clamps the corner cell so sampling is exact at integer coordinates,
-    including u == width - 1 and v == height - 1.
+    including u == width - 1 and v == height - 1. height and width are ints
+    or arrays broadcasting against u.
     """
     x0 = np.floor(u)
     y0 = np.floor(v)
-    x0 = np.clip(x0, 0, max(width - 2, 0)).astype(np.int64)
-    y0 = np.clip(y0, 0, max(height - 2, 0)).astype(np.int64)
+    x0 = np.clip(x0, 0, np.maximum(width - 2, 0)).astype(np.int64)
+    y0 = np.clip(y0, 0, np.maximum(height - 2, 0)).astype(np.int64)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
     fx = u - x0
@@ -178,7 +179,7 @@ def bilinear_many(data: np.ndarray, u: np.ndarray, v: np.ndarray):
     valid = bilinear_valid(u, v, height, width)
     uc = np.where(valid, u, 0.0)
     vc = np.where(valid, v, 0.0)
-    x0, y0, x1, y1, fx, fy = _corner_indices(uc, vc, height, width)
+    x0, y0, x1, y1, fx, fy = corner_indices(uc, vc, height, width)
     w00 = (1.0 - fx) * (1.0 - fy)
     w10 = fx * (1.0 - fy)
     w01 = (1.0 - fx) * fy
@@ -207,7 +208,7 @@ def bilinear_many_backward(data: np.ndarray, u: np.ndarray, v: np.ndarray, g_val
     valid = bilinear_valid(u, v, height, width)
     uc = np.where(valid, u, 0.0)
     vc = np.where(valid, v, 0.0)
-    x0, y0, x1, y1, fx, fy = _corner_indices(uc, vc, height, width)
+    x0, y0, x1, y1, fx, fy = corner_indices(uc, vc, height, width)
     p00 = data[y0, x0]
     p10 = data[y0, x1]
     p01 = data[y1, x0]

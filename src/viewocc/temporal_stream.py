@@ -26,8 +26,9 @@ import numpy as np
 from . import blobio
 from .errors import ContractViolation, require
 from .geometry import Pose, relative_pose
-from .numerics import (FLOAT, AffineMap, as_float_array, bilinear_many,
-                       bilinear_many_backward, softmax_backward, softmax_norm)
+from .numerics import (FLOAT, AffineMap, as_float_array, bilinear_many, softmax_backward,
+                       softmax_norm)
+from .view_attention import deform_aggregate, deform_aggregate_backward, star_bias
 
 PLANAR_TOL = 1e-6
 
@@ -211,7 +212,6 @@ class TemporalParams:
 
 def init_temporal_params(rng: np.random.Generator, channels: int, points: int = 4,
                          levels: int = 4, star_radius_cells: float = 0.9) -> TemporalParams:
-    from .view_attention import star_bias
     offset_head = AffineMap(np.zeros((points * levels * 2, channels)),
                             star_bias(points * levels, star_radius_cells, dims=2))
     logit_head = AffineMap.zeros(points * levels, channels)
@@ -249,25 +249,15 @@ def temporal_forward_arrays(current: np.ndarray, warped: np.ndarray,
     u = col[:, None, None] + off[..., 0]
     v = row[:, None, None] + off[..., 1]
 
-    samples = np.zeros((h * w, p, levels, c), dtype=FLOAT)
-    valid = np.zeros((h * w, p, levels), dtype=bool)
-    for li in range(levels):
-        vals, ok = bilinear_many(warped[li], u[:, :, li], v[:, :, li])
-        samples[:, :, li, :] = vals
-        valid[:, :, li] = ok
-
-    value = samples @ params.value_map.weight.T + params.value_map.bias
-    attn_eff = attn * valid
-    agg_v = np.einsum("hpl,hplc->hc", attn_eff, value)
-    agg = agg_v @ params.output_map.weight.T + params.output_map.bias
+    # one head: each (cell, point, level) sample is a (Q, 1, K, J) core entry
+    agg, cache = deform_aggregate(attn[:, None], True, u[:, None], v[:, None], list(warped),
+                                  [params.value_map], [params.output_map])
     pre = cells + agg
     out = pre @ params.feed_forward.weight.T + params.feed_forward.bias
 
-    cache = None
-    if keep_cache:
-        cache = {"cells": cells, "warped": warped, "attn": attn, "valid": valid,
-                 "u": u, "v": v, "samples": samples, "value": value,
-                 "agg_v": agg_v, "pre": pre, "levels": levels, "shape": (h, w, c)}
+    if not keep_cache:
+        return out.reshape(h, w, c), None
+    cache.update(cells=cells, warped=warped, u=u, v=v, pre=pre, levels=levels, shape=(h, w, c))
     return out.reshape(h, w, c), cache
 
 
@@ -277,36 +267,21 @@ def temporal_backward_arrays(cache: dict, params: TemporalParams, g_out: np.ndar
     levels = cache["levels"]
     p, n = params.points, params.levels
     g_out = np.asarray(g_out, dtype=FLOAT).reshape(h * w, c)
-    cells, warped = cache["cells"], cache["warped"]
-    attn, valid = cache["attn"], cache["valid"]
-    samples, value = cache["samples"], cache["value"]
+    cells = cache["cells"]
 
     g_wf = g_out.T @ cache["pre"]
     g_bf = g_out.sum(axis=0)
     g_pre = g_out @ params.feed_forward.weight
-
-    g_wo = g_pre.T @ cache["agg_v"]
-    g_bo = g_pre.sum(axis=0)
-    g_aggv = g_pre @ params.output_map.weight
-
-    attn_eff = attn * valid
-    g_attn_eff = np.einsum("hc,hplc->hpl", g_aggv, value)
-    g_value = attn_eff[..., None] * g_aggv[:, None, None, :]
-    g_wv = np.einsum("hplc,hpld->cd", g_value, samples)
-    g_bv = g_value.sum(axis=(0, 1, 2))
-    g_samples = g_value @ params.value_map.weight
+    g = deform_aggregate_backward(cache, list(cache["warped"]), [params.value_map],
+                                  [params.output_map], g_pre)
 
     g_off = np.zeros((h * w, p, n, 2), dtype=FLOAT)
-    for li in range(levels):
-        du, dv = bilinear_many_backward(warped[li], cache["u"][:, :, li], cache["v"][:, :, li],
-                                        g_samples[:, :, li, :], None)
-        g_off[:, :, li, 0] = du
-        g_off[:, :, li, 1] = dv
+    g_off[:, :, :levels, 0] = g["u"][:, 0]
+    g_off[:, :, :levels, 1] = g["v"][:, 0]
     g_off_flat = g_off.reshape(h * w, p * n * 2)
 
-    g_attn = g_attn_eff * valid
-    g_logits_used = softmax_backward(attn.reshape(-1, p * levels),
-                                     g_attn.reshape(-1, p * levels), axis=-1)
+    g_logits_used = softmax_backward(cache["attn"].reshape(-1, p * levels),
+                                     g["attn"].reshape(-1, p * levels), axis=-1)
     g_logits = np.zeros((h * w, p, n), dtype=FLOAT)
     g_logits[:, :, :levels] = g_logits_used.reshape(-1, p, levels)
     g_logits_flat = g_logits.reshape(h * w, p * n)
@@ -316,10 +291,10 @@ def temporal_backward_arrays(cache: dict, params: TemporalParams, g_out: np.ndar
         "offset_head.bias": g_off_flat.sum(axis=0),
         "logit_head.weight": g_logits_flat.T @ cells,
         "logit_head.bias": g_logits_flat.sum(axis=0),
-        "value_map.weight": g_wv,
-        "value_map.bias": g_bv,
-        "output_map.weight": g_wo,
-        "output_map.bias": g_bo,
+        "value_map.weight": g["value_w"][0],
+        "value_map.bias": g["value_b"][0],
+        "output_map.weight": g["out_w"][0],
+        "output_map.bias": g["out_b"][0],
         "feed_forward.weight": g_wf,
         "feed_forward.bias": g_bf,
     }

@@ -10,24 +10,30 @@ surviving pixel locations with the softmax taken over the visible set only.
 
 Per head m, with A the attention weights and W/W' the output/value maps,
 
-    out = sum_m W_m ( sum_{k,j} A[m,k,j] * W'_m sample[m,k,j] )
+    out = sum_m W_m ( sum_{k,j valid} A[m,k,j] * W'_m sample[m,k,j] )
 
 where sample[m,k,j] reads camera j bilinearly at the projection of the k-th
 sample point. Gradients are written by hand; they flow through the sample
 locations via the bilinear kernel, the projection Jacobian, and the (constant)
 view-frame rotation.
+
+Both strategies, and the temporal fusion in `temporal_stream`, differ only in
+where they sample and how they weight; the aggregation itself is one sparse,
+value-first core, `deform_aggregate`. It value-maps every source pixel once,
+then gathers only the valid (query, head, point, source) samples, so no
+per-sample feature array is ever built for the invalid majority.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require
-from .geometry import CameraModel, project_jacobian, project_points, view_rotations
-from .numerics import (FLOAT, AffineMap, FeatureMap, as_float_array, bilinear_many,
-                       bilinear_many_backward, softmax_backward, softmax_norm)
+from .errors import require
+from .geometry import project_jacobian, project_points, view_rotations
+from .numerics import (FLOAT, AffineMap, FeatureMap, as_float_array, bilinear_valid,
+                       corner_indices, softmax_backward, softmax_norm)
 
 
 @dataclass
@@ -42,30 +48,10 @@ class QueryContext:
         self.ref_point = as_float_array(self.ref_point, shape=(3,), name="QueryContext.ref_point")
 
 
-def _check_heads(channels: int, heads: int, points: int, cameras: int,
-                 value_maps, output_maps, offset_head, logit_head, offset_dim: int):
-    require(heads >= 1 and points >= 1 and cameras >= 1, "heads, points, cameras must be >= 1")
-    require(channels % heads == 0,
-            f"channels {channels} not divisible by heads {heads}")
-    c_v = channels // heads
-    require(len(value_maps) == heads and len(output_maps) == heads,
-            "need one value map and one output map per head")
-    for m in value_maps:
-        require((m.out_dim, m.in_dim) == (c_v, channels),
-                f"value map must be {c_v}x{channels}, got {m.out_dim}x{m.in_dim}")
-    for m in output_maps:
-        require((m.out_dim, m.in_dim) == (channels, c_v),
-                f"output map must be {channels}x{c_v}, got {m.out_dim}x{m.in_dim}")
-    require((offset_head.out_dim, offset_head.in_dim) == (heads * points * offset_dim, channels),
-            "offset head has wrong shape")
-    require((logit_head.out_dim, logit_head.in_dim) == (heads * points * cameras, channels),
-            "logit head has wrong shape")
-    return c_v
-
-
 @dataclass
-class ViewAttnParams:
-    """Parameters of the learning-first strategy (3-d offsets)."""
+class AttnParams:
+    """Parameters of either strategy. The offset head emits 3-d view-frame
+    offsets (learning-first) or 2-d pixel offsets (projection-first)."""
 
     heads: int
     points: int
@@ -76,54 +62,42 @@ class ViewAttnParams:
     logit_head: AffineMap
 
     def __post_init__(self):
-        self.head_dim = _check_heads(self.channels, self.heads, self.points, self.cameras,
-                                     self.value_maps, self.output_maps,
-                                     self.offset_head, self.logit_head, offset_dim=3)
+        m, k, j, c = self.heads, self.points, self.cameras, self.channels
+        require(m >= 1 and k >= 1 and j >= 1, "heads, points, cameras must be >= 1")
+        require(c % m == 0, f"channels {c} not divisible by heads {m}")
+        self.head_dim = c // m
+        require(len(self.value_maps) == m and len(self.output_maps) == m,
+                "need one value map and one output map per head")
+        for vm in self.value_maps:
+            require((vm.out_dim, vm.in_dim) == (self.head_dim, c),
+                    f"value map must be {self.head_dim}x{c}, got {vm.out_dim}x{vm.in_dim}")
+        for om in self.output_maps:
+            require((om.out_dim, om.in_dim) == (c, self.head_dim),
+                    f"output map must be {c}x{self.head_dim}, got {om.out_dim}x{om.in_dim}")
+        require(self.offset_head.out_dim in (m * k * 2, m * k * 3),
+                "offset head has wrong shape")
+        require((self.logit_head.out_dim, self.logit_head.in_dim) == (m * k * j, c),
+                "logit head has wrong shape")
 
     @property
     def channels(self) -> int:
         return self.offset_head.in_dim
 
-    def arrays(self, prefix: str = ""):
-        yield from _param_arrays(self, prefix)
-
-
-@dataclass
-class ProjFirstParams:
-    """Parameters of the projection-first baseline (2-d pixel offsets)."""
-
-    heads: int
-    points: int
-    cameras: int
-    value_maps: list
-    output_maps: list
-    offset_head: AffineMap
-    logit_head: AffineMap
-
-    def __post_init__(self):
-        self.head_dim = _check_heads(self.channels, self.heads, self.points, self.cameras,
-                                     self.value_maps, self.output_maps,
-                                     self.offset_head, self.logit_head, offset_dim=2)
-
     @property
-    def channels(self) -> int:
-        return self.offset_head.in_dim
+    def offset_dim(self) -> int:
+        return self.offset_head.out_dim // (self.heads * self.points)
 
     def arrays(self, prefix: str = ""):
-        yield from _param_arrays(self, prefix)
-
-
-def _param_arrays(params, prefix: str):
-    yield prefix + "offset_head.weight", params.offset_head.weight
-    yield prefix + "offset_head.bias", params.offset_head.bias
-    yield prefix + "logit_head.weight", params.logit_head.weight
-    yield prefix + "logit_head.bias", params.logit_head.bias
-    for i, m in enumerate(params.value_maps):
-        yield f"{prefix}value_maps.{i}.weight", m.weight
-        yield f"{prefix}value_maps.{i}.bias", m.bias
-    for i, m in enumerate(params.output_maps):
-        yield f"{prefix}output_maps.{i}.weight", m.weight
-        yield f"{prefix}output_maps.{i}.bias", m.bias
+        yield prefix + "offset_head.weight", self.offset_head.weight
+        yield prefix + "offset_head.bias", self.offset_head.bias
+        yield prefix + "logit_head.weight", self.logit_head.weight
+        yield prefix + "logit_head.bias", self.logit_head.bias
+        for i, m in enumerate(self.value_maps):
+            yield f"{prefix}value_maps.{i}.weight", m.weight
+            yield f"{prefix}value_maps.{i}.bias", m.bias
+        for i, m in enumerate(self.output_maps):
+            yield f"{prefix}output_maps.{i}.weight", m.weight
+            yield f"{prefix}output_maps.{i}.bias", m.bias
 
 
 def star_bias(count: int, radius: float, dims: int) -> np.ndarray:
@@ -135,35 +109,31 @@ def star_bias(count: int, radius: float, dims: int) -> np.ndarray:
     return np.stack(cols, axis=-1).reshape(-1)
 
 
-def init_view_attn_params(rng: np.random.Generator, channels: int, heads: int = 4,
-                          points: int = 4, cameras: int = 6,
-                          star_radius: float = 0.5) -> ViewAttnParams:
-    """Seeded init: zero offset weights with a radial-star bias, uniform logits."""
+def _init_params(rng: np.random.Generator, channels: int, heads: int, points: int,
+                 cameras: int, dims: int, radius: float) -> AttnParams:
     c_v = channels // heads
     value_maps = [AffineMap(rng.normal(0.0, 1.0 / np.sqrt(channels), (c_v, channels)),
                             np.zeros(c_v)) for _ in range(heads)]
     output_maps = [AffineMap(rng.normal(0.0, 1.0 / np.sqrt(c_v), (channels, c_v)),
                              np.zeros(channels)) for _ in range(heads)]
-    offset_head = AffineMap(np.zeros((heads * points * 3, channels)),
-                            star_bias(heads * points, star_radius, dims=3))
+    offset_head = AffineMap(np.zeros((heads * points * dims, channels)),
+                            star_bias(heads * points, radius, dims=dims))
     logit_head = AffineMap.zeros(heads * points * cameras, channels)
-    return ViewAttnParams(heads, points, cameras, value_maps, output_maps,
-                          offset_head, logit_head)
+    return AttnParams(heads, points, cameras, value_maps, output_maps,
+                      offset_head, logit_head)
+
+
+def init_view_attn_params(rng: np.random.Generator, channels: int, heads: int = 4,
+                          points: int = 4, cameras: int = 6,
+                          star_radius: float = 0.5) -> AttnParams:
+    """Seeded init: zero offset weights with a radial-star bias, uniform logits."""
+    return _init_params(rng, channels, heads, points, cameras, 3, star_radius)
 
 
 def init_proj_first_params(rng: np.random.Generator, channels: int, heads: int = 4,
                            points: int = 4, cameras: int = 6,
-                           star_radius_px: float = 3.0) -> ProjFirstParams:
-    c_v = channels // heads
-    value_maps = [AffineMap(rng.normal(0.0, 1.0 / np.sqrt(channels), (c_v, channels)),
-                            np.zeros(c_v)) for _ in range(heads)]
-    output_maps = [AffineMap(rng.normal(0.0, 1.0 / np.sqrt(c_v), (channels, c_v)),
-                             np.zeros(channels)) for _ in range(heads)]
-    offset_head = AffineMap(np.zeros((heads * points * 2, channels)),
-                            star_bias(heads * points, star_radius_px, dims=2))
-    logit_head = AffineMap.zeros(heads * points * cameras, channels)
-    return ProjFirstParams(heads, points, cameras, value_maps, output_maps,
-                           offset_head, logit_head)
+                           star_radius_px: float = 3.0) -> AttnParams:
+    return _init_params(rng, channels, heads, points, cameras, 2, star_radius_px)
 
 
 @dataclass
@@ -193,20 +163,6 @@ class TraceRecord:
         return {"entries": entries}
 
 
-def generate_offsets(query: np.ndarray, params) -> np.ndarray:
-    """Per-head sample offsets from the query feature; (heads, points, dims)."""
-    dims = params.offset_head.out_dim // (params.heads * params.points)
-    flat = params.offset_head.weight @ np.asarray(query, dtype=FLOAT) + params.offset_head.bias
-    return flat.reshape(params.heads, params.points, dims)
-
-
-def generate_attention(query: np.ndarray, params) -> np.ndarray:
-    """Attention weights from the query; softmax over points x cameras per head."""
-    flat = params.logit_head.weight @ np.asarray(query, dtype=FLOAT) + params.logit_head.bias
-    logits = flat.reshape(params.heads, params.points * params.cameras)
-    return softmax_norm(logits, axis=-1).reshape(params.heads, params.points, params.cameras)
-
-
 def _feature_arrays(features, params):
     require(len(features) == params.cameras,
             f"expected {params.cameras} feature maps, got {len(features)}")
@@ -225,7 +181,141 @@ def _stacked_maps(maps):
     return w, b
 
 
-def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: ViewAttnParams,
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, D) sums of the (E, D) rows by their target index (E,)."""
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+
+
+def _pixel_table(maps) -> np.ndarray:
+    """Every source map's pixels stacked row-major into one (sum H*W, C) table."""
+    return np.concatenate([f.reshape(-1, f.shape[2]) for f in maps])
+
+
+def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
+                     value_maps, output_maps):
+    """The deformable aggregation every attention layer shares.
+
+    attn, u, v: (Q, M, K, J) weight and pixel location of sample k of head m
+    in source map j; mask broadcasts to them and marks the samples the caller
+    allows. maps: J arrays (H_j, W_j, C); value_maps (c_v x C) and output_maps
+    (C_out x c_v) hold one AffineMap per head. A sample is valid where the
+    mask allows it and (u, v) lies in its map; with s its bilinear read,
+
+        out[q] = sum_m [ W_m ( sum_{k,j valid} attn * (W'_m s + b'_m) ) + b_m ]
+
+    Invalid samples contribute nothing. Returns (out (Q, C_out), cache); the
+    cache holds the boolean (Q, M, K, J) "valid" mask and what the backward
+    pass needs.
+    """
+    heights = np.array([f.shape[0] for f in maps])
+    widths = np.array([f.shape[1] for f in maps])
+    valid = mask & bilinear_valid(u, v, heights, widths)
+    nq, m, k, j = valid.shape
+    w_v, b_v = _stacked_maps(value_maps)
+    w_o, b_o = _stacked_maps(output_maps)
+    c_v = w_v.shape[1]
+    # The bilinear weights of a valid sample sum to 1, so value-mapping every
+    # pixel once and then sampling equals value-mapping every sample.
+    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T + b_v.reshape(-1)
+    table = table.reshape(-1, c_v)                 # row = pixel * M + head
+
+    idx = np.flatnonzero(valid)
+    src = idx % j
+    head = idx // (k * j) % m
+    x0, y0, x1, y1, fx, fy = corner_indices(u[valid], v[valid], heights[src], widths[src])
+    base = np.concatenate(([0], np.cumsum(heights * widths)[:-1]))[src]
+    width = widths[src]
+    rows = base + np.stack([y0 * width + x0, y0 * width + x1,
+                            y1 * width + x0, y1 * width + x1])      # (4, E) pixels
+    weights = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
+                        (1.0 - fx) * fy, fx * fy])
+    corners = table[rows * m + head]                                 # (4, E, c_v)
+    samples = np.einsum("ce,cev->ev", weights, corners)
+    group = idx // (k * j)                                           # q * M + m
+    head_out = _scatter_rows(group, attn[valid][:, None] * samples, nq * m)
+    head_out = head_out.reshape(nq, m, c_v)
+    out = np.einsum("qmv,mcv->qc", head_out, w_o, optimize=True) + b_o.sum(axis=0)
+    cache = {"attn": attn, "valid": valid, "head": head, "group": group, "rows": rows,
+             "weights": weights, "fx": fx, "fy": fy, "corners": corners,
+             "head_out": head_out}
+    return out, cache
+
+
+def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
+                              g_out: np.ndarray, want_map_grads: bool = False) -> dict:
+    """Gradients of sum(g_out * out) for `deform_aggregate`.
+
+    Returns a dict with "attn", "u" and "v" (Q, M, K, J), zero at invalid
+    samples; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
+    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
+    map gradients when asked for, else None.
+    """
+    valid, head = cache["valid"], cache["head"]
+    nq, m = valid.shape[:2]
+    w_v, _ = _stacked_maps(value_maps)
+    w_o, _ = _stacked_maps(output_maps)
+    c_v = w_v.shape[1]
+    g_out = np.asarray(g_out, dtype=FLOAT)
+
+    g_head = np.einsum("qc,mcv->qmv", g_out, w_o, optimize=True).reshape(nq * m, c_v)
+    g_head = g_head[cache["group"]]                                  # (E, c_v)
+    a = cache["attn"][valid]
+    dots = np.einsum("cev,ev->ce", cache["corners"], g_head)        # (4, E)
+    d00, d10, d01, d11 = dots
+    fx, fy = cache["fx"], cache["fy"]
+    per_sample = {
+        "attn": np.einsum("ce,ce->e", cache["weights"], dots),
+        "u": a * ((1.0 - fy) * (d10 - d00) + fy * (d11 - d01)),
+        "v": a * ((1.0 - fx) * (d01 - d00) + fx * (d11 - d10)),
+    }
+    grads = {}
+    for name, values in per_sample.items():
+        dense = np.zeros(valid.shape, dtype=FLOAT)
+        dense[valid] = values
+        grads[name] = dense
+
+    g_value = a[:, None] * g_head
+    pixels = _pixel_table(maps)
+    raw = np.einsum("ce,cek->ek", cache["weights"], pixels[cache["rows"]])  # (E, C)
+    by_head = [head == i for i in range(m)]
+    grads["value_w"] = np.stack([g_value[h].T @ raw[h] for h in by_head])
+    grads["value_b"] = np.stack([g_value[h].sum(axis=0) for h in by_head])
+    grads["out_w"] = np.einsum("qc,qmv->mcv", g_out, cache["head_out"], optimize=True)
+    grads["out_b"] = np.broadcast_to(g_out.sum(axis=0), (m, g_out.shape[1])).copy()
+    grads["maps"] = None
+    if want_map_grads:
+        # corner-weighted g_value scattered onto the (pixel, head) grid, then
+        # through the value maps
+        weighted = cache["weights"][..., None] * g_value             # (4, E, c_v)
+        grid = _scatter_rows((cache["rows"] * m + head).reshape(-1),
+                             weighted.reshape(-1, c_v), pixels.shape[0] * m)
+        g_pixels = grid.reshape(-1, m * c_v) @ w_v.reshape(m * c_v, -1)
+        ends = np.cumsum([f.shape[0] * f.shape[1] for f in maps])[:-1]
+        grads["maps"] = [g.reshape(f.shape) for g, f in zip(np.split(g_pixels, ends), maps)]
+    return grads
+
+
+def _param_grads(params: AttnParams, queries: np.ndarray, g_off_flat: np.ndarray,
+                 g_logits: np.ndarray, g: dict):
+    """(grads by params.arrays() name, g_queries, feature grads) of one layer."""
+    grads = {
+        "offset_head.weight": g_off_flat.T @ queries,
+        "offset_head.bias": g_off_flat.sum(axis=0),
+        "logit_head.weight": g_logits.T @ queries,
+        "logit_head.bias": g_logits.sum(axis=0),
+    }
+    for i in range(params.heads):
+        grads[f"value_maps.{i}.weight"] = g["value_w"][i]
+        grads[f"value_maps.{i}.bias"] = g["value_b"][i]
+        grads[f"output_maps.{i}.weight"] = g["out_w"][i]
+        grads[f"output_maps.{i}.bias"] = g["out_b"][i]
+    g_queries = g_off_flat @ params.offset_head.weight + g_logits @ params.logit_head.weight
+    return grads, g_queries, g["maps"]
+
+
+def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
                        features, rig, mode: str = "one-dof", keep_cache: bool = False):
     """Vectorized learning-first forward over Q queries.
 
@@ -233,11 +323,12 @@ def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: ViewAttnPa
     attn_backward_batch and by trace extraction.
     """
     fdata = _feature_arrays(features, params)
+    require(params.offset_dim == 3, "learning-first attention needs 3-d offsets")
     require(len(rig) == params.cameras, "rig size does not match params.cameras")
     queries = np.asarray(queries, dtype=FLOAT)
     refs = np.asarray(refs, dtype=FLOAT)
     nq = queries.shape[0]
-    m, k, j, c = params.heads, params.points, params.cameras, params.channels
+    m, k, j = params.heads, params.points, params.cameras
 
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
     offsets = off_flat.reshape(nq, m, k, 3)
@@ -245,36 +336,21 @@ def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: ViewAttnPa
     attn = softmax_norm(logit_flat.reshape(nq, m, k * j), axis=-1).reshape(nq, m, k, j)
 
     rot = view_rotations(refs, mode)
-    sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets)
-
-    samples = np.zeros((nq, m, k, j, c), dtype=FLOAT)
+    sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets, optimize=True)
     uv = np.zeros((nq, m, k, j, 2), dtype=FLOAT)
-    valid = np.zeros((nq, m, k, j), dtype=bool)
+    in_view = np.zeros((nq, m, k, j), dtype=bool)
     for ji, cam in enumerate(rig):
-        uv_j, _, vis_j = project_points(cam, sample_pts)
-        vals, _ = bilinear_many(fdata[ji], uv_j[..., 0], uv_j[..., 1])
-        samples[:, :, :, ji, :] = np.where(vis_j[..., None], vals, 0.0)
-        uv[:, :, :, ji, :] = uv_j
-        valid[:, :, :, ji] = vis_j
+        uv[:, :, :, ji, :], _, in_view[:, :, :, ji] = project_points(cam, sample_pts)
 
-    w_v, b_v = _stacked_maps(params.value_maps)
-    value = np.einsum("qmkjc,mvc->qmkjv", samples, w_v) + b_v[None, :, None, None, :]
-    attn_eff = attn * valid
-    head_out = np.einsum("qmkj,qmkjv->qmv", attn_eff, value)
-    w_o, b_o = _stacked_maps(params.output_maps)
-    out = np.einsum("qmv,mcv->qc", head_out, w_o) + b_o.sum(axis=0)
-
-    cache = None
-    if keep_cache:
-        cache = {
-            "queries": queries, "refs": refs, "attn": attn, "valid": valid, "uv": uv,
-            "samples": samples, "value": value, "head_out": head_out,
-            "sample_pts": sample_pts, "rot": rot, "mode": mode,
-        }
+    out, cache = deform_aggregate(attn, in_view, uv[..., 0], uv[..., 1], fdata,
+                                  params.value_maps, params.output_maps)
+    if not keep_cache:
+        return out, None
+    cache.update(queries=queries, uv=uv, sample_pts=sample_pts, rot=rot)
     return out, cache
 
 
-def attn_backward_batch(cache: dict, params: ViewAttnParams, features, rig,
+def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
                         g_out: np.ndarray, want_feature_grads: bool = False):
     """Gradients of sum(g_out * out) for the learning-first strategy.
 
@@ -283,61 +359,25 @@ def attn_backward_batch(cache: dict, params: ViewAttnParams, features, rig,
     per-camera arrays or None.
     """
     fdata = _feature_arrays(features, params)
-    g_out = np.asarray(g_out, dtype=FLOAT)
-    queries = cache["queries"]
-    attn, valid, uv = cache["attn"], cache["valid"], cache["uv"]
-    samples, value, head_out = cache["samples"], cache["value"], cache["head_out"]
-    sample_pts, rot = cache["sample_pts"], cache["rot"]
-    nq = queries.shape[0]
-    m, k, j = params.heads, params.points, params.cameras
+    g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps,
+                                  g_out, want_feature_grads)
+    valid, sample_pts = cache["valid"], cache["sample_pts"]
+    nq, m, k, j = valid.shape
 
-    w_v, _ = _stacked_maps(params.value_maps)
-    w_o, _ = _stacked_maps(params.output_maps)
-
-    g_wo = np.einsum("qc,qmv->mcv", g_out, head_out)
-    g_bo = np.broadcast_to(g_out.sum(axis=0), (m, params.channels)).copy()
-    g_head = np.einsum("qc,mcv->qmv", g_out, w_o)
-
-    attn_eff = attn * valid
-    g_attn_eff = np.einsum("qmv,qmkjv->qmkj", g_head, value)
-    g_value = attn_eff[..., None] * g_head[:, :, None, None, :]
-    g_wv = np.einsum("qmkjv,qmkjc->mvc", g_value, samples)
-    g_bv = g_value.sum(axis=(0, 2, 3))
-    g_samples = np.einsum("qmkjv,mvc->qmkjc", g_value, w_v)
-
-    feature_grads = [np.zeros_like(f) for f in fdata] if want_feature_grads else None
     g_pts = np.zeros((nq, m, k, 3), dtype=FLOAT)
     for ji, cam in enumerate(rig):
-        sink = feature_grads[ji] if want_feature_grads else None
-        du, dv = bilinear_many_backward(fdata[ji], uv[..., ji, 0], uv[..., ji, 1],
-                                        g_samples[:, :, :, ji, :], sink)
-        du = du * valid[..., ji]
-        dv = dv * valid[..., ji]
-        jac = project_jacobian(cam, sample_pts)
-        g_pts += jac[..., 0, :] * du[..., None] + jac[..., 1, :] * dv[..., None]
-
-    g_offsets = np.einsum("qab,qmka->qmkb", rot, g_pts)
-    g_off_flat = g_offsets.reshape(nq, m * k * 3)
-    g_attn = g_attn_eff * valid
-    g_logits = softmax_backward(attn.reshape(nq, m, k * j), g_attn.reshape(nq, m, k * j),
-                                axis=-1).reshape(nq, m * k * j)
-
-    grads = {
-        "offset_head.weight": g_off_flat.T @ queries,
-        "offset_head.bias": g_off_flat.sum(axis=0),
-        "logit_head.weight": g_logits.T @ queries,
-        "logit_head.bias": g_logits.sum(axis=0),
-    }
-    for i in range(m):
-        grads[f"value_maps.{i}.weight"] = g_wv[i]
-        grads[f"value_maps.{i}.bias"] = g_bv[i]
-        grads[f"output_maps.{i}.weight"] = g_wo[i]
-        grads[f"output_maps.{i}.bias"] = g_bo[i]
-    g_queries = g_off_flat @ params.offset_head.weight + g_logits @ params.logit_head.weight
-    return grads, g_queries, feature_grads
+        ok = valid[..., ji]
+        jac = project_jacobian(cam, sample_pts[ok])                  # valid points only
+        g_pts[ok] += (jac[:, 0, :] * g["u"][..., ji][ok][:, None]
+                      + jac[:, 1, :] * g["v"][..., ji][ok][:, None])
+    g_offsets = np.einsum("qab,qmka->qmkb", cache["rot"], g_pts, optimize=True)
+    g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
+                                g["attn"].reshape(nq, m, k * j), axis=-1)
+    return _param_grads(params, cache["queries"], g_offsets.reshape(nq, m * k * 3),
+                        g_logits.reshape(nq, m * k * j), g)
 
 
-def view_attn_forward(ctx: QueryContext, params: ViewAttnParams, features, rig,
+def view_attn_forward(ctx: QueryContext, params: AttnParams, features, rig,
                       mode: str = "one-dof"):
     """Single-query learning-first attention; returns (out, TraceRecord)."""
     out, cache = attn_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
@@ -347,7 +387,7 @@ def view_attn_forward(ctx: QueryContext, params: ViewAttnParams, features, rig,
     return out[0], trace
 
 
-def view_attn_backward(ctx: QueryContext, params: ViewAttnParams, features, rig,
+def view_attn_backward(ctx: QueryContext, params: AttnParams, features, rig,
                        upstream: np.ndarray, mode: str = "one-dof",
                        want_feature_grads: bool = True) -> dict:
     """Gradients of sum(upstream * out) w.r.t. parameters, query, and features."""
@@ -363,7 +403,7 @@ def view_attn_backward(ctx: QueryContext, params: ViewAttnParams, features, rig,
     return grads
 
 
-def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: ProjFirstParams,
+def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
                              features, rig, keep_cache: bool = False):
     """Vectorized projection-first baseline forward.
 
@@ -372,11 +412,12 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Proj
     query visible nowhere returns an exact zero vector.
     """
     fdata = _feature_arrays(features, params)
+    require(params.offset_dim == 2, "projection-first attention needs 2-d pixel offsets")
     require(len(rig) == params.cameras, "rig size does not match params.cameras")
     queries = np.asarray(queries, dtype=FLOAT)
     refs = np.asarray(refs, dtype=FLOAT)
     nq = queries.shape[0]
-    m, k, j, c = params.heads, params.points, params.cameras, params.channels
+    m, k, j = params.heads, params.points, params.cameras
 
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
     offsets = off_flat.reshape(nq, m, k, 2)
@@ -385,9 +426,7 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Proj
     ref_uv = np.zeros((nq, j, 2), dtype=FLOAT)
     cam_vis = np.zeros((nq, j), dtype=bool)
     for ji, cam in enumerate(rig):
-        uv_j, _, vis_j = project_points(cam, refs)
-        ref_uv[:, ji, :] = uv_j
-        cam_vis[:, ji] = vis_j
+        ref_uv[:, ji, :], _, cam_vis[:, ji] = project_points(cam, refs)
 
     # masked softmax over points x visible cameras, per head
     mask = np.broadcast_to(cam_vis[:, None, None, :], logits.shape)
@@ -401,112 +440,40 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Proj
 
     # (Q, M, K, J, 2): reference pixel per camera plus the shared 2-d offset
     uv = ref_uv[:, None, None, :, :] + offsets[:, :, :, None, :]
-    samples = np.zeros((nq, m, k, j, c), dtype=FLOAT)
-    sample_ok = np.zeros((nq, m, k, j), dtype=bool)
-    for ji in range(j):
-        vals, ok = bilinear_many(fdata[ji], uv[..., ji, 0], uv[..., ji, 1])
-        ok = ok & cam_vis[:, ji][:, None, None]
-        samples[:, :, :, ji, :] = np.where(ok[..., None], vals, 0.0)
-        sample_ok[:, :, :, ji] = ok
-
-    w_v, b_v = _stacked_maps(params.value_maps)
-    value = np.einsum("qmkjc,mvc->qmkjv", samples, w_v) + b_v[None, :, None, None, :]
-    attn_eff = attn * sample_ok
-    head_out = np.einsum("qmkj,qmkjv->qmv", attn_eff, value)
-    w_o, b_o = _stacked_maps(params.output_maps)
-    out = np.einsum("qmv,mcv->qc", head_out, w_o) + b_o.sum(axis=0)
+    out, cache = deform_aggregate(attn, mask, uv[..., 0], uv[..., 1], fdata,
+                                  params.value_maps, params.output_maps)
     any_vis = cam_vis.any(axis=1)
     out = np.where(any_vis[:, None], out, 0.0)
-
-    cache = None
-    if keep_cache:
-        cache = {
-            "queries": queries, "refs": refs, "attn": attn, "cam_vis": cam_vis,
-            "sample_ok": sample_ok, "uv": uv, "samples": samples, "value": value,
-            "head_out": head_out, "any_vis": any_vis, "mask": mask,
-        }
+    if not keep_cache:
+        return out, None
+    cache.update(queries=queries, uv=uv, sample_ok=cache["valid"], any_vis=any_vis)
     return out, cache
 
 
-def proj_first_backward_batch(cache: dict, params: ProjFirstParams, features, rig,
+def proj_first_backward_batch(cache: dict, params: AttnParams, features, rig,
                               g_out: np.ndarray, want_feature_grads: bool = False):
     """Gradients for the projection-first baseline (shared 2-d pixel offsets)."""
     fdata = _feature_arrays(features, params)
     g_out = np.asarray(g_out, dtype=FLOAT) * cache["any_vis"][:, None]
-    queries = cache["queries"]
-    attn, sample_ok, uv = cache["attn"], cache["sample_ok"], cache["uv"]
-    samples, value, head_out = cache["samples"], cache["value"], cache["head_out"]
-    mask = cache["mask"]
-    nq = queries.shape[0]
-    m, k, j = params.heads, params.points, params.cameras
-
-    w_v, _ = _stacked_maps(params.value_maps)
-    w_o, _ = _stacked_maps(params.output_maps)
-
-    g_wo = np.einsum("qc,qmv->mcv", g_out, head_out)
-    g_bo = np.broadcast_to(g_out.sum(axis=0), (m, params.channels)).copy()
-    g_head = np.einsum("qc,mcv->qmv", g_out, w_o)
-
-    attn_eff = attn * sample_ok
-    g_attn_eff = np.einsum("qmv,qmkjv->qmkj", g_head, value)
-    g_value = attn_eff[..., None] * g_head[:, :, None, None, :]
-    g_wv = np.einsum("qmkjv,qmkjc->mvc", g_value, samples)
-    g_bv = g_value.sum(axis=(0, 2, 3))
-    g_samples = np.einsum("qmkjv,mvc->qmkjc", g_value, w_v)
-
-    feature_grads = [np.zeros_like(f) for f in fdata] if want_feature_grads else None
-    g_uv = np.zeros((nq, m, k, j, 2), dtype=FLOAT)
-    for ji in range(j):
-        sink = feature_grads[ji] if want_feature_grads else None
-        du, dv = bilinear_many_backward(fdata[ji], uv[..., ji, 0], uv[..., ji, 1],
-                                        g_samples[:, :, :, ji, :], sink)
-        g_uv[..., ji, 0] = du * sample_ok[..., ji]
-        g_uv[..., ji, 1] = dv * sample_ok[..., ji]
-
-    g_offsets = g_uv.sum(axis=3)  # shared across cameras
-    g_off_flat = g_offsets.reshape(nq, m * k * 2)
-
-    g_attn = np.where(mask, g_attn_eff * sample_ok, 0.0)
-    g_logits_m = softmax_backward(attn.reshape(nq, m, k * j), g_attn.reshape(nq, m, k * j),
-                                  axis=-1).reshape(nq, m, k, j)
-    g_logits = np.where(mask, g_logits_m, 0.0).reshape(nq, m * k * j)
-
-    grads = {
-        "offset_head.weight": g_off_flat.T @ queries,
-        "offset_head.bias": g_off_flat.sum(axis=0),
-        "logit_head.weight": g_logits.T @ queries,
-        "logit_head.bias": g_logits.sum(axis=0),
-    }
-    for i in range(m):
-        grads[f"value_maps.{i}.weight"] = g_wv[i]
-        grads[f"value_maps.{i}.bias"] = g_bv[i]
-        grads[f"output_maps.{i}.weight"] = g_wo[i]
-        grads[f"output_maps.{i}.bias"] = g_bo[i]
-    g_queries = g_off_flat @ params.offset_head.weight + g_logits @ params.logit_head.weight
-    return grads, g_queries, feature_grads
+    g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps,
+                                  g_out, want_feature_grads)
+    nq, m, k, j = cache["valid"].shape
+    # the offset is shared across cameras; attn is exactly zero off the
+    # visible set, so its softmax gradient is too
+    g_offsets = np.stack([g["u"].sum(axis=3), g["v"].sum(axis=3)], axis=-1)
+    g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
+                                g["attn"].reshape(nq, m, k * j), axis=-1)
+    return _param_grads(params, cache["queries"], g_offsets.reshape(nq, m * k * 2),
+                        g_logits.reshape(nq, m * k * j), g)
 
 
-def projection_first_forward(ctx: QueryContext, params: ProjFirstParams, features, rig):
+def projection_first_forward(ctx: QueryContext, params: AttnParams, features, rig):
     """Single-query projection-first baseline; returns (out, TraceRecord)."""
     out, cache = proj_first_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
                                           params, features, rig, keep_cache=True)
     trace = TraceRecord(uv=cache["uv"][0], in_view=cache["sample_ok"][0],
                         weight=(cache["attn"] * cache["sample_ok"])[0])
     return out[0], trace
-
-
-def projection_first_backward(ctx: QueryContext, params: ProjFirstParams, features, rig,
-                              upstream: np.ndarray, want_feature_grads: bool = True) -> dict:
-    _, cache = proj_first_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
-                                        params, features, rig, keep_cache=True)
-    grads, g_queries, feature_grads = proj_first_backward_batch(
-        cache, params, features, rig, np.asarray(upstream, dtype=FLOAT)[None, :],
-        want_feature_grads=want_feature_grads)
-    grads["query"] = g_queries[0]
-    if want_feature_grads:
-        for ji, g in enumerate(feature_grads):
-            grads[f"features.{ji}"] = g
-    return grads
 
 
 def camera_coverage(p, rig) -> int:
@@ -521,5 +488,4 @@ def camera_coverage(p, rig) -> int:
 
 def batch_valid_camera_counts(cache: dict) -> np.ndarray:
     """Per-query number of cameras holding at least one valid sample."""
-    valid = cache["valid"] if "valid" in cache else cache["sample_ok"]
-    return np.any(valid, axis=(1, 2)).sum(axis=1)
+    return np.any(cache["valid"], axis=(1, 2)).sum(axis=1)

@@ -221,6 +221,40 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_rejects_zero_epochs(tmp_path, capsys, command):
+    scene_path = tmp_path / "scene.json"
+    save_scene(scene_path, preset_scene("training"))
+    assert cli_main([command, "--scene", str(scene_path), "--preset", "small",
+                     "--epochs", "0"]) == 2
+    assert "epochs" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _truncate_bin(prefix):
+    path = prefix.with_name(prefix.name + ".bin")
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _drop_arrays_table(prefix):
+    path = prefix.with_name(prefix.name + ".json")
+    header = json.loads(path.read_text())
+    del header["arrays"]
+    path.write_text(json.dumps(header))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate_bin, _drop_arrays_table])
+def test_cli_eval_rejects_corrupt_params_blob(tmp_path, capsys, corrupt):
+    scene = preset_scene("training")
+    scene_path = tmp_path / "scene.json"
+    save_scene(scene_path, scene)
+    config, _ = resolve_preset("small", scene)
+    prefix = tmp_path / "model"
+    save_params(prefix, init_model(np.random.default_rng(0), config, len(scene.cameras)))
+    corrupt(prefix)
+    assert cli_main(["eval", "--scene", str(scene_path), "--params", str(prefix)]) == 2
+    assert "read_blob" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_prepared_frames_carry_consistent_shapes():
     scene = preset_scene("boundary")
     frames = prepare_frames(scene, frames=[0])

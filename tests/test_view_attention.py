@@ -4,9 +4,8 @@ import pytest
 from viewocc.errors import ContractViolation
 from viewocc.geometry import CameraModel, Pose, pinhole_project, view_rotation
 from viewocc.numerics import FeatureMap, bilinear_sample
-from viewocc.view_attention import (ProjFirstParams, QueryContext, ViewAttnParams,
-                                    attn_backward_batch, attn_forward_batch,
-                                    camera_coverage, init_proj_first_params,
+from viewocc.view_attention import (AttnParams, QueryContext, attn_backward_batch,
+                                    attn_forward_batch, camera_coverage, init_proj_first_params,
                                     init_view_attn_params, proj_first_backward_batch,
                                     proj_first_forward_batch, projection_first_forward,
                                     star_bias, view_attn_forward)
@@ -30,7 +29,7 @@ def _softmax(z):
     return e / e.sum()
 
 
-def reference_view_attn(query, ref, params: ViewAttnParams, features, rig, mode):
+def reference_view_attn(query, ref, params: AttnParams, features, rig, mode):
     """Scalar-loop reimplementation of the strategy, kept deliberately naive."""
     m_heads, k_pts, n_cams = params.heads, params.points, params.cameras
     off = (params.offset_head.weight @ query + params.offset_head.bias).reshape(
@@ -57,7 +56,7 @@ def reference_view_attn(query, ref, params: ViewAttnParams, features, rig, mode)
     return out
 
 
-def reference_proj_first(query, ref, params: ProjFirstParams, features, rig):
+def reference_proj_first(query, ref, params: AttnParams, features, rig):
     m_heads, k_pts, n_cams = params.heads, params.points, params.cameras
     off = (params.offset_head.weight @ query + params.offset_head.bias).reshape(
         m_heads, k_pts, 2)
@@ -101,9 +100,9 @@ def _random_features(rng, rig, channels):
 # 1; output map 1x - 1 -> 7.5.
 
 
-def _micro_params(cameras: int) -> ViewAttnParams:
+def _micro_params(cameras: int) -> AttnParams:
     from viewocc.numerics import AffineMap
-    return ViewAttnParams(
+    return AttnParams(
         heads=1, points=1, cameras=cameras,
         value_maps=[AffineMap(np.array([[2.0]]), np.array([0.5]))],
         output_maps=[AffineMap(np.array([[1.0]]), np.array([-1.0]))],
@@ -188,6 +187,48 @@ def test_proj_first_matches_reference_loop():
         np.testing.assert_allclose(out[i], expect, atol=1e-12)
 
 
+def _seeded_small_preset(init, rng):
+    """`small` preset attention layer with seeded offset and logit heads."""
+    params = init(rng, 16, heads=2, points=4, cameras=6)
+    for head, scale in (("offset_head", 0.15), ("logit_head", 0.5)):
+        weight = getattr(params, head).weight
+        weight[:] = rng.normal(0.0, scale / np.sqrt(weight.shape[1]), weight.shape)
+    return params
+
+
+def test_sparse_training_scene_matches_reference_loops():
+    # the regime training runs in: six cameras, about 6% of the dense
+    # (query, head, point, camera) samples valid, many queries reading none
+    from viewocc.harness import resolve_preset
+    from viewocc.scene_sim import preset_scene, render_all_cameras
+    scene = preset_scene("training", seed=0)
+    config, _ = resolve_preset("small", scene)
+    rig = scene.cameras
+    features = render_all_cameras(scene, 0)
+    refs = config.grid.voxel_centers().reshape(-1, 3)[::25]
+    rng = np.random.default_rng(8)
+    queries = rng.normal(0.0, 0.3, (refs.shape[0], 16))
+    assert refs.shape[0] >= 64
+
+    va = _seeded_small_preset(init_view_attn_params, rng)
+    out, cache = attn_forward_batch(queries, refs, va, features, rig, "one-dof",
+                                    keep_cache=True)
+    reads = cache["valid"].any(axis=(1, 2, 3))
+    assert reads.any() and not reads.all()
+    assert cache["valid"].mean() < 0.2
+    for i in range(refs.shape[0]):
+        expect = reference_view_attn(queries[i], refs[i], va, features, rig, "one-dof")
+        np.testing.assert_allclose(out[i], expect, rtol=0.0, atol=1e-12)
+
+    pf = _seeded_small_preset(init_proj_first_params, rng)
+    out, cache = proj_first_forward_batch(queries, refs, pf, features, rig, keep_cache=True)
+    reads = cache["sample_ok"].any(axis=(1, 2, 3))
+    assert reads.any() and not reads.all()
+    for i in range(refs.shape[0]):
+        expect = reference_proj_first(queries[i], refs[i], pf, features, rig)
+        np.testing.assert_allclose(out[i], expect, rtol=0.0, atol=1e-12)
+
+
 def test_proj_first_hard_zero_when_unseen():
     rng = np.random.default_rng(3)
     rig = [_camera(0.0)]
@@ -233,6 +274,14 @@ def test_shape_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ContractViolation):
         init_view_attn_params(rng, channels=7, heads=2)  # 7 % 2 != 0
+    # one params class serves both strategies; its offset width must match
+    rig = [_camera(0.0)]
+    features = _random_features(rng, rig, 4)
+    args = (np.zeros((1, 4)), np.array([[2.0, 0.0, 0.0]]))
+    with pytest.raises(ContractViolation):
+        attn_forward_batch(*args, init_proj_first_params(rng, 4, 2, 1, 1), features, rig)
+    with pytest.raises(ContractViolation):
+        proj_first_forward_batch(*args, init_view_attn_params(rng, 4, 2, 1, 1), features, rig)
 
 
 # --- gradients ---------------------------------------------------------------
