@@ -15,15 +15,15 @@ from .geometry import (CameraModel, Pose, ViewFrame, altitude_angle, altitude_ro
 from .harness import (PRESETS, MetricAccumulator, TrainSettings, compare_methods,
                       coverage_report, decode_prediction, evaluate_model, jsonable,
                       prepare_frames, resolve_preset, train_model)
-from .numerics import (FLOAT, AffineMap, DenseGrid, FeatureMap, affine_apply,
-                       bilinear_many, bilinear_sample, bilinear_sample_grad, softmax_norm)
+from .numerics import (FLOAT, AffineMap, FeatureMap, affine_apply, bilinear_many,
+                       bilinear_sample, bilinear_sample_grad, softmax_norm)
 from .objective import (FrameTruth, LossWeights, PredictionBundle, cross_entropy,
                         focal_loss, iou_geo, l1_flow, lovasz_softmax, mave, miou,
                         resample_nearest, resample_trilinear, total_loss)
-from .scene_sim import (SceneClass, SceneSpec, StaticElement, build_rig, load_scene,
-                        preset_scene, ray_visibility, render_all_cameras,
-                        render_camera_features, rotated_about_z, save_scene,
-                        scene_ground_truth, surface_feature, with_feature_channels)
+from .scene_sim import (SceneClass, SceneSpec, StaticElement, build_rig, load_scene, observe,
+                        preset_scene, render_all_cameras, render_camera_features,
+                        rotated_about_z, save_scene, scene_ground_truth, surface_feature,
+                        with_feature_channels)
 from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, VoxelGrid, check_planar,
                               init_temporal_params, load_queue, queue_push, save_queue,
                               squeeze_bev, temporal_attention, temporal_backward_arrays,

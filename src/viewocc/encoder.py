@@ -64,6 +64,7 @@ class ModelConfig:
         require(len(self.grid_shape) == 3 and len(self.origin) == 3, "grid needs 3-d shape/origin")
         require(self.method in METHODS, f"method must be one of {METHODS}")
         require(self.mode in MODES, f"mode must be one of {MODES}")
+        require(self.heads >= 1 and self.points >= 1, "heads and points must be >= 1")
         require(self.voxel_channels % self.heads == 0,
                 "voxel_channels must be divisible by heads")
         require(self.layers >= 1 and self.queue_len >= 1, "layers and queue_len must be >= 1")
@@ -168,8 +169,13 @@ def save_params(prefix, params: ModelParams) -> None:
 
 def load_params(prefix) -> ModelParams:
     arrays, meta = blobio.read_blob(prefix)
+    require(isinstance(meta, dict) and isinstance(meta.get("config"), dict),
+            f"parameter blob {prefix} has no meta.config table")
     config = ModelConfig.from_json(meta["config"])
-    n_cameras = arrays["layers.0.logit_head.weight"].shape[0] // (config.heads * config.points)
+    logits = arrays.get("layers.0.logit_head.weight")
+    require(logits is not None and logits.ndim == 2,
+            "parameter blob is missing the 2-d array 'layers.0.logit_head.weight'")
+    n_cameras = logits.shape[0] // (config.heads * config.points)
     params = init_model(np.random.default_rng(0), config, n_cameras)
     for name, target in params.arrays():
         if name not in arrays:

@@ -24,7 +24,7 @@ from .flow_annotation import BEVFlowField, reduce_bev_flow
 from .geometry import Pose, project_points
 from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums,
                         iou_counts, iou_geo, mave, miou, total_loss)
-from .scene_sim import SceneSpec, ray_visibility, render_all_cameras, scene_ground_truth
+from .scene_sim import SceneSpec, observe, scene_ground_truth
 from .temporal_stream import BEVGrid, MemoryQueue, queue_push
 
 CSV_COLUMNS = ("epoch", "focal", "ce", "lovasz", "l1_flow", "total",
@@ -71,14 +71,15 @@ def prepare_frames(scene: SceneSpec, frames=None, flow_mode: str = "occupancy-fl
     for f in indices:
         labels, field = scene_ground_truth(scene, f, flow_mode=flow_mode)
         bev = reduce_bev_flow(field)
+        features, visibility = observe(scene, f)
         out.append(FrameData(
             index=f,
-            features=render_all_cameras(scene, f),
+            features=features,
             pose=scene.ego_trajectory[f],
             truth=FrameTruth(labels=labels, bev_flow=bev),
             labels=labels,
             bev_truth=bev,
-            visibility=ray_visibility(scene, f),
+            visibility=visibility,
         ))
     return out
 

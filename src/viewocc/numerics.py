@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require
+from .errors import ContractViolation
 
 FLOAT = np.float64
 
@@ -26,24 +26,6 @@ def as_float_array(values, shape=None, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ContractViolation(f"{name}: contains non-finite values")
     return arr
-
-
-@dataclass
-class DenseGrid:
-    """N-dimensional float64 array with validated shape and finite entries."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = as_float_array(self.data, name="DenseGrid.data")
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(self.data.shape)
-
-    @classmethod
-    def zeros(cls, shape) -> "DenseGrid":
-        return cls(np.zeros(shape, dtype=FLOAT))
 
 
 @dataclass
@@ -254,6 +236,3 @@ def bilinear_sample_grad(fmap: FeatureMap, uv, upstream) -> tuple[np.ndarray, np
     du, dv = bilinear_many_backward(fmap.data, uv[0], uv[1], upstream, grad_map)
     return np.array([du, dv], dtype=FLOAT), grad_map
 
-
-def assert_same_dim(name: str, got: int, expected: int) -> None:
-    require(got == expected, f"{name}: dimension {got} does not match expected {expected}")

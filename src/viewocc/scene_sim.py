@@ -4,9 +4,10 @@ A scene is a set of oriented boxes in a world frame (static walls and ground
 slabs plus tracked dynamic boxes), a camera rig mounted on an ego body, a
 per-frame ego trajectory, and a voxel grid fixed in the ego frame. Rendering
 ray-casts each pixel by uniform stepping at pitch/4 against the analytic
-elements (first hit wins) and emits a feature that depends only on the hit
-point's world position and the hit element's class: a fixed orthogonal
-per-class code plus a smooth sinusoidal position code. Two cameras observing
+elements (first hit wins; a slab test per element picks the steps worth
+testing) and emits a feature that depends only on the hit point's world
+position and the hit element's class: a fixed orthogonal per-class code
+plus a smooth sinusoidal position code. Two cameras observing
 the same surface point therefore render near-identical features, and jointly
 rotating scene content and rig about z reproduces the same feature maps,
 which the rotational-invariance suite relies on.
@@ -110,7 +111,8 @@ class SceneSpec:
         """(element, class) membership callables in priority order, ego frame.
 
         Dynamic boxes precede statics, so a voxel inside both takes the box
-        class. Returns list of (contains_fn, category, world_pose).
+        class. Returns list of (contains_fn, category, ego_box), where ego_box
+        is a StaticElement with the element's ego-frame pose and size.
         """
         require(0 <= frame < self.num_frames, f"frame {frame} out of range")
         inv = self.ego_trajectory[frame].inverse()
@@ -118,11 +120,11 @@ class SceneSpec:
         for box in self.boxes:
             if frame in box.poses:
                 pose = inv.compose(box.poses[frame])
-                out.append((lambda pts, b=box, p=pose: b.contains(p, pts), box.category, pose))
+                out.append((lambda pts, b=box, p=pose: b.contains(p, pts), box.category,
+                            StaticElement(box.category, box.size, pose)))
         for st in self.statics:
-            pose = inv.compose(st.pose)
-            st_ego = StaticElement(st.category, st.size, pose)
-            out.append((st_ego.contains, st.category, pose))
+            st_ego = StaticElement(st.category, st.size, inv.compose(st.pose))
+            out.append((st_ego.contains, st.category, st_ego))
         return out
 
     def to_json(self) -> dict:
@@ -243,38 +245,86 @@ def _ray_grid(scene: SceneSpec, cam: CameraModel):
     return origin, d_ego.reshape(-1, 3)
 
 
-def _max_range(grid: GridSpec) -> float:
+def _ray_steps(grid: GridSpec):
+    """Step length and the step distances t_i = (i+1)*step out to the grid
+    diagonal plus 2 m."""
     z, h, w = grid.shape
-    return float(np.linalg.norm([w * grid.pitch, h * grid.pitch, z * grid.pitch])) + 2.0
+    max_range = float(np.linalg.norm([w * grid.pitch, h * grid.pitch, z * grid.pitch])) + 2.0
+    step = grid.pitch * RAY_STEP_FRACTION
+    n_steps = int(np.ceil(max_range / step))
+    return step, (np.arange(n_steps, dtype=FLOAT) + 1.0) * step
+
+
+# metres added to every box face in the slab test; it covers the roundoff of
+# a step point's local coordinates, so a window never misses a point that
+# the element's own contains() would accept
+_SLAB_SLACK = 1e-9
+
+
+def _slab_steps(origin, dirs, half, step: float, n_steps: int):
+    """Step range [lo, hi) of each ray that holds every step point
+    t_i = (i+1)*step of origin + t*dirs inside the box |x| <= half.
+
+    origin (3,) and dirs (P, 3) are in the box's local frame. The range is
+    widened by one step on each side and clipped to [0, n_steps].
+    """
+    half = half + _SLAB_SLACK
+    parallel = dirs == 0.0
+    safe = np.where(parallel, 1.0, dirs)
+    with np.errstate(over="ignore"):      # a subnormal component gives +-inf: no bound
+        t_a = (-half - origin) / safe
+        t_b = (half - origin) / safe
+    t_in = np.where(parallel, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
+    t_out = np.where(parallel, np.inf, np.maximum(t_a, t_b)).min(axis=1)
+    # i = t/step - 1 on the range's ends, then one step of slack each side
+    lo = np.clip(np.ceil(t_in / step) - 2.0, 0, n_steps).astype(np.int64)
+    hi = np.clip(np.floor(t_out / step) + 1.0, 0, n_steps).astype(np.int64)
+    blocked = (parallel & (np.abs(origin) > half)).any(axis=1)
+    return lo, np.where(blocked, lo, hi)
+
+
+def _window(lo, hi):
+    """(ray, step) index pairs of steps lo[p] <= i < hi[p] of every ray,
+    ray-major with steps ascending."""
+    count = np.maximum(hi - lo, 0)
+    ray = np.repeat(np.arange(lo.size), count)
+    start = np.cumsum(count) - count
+    return ray, np.arange(ray.size) - np.repeat(start - lo, count)
 
 
 def _march(scene: SceneSpec, frame: int, cam: CameraModel):
     """First-hit march for every pixel.
 
-    Returns (hit (P,), hit_points_ego (P, 3), hit_class_index (P,),
-    steps_ego, before_hit_mask) where P = width*height in row-major pixel
-    order, class indices are 0-based rows into the class table, and
-    before_hit_mask flags the strictly-free step points for visibility.
+    Ray p takes steps t_i = (i+1)*step, and its first hit is the first step
+    point inside any element. A slab test in each element's local frame
+    bounds the steps that can fall inside it; only those before the ray's
+    current first hit are built (origin + ts[i]*dirs[p]) and tested with the
+    element's own contains, so every output equals the march over all steps.
+
+    Returns (hit (P,), first (P,), hit_points_ego (P, 3), hit_class_index (P,))
+    where P = width*height in row-major pixel order, first is the hit's step
+    index (the step count for a miss) and class indices are 0-based rows
+    into the class table.
     """
     elements = scene.elements_in_frame(frame)
     origin, dirs = _ray_grid(scene, cam)
-    step = scene.grid.pitch * RAY_STEP_FRACTION
-    n_steps = int(np.ceil(_max_range(scene.grid) / step))
-    ts = (np.arange(n_steps, dtype=FLOAT) + 1.0) * step
-    pts = origin[None, None, :] + ts[None, :, None] * dirs[:, None, :]
+    step, ts = _ray_steps(scene.grid)
+    n_steps = ts.size
+    first = np.full(dirs.shape[0], n_steps, dtype=np.int64)
+    for contains, _, box in elements:
+        rot, trans = box.pose.rotation, box.pose.translation
+        lo, hi = _slab_steps((origin - trans) @ rot, dirs @ rot, box.size / 2.0, step, n_steps)
+        ray, i = _window(lo, np.minimum(hi, first))
+        inside = contains(origin + ts[i, None] * dirs[ray])
+        ray, i = ray[inside], i[inside]
+        lead = np.flatnonzero(np.diff(ray, prepend=-1))   # each ray's earliest step
+        first[ray[lead]] = i[lead]
 
-    flat = pts.reshape(-1, 3)
-    inside_any = np.zeros(flat.shape[0], dtype=bool)
-    for contains, _, _ in elements:
-        inside_any |= contains(flat)
-    inside_any = inside_any.reshape(pts.shape[0], n_steps)
-
-    hit = inside_any.any(axis=1)
-    first = np.where(hit, inside_any.argmax(axis=1), n_steps)
+    hit = first < n_steps
     hit_points = origin[None, :] + ts[np.minimum(first, n_steps - 1), None] * dirs
     hit_points = np.where(hit[:, None], hit_points, 0.0)
 
-    class_idx = np.full(pts.shape[0], -1, dtype=np.int64)
+    class_idx = np.full(dirs.shape[0], -1, dtype=np.int64)
     ids = scene.class_ids
     if hit.any():
         hp = hit_points[hit]
@@ -283,16 +333,25 @@ def _march(scene: SceneSpec, frame: int, cam: CameraModel):
             inside = contains(hp)
             owner[inside] = ids.index(category)
         class_idx[hit] = owner
-
-    before_hit = np.arange(n_steps)[None, :] < first[:, None]
-    return hit, hit_points, class_idx, pts, before_hit
+    return hit, first, hit_points, class_idx
 
 
-def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> FeatureMap:
-    """Render one camera's feature image for a frame; misses are zero."""
-    require(0 <= cam_index < len(scene.cameras), "camera index out of range")
-    cam = scene.cameras[cam_index]
-    hit, hit_points, class_idx, _, _ = _march(scene, frame, cam)
+def _free_points(scene: SceneSpec, cam: CameraModel, first) -> np.ndarray:
+    """(F, 3) step points strictly before each ray's first hit (`first` from
+    `_march`) that lie near the grid's box, ray-major; the rest of the free
+    points fall outside the grid."""
+    grid = scene.grid
+    origin, dirs = _ray_grid(scene, cam)
+    step, ts = _ray_steps(grid)
+    z, h, w = grid.shape
+    half = np.array([w, h, z], dtype=FLOAT) * grid.pitch / 2.0
+    lo, hi = _slab_steps(origin - grid.origin - half, dirs, half, step, ts.size)
+    ray, i = _window(lo, np.minimum(hi, first))
+    return origin + ts[i, None] * dirs[ray]
+
+
+def _feature_map(scene: SceneSpec, frame: int, cam: CameraModel, hit, hit_points,
+                 class_idx) -> FeatureMap:
     data = np.zeros((cam.height * cam.width, scene.feature_channels), dtype=FLOAT)
     if hit.any():
         ego_pose = scene.ego_trajectory[frame]
@@ -302,25 +361,37 @@ def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> Feat
     return FeatureMap(data.reshape(cam.height, cam.width, scene.feature_channels))
 
 
+def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> FeatureMap:
+    """Render one camera's feature image for a frame; misses are zero."""
+    require(0 <= cam_index < len(scene.cameras), "camera index out of range")
+    cam = scene.cameras[cam_index]
+    hit, _, hit_points, class_idx = _march(scene, frame, cam)
+    return _feature_map(scene, frame, cam, hit, hit_points, class_idx)
+
+
 def render_all_cameras(scene: SceneSpec, frame: int):
     return [render_camera_features(scene, frame, j) for j in range(len(scene.cameras))]
 
 
-def ray_visibility(scene: SceneSpec, frame: int) -> np.ndarray:
-    """(Z, H, W) mask of voxels observed by any camera: traversed-free or hit."""
+def observe(scene: SceneSpec, frame: int):
+    """(feature maps, (Z, H, W) visibility) from one march per camera.
+
+    A voxel is observed by any camera whose ray traverses it free or hits in it.
+    """
     grid = scene.grid
     z, h, w = grid.shape
     observed = np.zeros((z, h, w), dtype=bool)
+    features = []
     for cam in scene.cameras:
-        hit, hit_points, _, pts, before_hit = _march(scene, frame, cam)
-        free_pts = pts[before_hit]
-        mark = free_pts if not hit.any() else np.concatenate([free_pts, hit_points[hit]])
+        hit, first, hit_points, class_idx = _march(scene, frame, cam)
+        features.append(_feature_map(scene, frame, cam, hit, hit_points, class_idx))
+        mark = np.concatenate([_free_points(scene, cam, first), hit_points[hit]])
         idx = np.floor((mark - grid.origin[None, :]) / grid.pitch).astype(np.int64)
         ok = ((idx[:, 0] >= 0) & (idx[:, 0] < w) & (idx[:, 1] >= 0) & (idx[:, 1] < h)
               & (idx[:, 2] >= 0) & (idx[:, 2] < z))
         idx = idx[ok]
         observed[idx[:, 2], idx[:, 1], idx[:, 0]] = True
-    return observed
+    return features, observed
 
 
 def scene_ground_truth(scene: SceneSpec, frame: int, flow_mode: str = "occupancy-flow"):

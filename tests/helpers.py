@@ -1,6 +1,12 @@
-"""Shared test utilities: finite differences and tolerance helpers."""
+"""Shared test utilities: finite differences, tolerance helpers and the
+dense reference ray march."""
 
 import numpy as np
+
+from viewocc.flow_annotation import GridSpec
+from viewocc.geometry import CameraModel
+from viewocc.numerics import FLOAT, FeatureMap
+from viewocc.scene_sim import RAY_STEP_FRACTION, SceneSpec, _ray_grid
 
 
 def rel_err(analytic: float, numeric: float, floor: float = 1e-6) -> float:
@@ -50,3 +56,90 @@ def check_grad_array(fn, arr: np.ndarray, grad: np.ndarray, rng: np.random.Gener
         assert err < tol, (f"gradient mismatch at {idx}: analytic {grad[idx]:.9g}, "
                            f"numeric {fd:.9g}, rel err {err:.3e}")
     return worst
+
+
+# --- dense reference ray march -----------------------------------------------
+# The march as it was before the windowed rewrite: every pixel ray takes all
+# of its steps t_i = (i+1)*step and every scene element tests every step
+# point. Kept as the reference that scene_sim._march and scene_sim.observe
+# must equal byte for byte.
+
+
+def _max_range(grid: GridSpec) -> float:
+    z, h, w = grid.shape
+    return float(np.linalg.norm([w * grid.pitch, h * grid.pitch, z * grid.pitch])) + 2.0
+
+
+def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
+    """First-hit march for every pixel.
+
+    Returns (hit (P,), hit_points_ego (P, 3), hit_class_index (P,),
+    steps_ego, before_hit_mask) where P = width*height in row-major pixel
+    order, class indices are 0-based rows into the class table, and
+    before_hit_mask flags the strictly-free step points for visibility.
+    """
+    elements = scene.elements_in_frame(frame)
+    origin, dirs = _ray_grid(scene, cam)
+    step = scene.grid.pitch * RAY_STEP_FRACTION
+    n_steps = int(np.ceil(_max_range(scene.grid) / step))
+    ts = (np.arange(n_steps, dtype=FLOAT) + 1.0) * step
+    pts = origin[None, None, :] + ts[None, :, None] * dirs[:, None, :]
+
+    flat = pts.reshape(-1, 3)
+    inside_any = np.zeros(flat.shape[0], dtype=bool)
+    for contains, _, _ in elements:
+        inside_any |= contains(flat)
+    inside_any = inside_any.reshape(pts.shape[0], n_steps)
+
+    hit = inside_any.any(axis=1)
+    first = np.where(hit, inside_any.argmax(axis=1), n_steps)
+    hit_points = origin[None, :] + ts[np.minimum(first, n_steps - 1), None] * dirs
+    hit_points = np.where(hit[:, None], hit_points, 0.0)
+
+    class_idx = np.full(pts.shape[0], -1, dtype=np.int64)
+    ids = scene.class_ids
+    if hit.any():
+        hp = hit_points[hit]
+        owner = np.full(hp.shape[0], -1, dtype=np.int64)
+        for contains, category, _ in reversed(elements):
+            inside = contains(hp)
+            owner[inside] = ids.index(category)
+        class_idx[hit] = owner
+
+    before_hit = np.arange(n_steps)[None, :] < first[:, None]
+    return hit, hit_points, class_idx, pts, before_hit
+
+
+def grid_points(grid, points):
+    """The rows of points (N, 3) whose voxel index falls inside the grid."""
+    z, h, w = grid.shape
+    idx = np.floor((points - grid.origin[None, :]) / grid.pitch).astype(np.int64)
+    ok = ((idx[:, 0] >= 0) & (idx[:, 0] < w) & (idx[:, 1] >= 0) & (idx[:, 1] < h)
+          & (idx[:, 2] >= 0) & (idx[:, 2] < z))
+    return points[ok]
+
+
+def dense_observe(scene, frame: int):
+    """(feature maps, visibility) as the dense march's render and visibility
+    passes computed them, from one dense march per camera."""
+    grid = scene.grid
+    z, h, w = grid.shape
+    observed = np.zeros((z, h, w), dtype=bool)
+    features = []
+    for cam in scene.cameras:
+        hit, hit_points, class_idx, pts, before_hit = dense_march(scene, frame, cam)
+        data = np.zeros((cam.height * cam.width, scene.feature_channels), dtype=FLOAT)
+        if hit.any():
+            ego_pose = scene.ego_trajectory[frame]
+            world_pts = ego_pose.apply(hit_points[hit])
+            anchor_pts = scene.feature_anchor.inverse().apply(world_pts)
+            data[hit] = scene.basis().features(class_idx[hit], anchor_pts)
+        features.append(FeatureMap(data.reshape(cam.height, cam.width, scene.feature_channels)))
+        free_pts = pts[before_hit]
+        mark = free_pts if not hit.any() else np.concatenate([free_pts, hit_points[hit]])
+        idx = np.floor((mark - grid.origin[None, :]) / grid.pitch).astype(np.int64)
+        ok = ((idx[:, 0] >= 0) & (idx[:, 0] < w) & (idx[:, 1] >= 0) & (idx[:, 1] < h)
+              & (idx[:, 2] >= 0) & (idx[:, 2] < z))
+        idx = idx[ok]
+        observed[idx[:, 2], idx[:, 1], idx[:, 0]] = True
+    return features, observed

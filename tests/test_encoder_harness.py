@@ -255,6 +255,34 @@ def test_cli_eval_rejects_corrupt_params_blob(tmp_path, capsys, corrupt):
     assert "read_blob" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _edit_params_header(prefix, edit):
+    path = prefix.with_name(prefix.name + ".json")
+    header = json.loads(path.read_text())
+    edit(header)
+    path.write_text(json.dumps(header))
+
+
+_HEADER_FAULTS = {
+    "no-config": lambda h: h["meta"].pop("config"),
+    "no-logit-head": lambda h: h["arrays"].pop("layers.0.logit_head.weight"),
+    "list-meta": lambda h: h.update(meta=[h["meta"]]),
+    "zero-heads": lambda h: h["meta"]["config"].update(heads=0),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_HEADER_FAULTS))
+def test_cli_eval_rejects_params_header_faults(tmp_path, capsys, fault):
+    scene = preset_scene("training")
+    scene_path = tmp_path / "scene.json"
+    save_scene(scene_path, scene)
+    config, _ = resolve_preset("small", scene)
+    prefix = tmp_path / "model"
+    save_params(prefix, init_model(np.random.default_rng(0), config, len(scene.cameras)))
+    _edit_params_header(prefix, _HEADER_FAULTS[fault])
+    assert cli_main(["eval", "--scene", str(scene_path), "--params", str(prefix)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+
+
 def test_prepared_frames_carry_consistent_shapes():
     scene = preset_scene("boundary")
     frames = prepare_frames(scene, frames=[0])

@@ -2,13 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewocc.errors import ContractViolation
-from viewocc.geometry import project_points
-from viewocc.scene_sim import (build_rig, load_scene, preset_scene, ray_visibility,
+from viewocc.flow_annotation import GridSpec, TrackedBox
+from viewocc.geometry import Pose, project_points
+from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticElement,
+                               build_rig, load_scene, observe, preset_scene,
                                render_all_cameras, render_camera_features,
                                rotated_about_z, save_scene, scene_ground_truth,
-                               surface_feature, with_feature_channels, _march)
+                               surface_feature, with_feature_channels, _free_points, _march)
+
+from helpers import dense_march, dense_observe, grid_points
 
 
 # --- rig geometry ------------------------------------------------------------
@@ -97,7 +103,7 @@ def test_render_misses_are_zero_and_hits_match_surface_features():
     frame, cam_index = 1, 0
     cam = scene.cameras[cam_index]
     fmap = render_camera_features(scene, frame, cam_index)
-    hit, hit_points, class_idx, _, _ = _march(scene, frame, cam)
+    hit, _, hit_points, class_idx = _march(scene, frame, cam)
     pixels = fmap.data.reshape(-1, scene.feature_channels)
     assert hit.any() and not hit.all()
     np.testing.assert_array_equal(pixels[~hit], 0.0)
@@ -175,18 +181,18 @@ def test_moving_box_carries_nonzero_flow_after_first_frame():
 # --- visibility --------------------------------------------------------------
 
 
-def test_ray_visibility_shape_and_coverage():
+def test_observe_visibility_shape_and_coverage():
     scene = preset_scene("training")
-    seen = ray_visibility(scene, 1)
+    _, seen = observe(scene, 1)
     assert seen.shape == scene.grid.shape
     assert 0 < seen.sum() < seen.size  # some voxels observed, some not
 
 
-def test_ray_visibility_grows_with_cameras():
+def test_observe_visibility_grows_with_cameras():
     scene = preset_scene("training")
     narrow = dataclasses.replace(scene, cameras=scene.cameras[:2])
-    seen_narrow = ray_visibility(narrow, 0)
-    seen_full = ray_visibility(scene, 0)
+    _, seen_narrow = observe(narrow, 0)
+    _, seen_full = observe(scene, 0)
     assert not (seen_narrow & ~seen_full).any()
     assert (seen_full & ~seen_narrow).any()
 
@@ -197,3 +203,138 @@ def test_render_all_cameras_covers_rig():
     assert len(maps) == len(scene.cameras)
     for fmap in maps:
         assert np.abs(fmap.data).max() > 0.0  # every camera sees some content
+
+
+# --- windowed march against the dense reference ------------------------------
+
+
+@pytest.mark.parametrize("seed", [7, 4])
+@pytest.mark.parametrize("preset", ["training", "boundary", "rotation", "stream"])
+def test_observe_is_byte_equal_to_dense_march(preset, seed):
+    scene = preset_scene(preset, seed=seed)
+    for frame in range(scene.num_frames):
+        features, seen = observe(scene, frame)
+        rendered = render_all_cameras(scene, frame)
+        ref_features, ref_seen = dense_observe(scene, frame)
+        assert len(features) == len(rendered) == len(ref_features) == len(scene.cameras)
+        for j, want in enumerate(ref_features):
+            for got in (features[j], rendered[j]):
+                assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+                assert got.data.tobytes() == want.data.tobytes(), f"frame {frame} cam {j}"
+        assert seen.tobytes() == ref_seen.tobytes(), f"frame {frame} visibility"
+
+
+def _rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+_quaternion = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1)
+
+
+@st.composite
+def _box(draw, step, mount):
+    """(size, pose) of one box: oriented anywhere ahead of the camera,
+    axis-aligned with every face on the step lattice, so the forward ray
+    meets faces exactly at step points or runs along them, or around the
+    camera origin."""
+    kind = draw(st.sampled_from(["oriented", "on-steps", "around-camera"]))
+    if kind == "on-steps":
+        # (n+1)*step is how the march computes its step distances
+        size = np.array([draw(st.integers(1, 10)) * step for _ in range(3)])
+        low = np.array([(draw(st.integers(0, 30)) + 1.0) * step,
+                        draw(st.integers(-3, 3)) * step,
+                        mount + draw(st.integers(-3, 3)) * step])
+        return size, Pose(np.eye(3), low + size / 2.0)
+    rot = _rotation(draw(_quaternion))
+    if kind == "oriented":
+        size = np.array([draw(st.floats(0.05, 1.5)) for _ in range(3)])
+        center = (draw(st.floats(0.2, 4.0)), draw(st.floats(-1.5, 1.5)),
+                  draw(st.floats(-0.5, 1.5)))
+        return size, Pose(rot, center)
+    offset = np.array([draw(st.floats(-0.2, 0.2)) for _ in range(3)])
+    size = 2.0 * np.sqrt(3.0) * np.abs(offset).max() + np.array(
+        [draw(st.floats(0.05, 1.0)) for _ in range(3)])
+    return size, Pose(rot, np.array([0.0, 0.0, mount]) + offset)
+
+
+def _small_scene(pitch, mount, fov_deg, width, height, statics=(), boxes=()):
+    """One frame, one forward camera at (0, 0, mount); with odd image sizes
+    the middle row and column of rays have exact zero components, parallel
+    to the faces of axis-aligned boxes."""
+    cam, = build_rig("mono1", fov_deg=fov_deg, width=width, height=height,
+                     mount_height=mount)
+    return SceneSpec(
+        name="small", seed=0, feature_channels=4,
+        classes=[SceneClass(1, "ground"), SceneClass(2, "wall"),
+                 SceneClass(3, "mover", foreground=True)],
+        grid=GridSpec((4, 8, 8), pitch, (-pitch, -4.0 * pitch, -pitch)),
+        cameras=[cam], ego_trajectory=[Pose.identity()], frame_dt=0.5,
+        statics=list(statics), boxes=list(boxes))
+
+
+@st.composite
+def _small_scenes(draw):
+    pitch = draw(st.sampled_from([0.25, 0.4, 0.5, 0.7]))
+    step = pitch * RAY_STEP_FRACTION
+    mount = draw(st.integers(2, 10)) * 0.125
+    statics, boxes = [], []
+    for k in range(draw(st.integers(1, 3))):
+        size, pose = draw(_box(step, mount))
+        if draw(st.booleans()):
+            boxes.append(TrackedBox(k, 3, size, {0: pose}))
+        else:
+            statics.append(StaticElement(draw(st.sampled_from([1, 2])), size, pose))
+    return _small_scene(pitch, mount, draw(st.floats(30.0, 110.0)),
+                        draw(st.sampled_from([5, 7, 9])), draw(st.sampled_from([3, 5])),
+                        statics, boxes)
+
+
+def _assert_march_matches_dense(scene):
+    cam = scene.cameras[0]
+    hit, first, hit_points, class_idx = _march(scene, 0, cam)
+    ref_hit, ref_points, ref_class, pts, before_hit = dense_march(scene, 0, cam)
+    np.testing.assert_array_equal(hit, ref_hit)
+    np.testing.assert_array_equal(first, before_hit.sum(axis=1))
+    assert hit_points.tobytes() == ref_points.tobytes()
+    np.testing.assert_array_equal(class_idx, ref_class)
+    free = grid_points(scene.grid, _free_points(scene, cam, first))
+    assert free.tobytes() == grid_points(scene.grid, pts[before_hit]).tobytes()
+
+
+@given(_small_scenes())
+@settings(max_examples=80, deadline=None)
+def test_windowed_march_matches_dense_march(scene):
+    _assert_march_matches_dense(scene)
+
+
+def _edge_scenes():
+    mount = 0.75
+    for pitch in (0.4, 0.5):
+        step = pitch * RAY_STEP_FRACTION
+        # faces on step points; the middle rays run along the top and side faces
+        slab = StaticElement(2, (8 * step, 6 * step, 4 * step),
+                             Pose(np.eye(3), (14 * step, 3 * step, mount + 2 * step)))
+        wall = StaticElement(2, (2 * step, 30 * step, 30 * step),
+                             Pose(np.eye(3), (25 * step, 0.0, mount)))
+        # a box around the camera origin, turned about z
+        cage = TrackedBox(1, 3, (0.3, 0.3, 0.3),
+                          {0: Pose.from_z_rotation(0.7, (0.05, 0.0, mount))})
+        for statics, boxes in (([slab, wall], []), ([slab], [cage]), ([wall], [cage])):
+            yield _small_scene(pitch, mount, 60.0, 9, 5, statics, boxes)
+    # a box whose near face sits on a step point at pitch 0.7: one ray's
+    # exact slab entry rounds past the step that contains() accepts, so a
+    # window with neither its one-step nor its 1e-9 m margin loses that hit
+    step = 0.7 * RAY_STEP_FRACTION
+    size = np.array([7, 4, 8]) * step
+    low = np.array([30.0 * step, -2 * step, 0.5])
+    box = StaticElement(2, size, Pose(np.eye(3), low + size / 2.0))
+    yield _small_scene(0.7, 0.5, 40.0, 5, 3, [box])
+
+
+def test_windowed_march_edge_cases():
+    for scene in _edge_scenes():
+        _assert_march_matches_dense(scene)
