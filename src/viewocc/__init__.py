@@ -6,33 +6,25 @@ from .encoder import (METHODS, MODES, FrameResult, ModelConfig, ModelParams, Mom
                       backward_frame, forward_frame, init_model, load_params, save_params)
 from .errors import ContractViolation, require
 from .flow_annotation import (BEVFlowField, FlowField, GridSpec, TrackedBox, flow_vector,
-                              generate_flow_field, map_point_back, reduce_bev_flow,
-                              voxelize_box)
-from .geometry import (CameraModel, Pose, ViewFrame, altitude_angle, altitude_rotation,
-                       pinhole_project, project_jacobian, project_points, relative_pose,
-                       rotation_z, vc_sample_point, view_angle, view_frame, view_rotation,
-                       view_rotations)
+                              generate_flow_field, map_point_back, reduce_bev_flow)
+from .geometry import (CameraModel, Pose, altitude_angle, altitude_rotation, project_jacobian,
+                       project_points, relative_pose, rotation_z, view_angle, view_rotations)
 from .harness import (PRESETS, MetricAccumulator, TrainSettings, compare_methods,
                       coverage_report, decode_prediction, evaluate_model, jsonable,
                       prepare_frames, resolve_preset, train_model)
-from .numerics import (FLOAT, AffineMap, FeatureMap, affine_apply, bilinear_many,
-                       bilinear_sample, bilinear_sample_grad, softmax_norm)
+from .numerics import FLOAT, AffineMap, FeatureMap, bilinear_many, softmax_norm
 from .objective import (FrameTruth, LossWeights, PredictionBundle, cross_entropy,
-                        focal_loss, iou_geo, l1_flow, lovasz_softmax, mave, miou,
-                        resample_nearest, resample_trilinear, total_loss)
+                        focal_loss, l1_flow, lovasz_softmax, total_loss)
 from .scene_sim import (SceneClass, SceneSpec, StaticElement, build_rig, load_scene, observe,
-                        preset_scene, render_all_cameras, render_camera_features,
-                        rotated_about_z, save_scene, scene_ground_truth, surface_feature,
+                        preset_scene, render_camera_features, save_scene, scene_ground_truth,
                         with_feature_channels)
 from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, VoxelGrid, check_planar,
-                              init_temporal_params, load_queue, queue_push, save_queue,
-                              squeeze_bev, temporal_attention, temporal_backward_arrays,
-                              temporal_forward_arrays, unsqueeze_voxel, warp_bev, warp_queue)
+                              init_temporal_params, load_queue, save_queue, squeeze_bev,
+                              temporal_backward_arrays, temporal_forward_arrays,
+                              unsqueeze_voxel, warp_bev, warp_queue)
 from .view_attention import (AttnParams, QueryContext, TraceRecord, attn_backward_batch,
-                             attn_forward_batch, camera_coverage, deform_aggregate,
-                             deform_aggregate_backward, init_proj_first_params,
-                             init_view_attn_params, proj_first_backward_batch,
-                             proj_first_forward_batch, projection_first_forward,
-                             view_attn_backward, view_attn_forward)
+                             attn_forward_batch, deform_aggregate, deform_aggregate_backward,
+                             init_proj_first_params, init_view_attn_params,
+                             proj_first_backward_batch, proj_first_forward_batch)
 
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
             fh.write(chunk)
 
 
-def _is_count(value) -> bool:
+def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
@@ -63,10 +63,10 @@ def _read_array(raw: bytes, name: str, spec) -> np.ndarray:
     if not isinstance(spec.get("dtype"), str) or spec["dtype"] not in _DTYPES:
         raise ContractViolation(f"read_blob: array {name!r} has no dtype among {sorted(_DTYPES)}")
     shape, offset, nbytes = spec.get("shape"), spec.get("offset"), spec.get("nbytes")
-    if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+    if not (isinstance(shape, list) and all(is_count(n) for n in shape)):
         raise ContractViolation(f"read_blob: array {name!r} shape {shape!r} is not a list "
                                 "of non-negative integers")
-    if not (_is_count(offset) and _is_count(nbytes)):
+    if not (is_count(offset) and is_count(nbytes)):
         raise ContractViolation(f"read_blob: array {name!r} offset and nbytes must be "
                                 "non-negative integers")
     dtype = np.dtype(_DTYPES[spec["dtype"]])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
-from .encoder import load_params, save_params
+from .encoder import METHODS, MODES, load_params, save_params
 from .errors import ContractViolation
 from .flow_annotation import reduce_bev_flow
 from .harness import (compare_methods, coverage_report, evaluate_model, jsonable,
@@ -177,10 +177,13 @@ def _cmd_compare(args) -> int:
         override["epochs"] = args.epochs
     if args.lr is not None:
         override["lr"] = args.lr
+    try:
+        queue_lens = tuple(int(x) for x in args.queue_lens.split(","))
+    except ValueError:
+        raise ContractViolation(
+            f"--queue-lens expects comma-separated integers, got {args.queue_lens!r}")
     report = compare_methods(
-        scene, args.preset,
-        methods=tuple(args.methods.split(",")),
-        queue_lens=tuple(int(x) for x in args.queue_lens.split(",")),
+        scene, args.preset, methods=tuple(args.methods.split(",")), queue_lens=queue_lens,
         mode=args.mode, settings_override=override or None, seed=args.seed)
     report["wall_clock_s"] = time.perf_counter() - t0
     _emit(report, args.out)
@@ -224,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a scene and evaluate it")
     p.add_argument("--scene", required=True)
     p.add_argument("--preset", default="small")
-    p.add_argument("--method", choices=("view-attn", "proj-first"), default="view-attn")
-    p.add_argument("--mode", choices=("one-dof", "two-dof", "ego"), default="one-dof")
+    p.add_argument("--method", choices=METHODS, default="view-attn")
+    p.add_argument("--mode", choices=MODES, default="one-dof")
     p.add_argument("--queue-len", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -247,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="train and evaluate method variants side by side")
     p.add_argument("--scene", required=True)
     p.add_argument("--preset", default="small")
-    p.add_argument("--methods", default="view-attn,proj-first")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--queue-lens", default="4")
-    p.add_argument("--mode", choices=("one-dof", "two-dof", "ego"), default="one-dof")
+    p.add_argument("--mode", choices=MODES, default="one-dof")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

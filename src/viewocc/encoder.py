@@ -35,6 +35,9 @@ from .view_attention import (attn_backward_batch, attn_forward_batch, init_proj_
 
 METHODS = ("view-attn", "proj-first")
 MODES = ("one-dof", "two-dof", "ego")
+# ModelConfig fields that count something and so must be integers >= 1
+_COUNT_FIELDS = ("voxel_channels", "bev_channels", "n_classes", "layers", "heads", "points",
+                 "queue_len", "temporal_points")
 
 
 @dataclass
@@ -59,15 +62,23 @@ class ModelConfig:
     star_radius_cells: float = 0.9
 
     def __post_init__(self):
-        self.grid_shape = tuple(int(x) for x in self.grid_shape)
-        self.origin = tuple(float(x) for x in self.origin)
-        require(len(self.grid_shape) == 3 and len(self.origin) == 3, "grid needs 3-d shape/origin")
+        try:
+            self.grid_shape = tuple(int(x) for x in self.grid_shape)
+            self.origin = tuple(float(x) for x in self.origin)
+            for name in _COUNT_FIELDS:
+                setattr(self, name, int(getattr(self, name)))
+            for name in ("pitch", "star_radius", "star_radius_px", "star_radius_cells"):
+                setattr(self, name, float(getattr(self, name)))
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"malformed model config: {exc}") from exc
+        require(len(self.grid_shape) == 3 and min(self.grid_shape) >= 1 and len(self.origin) == 3,
+                "grid needs a 3-d shape of counts >= 1 and a 3-d origin")
         require(self.method in METHODS, f"method must be one of {METHODS}")
         require(self.mode in MODES, f"mode must be one of {MODES}")
-        require(self.heads >= 1 and self.points >= 1, "heads and points must be >= 1")
+        for name in _COUNT_FIELDS:
+            require(getattr(self, name) >= 1, f"{name} must be >= 1")
         require(self.voxel_channels % self.heads == 0,
                 "voxel_channels must be divisible by heads")
-        require(self.layers >= 1 and self.queue_len >= 1, "layers and queue_len must be >= 1")
 
     @property
     def grid(self) -> GridSpec:

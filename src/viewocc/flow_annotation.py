@@ -129,11 +129,6 @@ def flow_vector(p_t: np.ndarray, p_prev: np.ndarray, dt: float) -> np.ndarray:
     return (np.asarray(p_t, dtype=FLOAT) - np.asarray(p_prev, dtype=FLOAT)) / dt
 
 
-def voxelize_box(box: TrackedBox, pose: Pose, grid: GridSpec) -> np.ndarray:
-    """(Z, H, W) mask of voxels whose center lies inside the box (inclusive)."""
-    return box.contains(pose, grid.voxel_centers())
-
-
 def generate_flow_field(boxes, frame: int, grid: GridSpec, dt: float,
                         mode: str = "occupancy-flow") -> FlowField:
     """Rasterize per-voxel flow for all boxes present at `frame`.

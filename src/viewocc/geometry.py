@@ -117,38 +117,6 @@ def altitude_angle(p) -> float:
     return float(np.arctan2(p[..., 2], np.hypot(p[..., 0], p[..., 1])))
 
 
-@dataclass
-class ViewFrame:
-    """Azimuth/altitude frame anchored at a reference point."""
-
-    theta: float
-    phi: float
-    origin: np.ndarray
-
-    def __post_init__(self):
-        self.origin = as_float_array(self.origin, shape=(3,), name="ViewFrame.origin")
-        require(-np.pi < self.theta <= np.pi, "ViewFrame.theta outside (-pi, pi]")
-        require(-np.pi / 2 <= self.phi <= np.pi / 2, "ViewFrame.phi outside [-pi/2, pi/2]")
-
-
-def view_frame(p) -> ViewFrame:
-    p = as_float_array(p, shape=(3,), name="p")
-    return ViewFrame(theta=view_angle(p), phi=altitude_angle(p), origin=p)
-
-
-def vc_sample_point(p, dp, mode: str = "one-dof") -> np.ndarray:
-    """Offset a reference point inside its view-coordinate frame.
-
-    one-dof rotates the offset by the azimuth only (z-component of dp is
-    preserved exactly); two-dof also applies the altitude rotation so the
-    offset x-axis follows the full 3-d view ray.
-    """
-    p = as_float_array(p, shape=(3,), name="p")
-    dp = as_float_array(dp, shape=(3,), name="dp")
-    rot = view_rotation(p, mode)
-    return p + rot @ dp
-
-
 def view_rotation(p, mode: str) -> np.ndarray:
     """Rotation applied to offsets at reference point p for the given mode."""
     if mode == "one-dof":

@@ -17,15 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import (ModelConfig, ModelParams, MomentumSGD, backward_frame,
+from .encoder import (METHODS, ModelConfig, ModelParams, MomentumSGD, backward_frame,
                       forward_frame, init_model)
 from .errors import ContractViolation, require
 from .flow_annotation import BEVFlowField, reduce_bev_flow
 from .geometry import Pose, project_points
-from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums,
-                        iou_counts, iou_geo, mave, miou, total_loss)
+from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, class_means,
+                        geo_counts, geo_ratio, iou_counts, total_loss)
 from .scene_sim import SceneSpec, observe, scene_ground_truth
-from .temporal_stream import BEVGrid, MemoryQueue, queue_push
+from .temporal_stream import BEVGrid, MemoryQueue
 
 CSV_COLUMNS = ("epoch", "focal", "ce", "lovasz", "l1_flow", "total",
                "miou", "iou_geo", "mave")
@@ -101,48 +101,35 @@ class MetricAccumulator:
         self.union = {c: 0 for c in self.class_ids}
         self.geo_inter = 0
         self.geo_union = 0
-        self.geo_frames = 0
         self.ave_sum = {c: 0.0 for c in self.foreground_ids}
         self.ave_count = {c: 0 for c in self.foreground_ids}
 
     def add_frame(self, pred_labels, gt_labels, pred_occ, gt_occ,
-                  pred_flow, bev_truth: BEVFlowField, mask=None) -> None:
+                  pred_flow, bev_truth: BEVFlowField, mask=None) -> dict:
+        """Count one frame in; returns that frame's own miou, iou_geo and mave."""
         inter, union = iou_counts(pred_labels, gt_labels, self.class_ids, mask)
         for c in self.class_ids:
             self.inter[c] += inter[c]
             self.union[c] += union[c]
-        m = np.ones(gt_occ.shape, dtype=bool) if mask is None else mask
-        self.geo_inter += int((pred_occ & gt_occ & m).sum())
-        self.geo_union += int(((pred_occ | gt_occ) & m).sum())
-        self.geo_frames += 1
+        geo_inter, geo_union = geo_counts(pred_occ, gt_occ, mask)
+        self.geo_inter += geo_inter
+        self.geo_union += geo_union
         sums, counts = ave_sums(pred_flow, bev_truth, self.foreground_ids)
         for c in self.foreground_ids:
             self.ave_sum[c] += sums[c]
             self.ave_count[c] += counts[c]
+        return {"miou": class_means(inter, union, self.class_ids)[0],
+                "iou_geo": geo_ratio(geo_inter, geo_union),
+                "mave": class_means(sums, counts, self.foreground_ids)[0]}
 
     def result(self) -> dict:
-        per_class = {}
-        vals = []
-        for c in self.class_ids:
-            if self.union[c] == 0:
-                per_class[c] = None
-            else:
-                per_class[c] = self.inter[c] / self.union[c]
-                vals.append(per_class[c])
-        geo = 1.0 if self.geo_union == 0 else self.geo_inter / self.geo_union
-        ave_per_class = {}
-        ave_vals = []
-        for c in self.foreground_ids:
-            if self.ave_count[c] == 0:
-                ave_per_class[c] = None
-            else:
-                ave_per_class[c] = self.ave_sum[c] / self.ave_count[c]
-                ave_vals.append(ave_per_class[c])
+        mean_iou, iou_per_class = class_means(self.inter, self.union, self.class_ids)
+        mean_ave, ave_per_class = class_means(self.ave_sum, self.ave_count, self.foreground_ids)
         return {
-            "miou": float(np.mean(vals)) if vals else 0.0,
-            "iou_per_class": per_class,
-            "iou_geo": geo,
-            "mave": float(np.mean(ave_vals)) if ave_vals else 0.0,
+            "miou": mean_iou,
+            "iou_per_class": iou_per_class,
+            "iou_geo": geo_ratio(self.geo_inter, self.geo_union),
+            "mave": mean_ave,
             "ave_per_class": ave_per_class,
         }
 
@@ -235,8 +222,8 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
                                                   with_grads=True)
             grads = backward_frame(params, res, fd.features, rig, loss_grads)
             opt.step(params, grads)
-            queue_push(queue, BEVGrid(res.fused.data.copy(), res.fused.pitch,
-                                      res.fused.origin), fd.pose)
+            queue.push(BEVGrid(res.fused.data.copy(), res.fused.pitch, res.fused.origin),
+                       fd.pose)
             for k in ("focal", "ce", "lovasz", "l1_flow"):
                 sums[k] += parts[k]
             sums["total"] += value
@@ -282,16 +269,11 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
     for fd in data:
         res = forward_frame(params, fd.features, rig, fd.pose, queue)
         value, parts = total_loss(res.pred, fd.truth, weights)
-        queue_push(queue, BEVGrid(res.fused.data.copy(), res.fused.pitch,
-                                  res.fused.origin), fd.pose)
+        queue.push(BEVGrid(res.fused.data.copy(), res.fused.pitch, res.fused.origin), fd.pose)
         occ, labels = decode_prediction(res.pred)
-        f_miou, per_class = miou(labels, fd.labels, scene.class_ids, fd.visibility)
-        f_geo = iou_geo(occ, fd.labels > 0, fd.visibility)
-        f_mave, _ = mave(res.pred.bev_flow, fd.bev_truth, scene.foreground_class_ids)
-        acc.add_frame(labels, fd.labels, occ, fd.labels > 0,
-                      res.pred.bev_flow, fd.bev_truth, fd.visibility)
-        per_frame.append({"frame": fd.index, "loss": value, "miou": f_miou,
-                          "iou_geo": f_geo, "mave": f_mave,
+        scores = acc.add_frame(labels, fd.labels, occ, fd.labels > 0,
+                               res.pred.bev_flow, fd.bev_truth, fd.visibility)
+        per_frame.append({"frame": fd.index, "loss": value, **scores,
                           "queue_depth": len(queue)})
     report = {
         "scene": scene.name,
@@ -304,7 +286,7 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
     return report, queue
 
 
-def compare_methods(scene: SceneSpec, preset: str, methods=("view-attn", "proj-first"),
+def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
                     queue_lens=(4,), mode: str = "one-dof",
                     settings_override: dict | None = None, seed: int | None = None):
     """Train and evaluate each (method, queue length) combination identically."""

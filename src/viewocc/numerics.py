@@ -87,32 +87,6 @@ class AffineMap:
         return cls(np.eye(dim, dtype=FLOAT), np.zeros(dim, dtype=FLOAT))
 
 
-def affine_apply(m: AffineMap, x: np.ndarray) -> np.ndarray:
-    """Apply an affine map to x of shape (..., in_dim); returns (..., out_dim)."""
-    x = np.asarray(x, dtype=FLOAT)
-    if x.shape[-1] != m.in_dim:
-        raise ContractViolation(
-            f"affine_apply: input dim {x.shape[-1]} does not match map in_dim {m.in_dim}"
-        )
-    return x @ m.weight.T + m.bias
-
-
-def affine_backward(m: AffineMap, x: np.ndarray, g_out: np.ndarray):
-    """Gradients of sum(g_out * affine_apply(m, x)) w.r.t. weight, bias, x.
-
-    x: (..., in_dim), g_out: (..., out_dim). Leading axes are reduced into the
-    parameter gradients.
-    """
-    x = np.asarray(x, dtype=FLOAT)
-    g_out = np.asarray(g_out, dtype=FLOAT)
-    xf = x.reshape(-1, m.in_dim)
-    gf = g_out.reshape(-1, m.out_dim)
-    g_weight = gf.T @ xf
-    g_bias = gf.sum(axis=0)
-    g_x = (gf @ m.weight).reshape(x.shape)
-    return g_weight, g_bias, g_x
-
-
 def softmax_norm(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax (max subtraction) along `axis`."""
     z = np.asarray(logits, dtype=FLOAT)
@@ -176,43 +150,6 @@ def bilinear_many(data: np.ndarray, u: np.ndarray, v: np.ndarray):
     return vals, valid
 
 
-def bilinear_many_backward(data: np.ndarray, u: np.ndarray, v: np.ndarray, g_vals: np.ndarray,
-                           grad_data: np.ndarray | None = None):
-    """Gradients of bilinear_many w.r.t. (u, v) and, optionally, the map.
-
-    g_vals has shape u.shape + (C,). Returns (g_u, g_v); if grad_data is
-    given (H, W, C), corner contributions are scattered into it in place.
-    Invalid locations receive zero gradient (hard cutoff).
-    """
-    height, width = data.shape[0], data.shape[1]
-    u = np.asarray(u, dtype=FLOAT)
-    v = np.asarray(v, dtype=FLOAT)
-    valid = bilinear_valid(u, v, height, width)
-    uc = np.where(valid, u, 0.0)
-    vc = np.where(valid, v, 0.0)
-    x0, y0, x1, y1, fx, fy = corner_indices(uc, vc, height, width)
-    p00 = data[y0, x0]
-    p10 = data[y0, x1]
-    p01 = data[y1, x0]
-    p11 = data[y1, x1]
-    gv = np.where(valid[..., None], g_vals, 0.0)
-    # d value / d u = (1 - fy) (p10 - p00) + fy (p11 - p01), then dot upstream
-    du = np.sum(gv * ((1.0 - fy)[..., None] * (p10 - p00) + fy[..., None] * (p11 - p01)), axis=-1)
-    dv = np.sum(gv * ((1.0 - fx)[..., None] * (p01 - p00) + fx[..., None] * (p11 - p10)), axis=-1)
-    du = np.where(valid, du, 0.0)
-    dv = np.where(valid, dv, 0.0)
-    if grad_data is not None:
-        w00 = (1.0 - fx) * (1.0 - fy)
-        w10 = fx * (1.0 - fy)
-        w01 = (1.0 - fx) * fy
-        w11 = fx * fy
-        np.add.at(grad_data, (y0, x0), gv * w00[..., None])
-        np.add.at(grad_data, (y0, x1), gv * w10[..., None])
-        np.add.at(grad_data, (y1, x0), gv * w01[..., None])
-        np.add.at(grad_data, (y1, x1), gv * w11[..., None])
-    return du, dv
-
-
 def bilinear_sample(fmap: FeatureMap, uv) -> tuple[np.ndarray, bool]:
     """Sample one location from a feature map.
 
@@ -222,17 +159,3 @@ def bilinear_sample(fmap: FeatureMap, uv) -> tuple[np.ndarray, bool]:
     uv = as_float_array(uv, shape=(2,), name="uv")
     vals, valid = bilinear_many(fmap.data, uv[0], uv[1])
     return vals, bool(valid)
-
-
-def bilinear_sample_grad(fmap: FeatureMap, uv, upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of sum(upstream * bilinear_sample(fmap, uv)).
-
-    Returns (grad_uv, grad_map). grad_map has the map's shape and is nonzero
-    in at most the four touched pixels. Out-of-bounds locations yield zeros.
-    """
-    uv = as_float_array(uv, shape=(2,), name="uv")
-    upstream = as_float_array(upstream, shape=(fmap.channels,), name="upstream")
-    grad_map = np.zeros_like(fmap.data)
-    du, dv = bilinear_many_backward(fmap.data, uv[0], uv[1], upstream, grad_map)
-    return np.array([du, dv], dtype=FLOAT), grad_map
-

@@ -13,9 +13,9 @@ the loss's genuine kinks (L1 at zero, Lovasz at sorting ties).
 Metrics: per-class IoU / mIoU over an evaluation mask (classes absent from
 both prediction and ground truth are excluded), class-agnostic IoU_geo
 (empty/empty counts as 1), and mAVE, the mean Euclidean flow error per
-foreground class over valid ground-truth cells. Prediction grids at a coarser
-resolution than the ground truth are upsampled trilinearly (logits) or by
-nearest neighbor (labels) before scoring.
+foreground class over valid ground-truth cells. Every score is reduced from
+counts by `class_means` or `geo_ratio`, so a frame's scores and a run's
+accumulated scores come from one path.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require
-from .flow_annotation import BEVFlowField, GridSpec
+from .errors import require
+from .flow_annotation import BEVFlowField
 from .numerics import FLOAT, as_float_array, softmax_backward, softmax_norm
 
 LOG_EPS = 1e-12
@@ -250,32 +250,40 @@ def iou_counts(pred_labels: np.ndarray, gt_labels: np.ndarray, class_ids,
     return inter, union
 
 
+def class_means(num: dict, den: dict, class_ids):
+    """(mean of num/den over classes with den > 0, per-class table).
+
+    A class with zero den scores None and is left out of the mean; with no
+    class left the mean is 0.
+    """
+    per_class = {cls: None if den[cls] == 0 else num[cls] / den[cls] for cls in class_ids}
+    vals = [per_class[cls] for cls in class_ids if per_class[cls] is not None]
+    return (float(np.mean(vals)) if vals else 0.0), per_class
+
+
 def miou(pred_labels, gt_labels, class_ids, mask=None):
     """(mean IoU, per-class table); classes with zero union are excluded."""
     inter, union = iou_counts(pred_labels, gt_labels, class_ids, mask)
-    per_class = {}
-    vals = []
-    for cls in class_ids:
-        if union[cls] == 0:
-            per_class[cls] = None
-        else:
-            iou = inter[cls] / union[cls]
-            per_class[cls] = iou
-            vals.append(iou)
-    mean = float(np.mean(vals)) if vals else 0.0
-    return mean, per_class
+    return class_means(inter, union, class_ids)
 
 
-def iou_geo(pred_occupied, gt_occupied, mask=None):
-    """Class-agnostic occupancy IoU; empty against empty scores 1."""
+def geo_counts(pred_occupied, gt_occupied, mask=None):
+    """Class-agnostic occupancy (intersection, union) voxel counts inside the mask."""
     p = np.asarray(pred_occupied, dtype=bool)
     g = np.asarray(gt_occupied, dtype=bool)
     require(p.shape == g.shape, "iou_geo: grids differ in shape")
     m = np.ones(p.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    union = int(((p | g) & m).sum())
-    if union == 0:
-        return 1.0
-    return int((p & g & m).sum()) / union
+    return int((p & g & m).sum()), int(((p | g) & m).sum())
+
+
+def geo_ratio(inter: int, union: int) -> float:
+    """IoU_geo from counts; empty against empty scores 1."""
+    return 1.0 if union == 0 else inter / union
+
+
+def iou_geo(pred_occupied, gt_occupied, mask=None):
+    """Class-agnostic occupancy IoU; empty against empty scores 1."""
+    return geo_ratio(*geo_counts(pred_occupied, gt_occupied, mask))
 
 
 def ave_sums(pred_flow: np.ndarray, gt: BEVFlowField, class_ids):
@@ -294,71 +302,4 @@ def ave_sums(pred_flow: np.ndarray, gt: BEVFlowField, class_ids):
 def mave(pred_flow: np.ndarray, gt: BEVFlowField, class_ids):
     """(mean AVE over classes with cells, per-class table)."""
     sums, counts = ave_sums(pred_flow, gt, class_ids)
-    per_class = {}
-    vals = []
-    for cls in class_ids:
-        if counts[cls] == 0:
-            per_class[cls] = None
-        else:
-            v = sums[cls] / counts[cls]
-            per_class[cls] = v
-            vals.append(v)
-    mean = float(np.mean(vals)) if vals else 0.0
-    return mean, per_class
-
-
-# ---------------------------------------------------------------------------
-# resolution adapters
-
-
-def _fractional_indices(dst: GridSpec, src: GridSpec):
-    """Per-axis fractional indices of dst voxel centers inside src, edge-clamped."""
-    idx = []
-    for axis, (nd, ns) in enumerate(zip(dst.shape, src.shape)):
-        # GridSpec axes are (z, h, w) while origin is (x, y, z)
-        o_dst = dst.origin[2 - axis]
-        o_src = src.origin[2 - axis]
-        centers = o_dst + (np.arange(nd, dtype=FLOAT) + 0.5) * dst.pitch
-        f = (centers - o_src) / src.pitch - 0.5
-        idx.append(np.clip(f, 0.0, ns - 1.0))
-    return idx  # [fz (Z,), fy (H,), fx (W,)]
-
-
-def resample_trilinear(values: np.ndarray, src: GridSpec, dst: GridSpec) -> np.ndarray:
-    """Trilinear resample of (Z, H, W[, C]) values from src onto dst centers."""
-    v = as_float_array(values, name="resample values")
-    scalar = v.ndim == 3
-    if scalar:
-        v = v[..., None]
-    require(v.shape[:3] == src.shape, "resample_trilinear: values do not match src grid")
-    fz, fy, fx = _fractional_indices(dst, src)
-    z0 = np.floor(fz).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
-    x0 = np.floor(fx).astype(np.int64)
-    z0 = np.minimum(z0, max(src.shape[0] - 2, 0))
-    y0 = np.minimum(y0, max(src.shape[1] - 2, 0))
-    x0 = np.minimum(x0, max(src.shape[2] - 2, 0))
-    z1 = np.minimum(z0 + 1, src.shape[0] - 1)
-    y1 = np.minimum(y0 + 1, src.shape[1] - 1)
-    x1 = np.minimum(x0 + 1, src.shape[2] - 1)
-    wz = (fz - z0)[:, None, None, None]
-    wy = (fy - y0)[None, :, None, None]
-    wx = (fx - x0)[None, None, :, None]
-    iz0, iy0, ix0 = np.ix_(z0, y0, x0)
-    iz1, iy1, ix1 = np.ix_(z1, y1, x1)
-    out = ((1 - wz) * ((1 - wy) * ((1 - wx) * v[iz0, iy0, ix0] + wx * v[iz0, iy0, ix1])
-                       + wy * ((1 - wx) * v[iz0, iy1, ix0] + wx * v[iz0, iy1, ix1]))
-           + wz * ((1 - wy) * ((1 - wx) * v[iz1, iy0, ix0] + wx * v[iz1, iy0, ix1])
-                   + wy * ((1 - wx) * v[iz1, iy1, ix0] + wx * v[iz1, iy1, ix1])))
-    return out[..., 0] if scalar else out
-
-
-def resample_nearest(labels: np.ndarray, src: GridSpec, dst: GridSpec) -> np.ndarray:
-    """Nearest-neighbor resample for integer label grids."""
-    lab = np.asarray(labels)
-    require(lab.shape == src.shape, "resample_nearest: labels do not match src grid")
-    fz, fy, fx = _fractional_indices(dst, src)
-    iz = np.clip(np.rint(fz).astype(np.int64), 0, src.shape[0] - 1)
-    iy = np.clip(np.rint(fy).astype(np.int64), 0, src.shape[1] - 1)
-    ix = np.clip(np.rint(fx).astype(np.int64), 0, src.shape[2] - 1)
-    return lab[np.ix_(iz, iy, ix)]
+    return class_means(sums, counts, class_ids)

@@ -76,6 +76,7 @@ class SceneSpec:
     feature_anchor: Pose = dataclass_field(default_factory=Pose.identity)
 
     def __post_init__(self):
+        require(self.seed >= 0, "scene seed must be >= 0")
         require(self.feature_channels >= max(1, len(self.classes)),
                 "feature_channels must cover the class table")
         require(self.frame_dt > 0, "frame_dt must be positive")
@@ -168,7 +169,7 @@ class SceneSpec:
                 feature_anchor=Pose.from_json(obj["feature_anchor"])
                 if "feature_anchor" in obj else Pose.identity(),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed scene description: {exc}") from exc
 
 
@@ -292,8 +293,9 @@ def _window(lo, hi):
     return ray, np.arange(ray.size) - np.repeat(start - lo, count)
 
 
-def _march(scene: SceneSpec, frame: int, cam: CameraModel):
-    """First-hit march for every pixel.
+def _march(scene: SceneSpec, elements, cam: CameraModel):
+    """First-hit march for every pixel against `elements`, the list from
+    `scene.elements_in_frame`.
 
     Ray p takes steps t_i = (i+1)*step, and its first hit is the first step
     point inside any element. A slab test in each element's local frame
@@ -306,7 +308,6 @@ def _march(scene: SceneSpec, frame: int, cam: CameraModel):
     index (the step count for a miss) and class indices are 0-based rows
     into the class table.
     """
-    elements = scene.elements_in_frame(frame)
     origin, dirs = _ray_grid(scene, cam)
     step, ts = _ray_steps(scene.grid)
     n_steps = ts.size
@@ -365,7 +366,7 @@ def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> Feat
     """Render one camera's feature image for a frame; misses are zero."""
     require(0 <= cam_index < len(scene.cameras), "camera index out of range")
     cam = scene.cameras[cam_index]
-    hit, _, hit_points, class_idx = _march(scene, frame, cam)
+    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame), cam)
     return _feature_map(scene, frame, cam, hit, hit_points, class_idx)
 
 
@@ -382,8 +383,9 @@ def observe(scene: SceneSpec, frame: int):
     z, h, w = grid.shape
     observed = np.zeros((z, h, w), dtype=bool)
     features = []
+    elements = scene.elements_in_frame(frame)
     for cam in scene.cameras:
-        hit, first, hit_points, class_idx = _march(scene, frame, cam)
+        hit, first, hit_points, class_idx = _march(scene, elements, cam)
         features.append(_feature_map(scene, frame, cam, hit, hit_points, class_idx))
         mark = np.concatenate([_free_points(scene, cam, first), hit_points[hit]])
         idx = np.floor((mark - grid.origin[None, :]) / grid.pitch).astype(np.int64)

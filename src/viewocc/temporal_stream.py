@@ -94,14 +94,6 @@ class MemoryQueue:
             self.entries.pop(0)
         return self
 
-    def clear(self) -> None:
-        self.entries = []
-
-
-def queue_push(queue: MemoryQueue, bev: BEVGrid, pose: Pose) -> MemoryQueue:
-    """Append the newest frame, evicting the oldest beyond capacity."""
-    return queue.push(bev, pose)
-
 
 def save_queue(prefix, queue: MemoryQueue) -> None:
     arrays = {}
@@ -118,12 +110,27 @@ def save_queue(prefix, queue: MemoryQueue) -> None:
 
 def load_queue(prefix) -> MemoryQueue:
     arrays, meta = blobio.read_blob(prefix)
-    queue = MemoryQueue(int(meta["capacity"]))
+    require(isinstance(meta, dict), f"queue blob {prefix} has no meta table")
+    capacity, count, poses = meta.get("capacity"), meta.get("count"), meta.get("poses")
+    require(blobio.is_count(capacity) and blobio.is_count(count) and 1 <= capacity
+            and count <= capacity,
+            f"queue blob {prefix} needs integers meta.capacity >= 1 and meta.count <= "
+            f"capacity; got capacity {capacity!r}, count {count!r}")
+    require(isinstance(poses, list) and len(poses) == count,
+            f"queue blob {prefix} needs a meta.poses list of {count!r} poses")
     layout = meta.get("layout")
-    for i in range(int(meta["count"])):
-        data = arrays[f"bev.{i:04d}"]
-        bev = BEVGrid(data, float(layout["pitch"]), layout["origin"])
-        queue.push(bev, Pose.from_json(meta["poses"][i]))
+    require(count == 0 or isinstance(layout, dict),
+            f"queue blob {prefix} has no meta.layout table")
+    queue = MemoryQueue(capacity)
+    for i in range(count):
+        name = f"bev.{i:04d}"
+        require(name in arrays, f"queue blob {prefix} is missing array {name!r}")
+        try:
+            bev = BEVGrid(arrays[name], float(layout["pitch"]), layout["origin"])
+            pose = Pose.from_json(poses[i])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"malformed queue entry {i} in {prefix}: {exc}") from exc
+        queue.push(bev, pose)
     return queue
 
 
@@ -310,15 +317,3 @@ def warp_queue(queue: MemoryQueue, current_pose: Pose, reference: BEVGrid) -> np
         require(_same_layout(bev, reference), "queued grid layout does not match current")
         warped.append(warp_bev(bev, relative_pose(current_pose, pose)).data)
     return np.stack(warped)
-
-
-def temporal_attention(current: BEVGrid, queue: MemoryQueue, current_pose: Pose,
-                       params: TemporalParams) -> BEVGrid:
-    """Fuse queued history into the current BEV grid; identity on empty queue."""
-    require(current.data.shape[2] == params.channels,
-            "BEV channels do not match temporal params")
-    if len(queue) == 0:
-        return BEVGrid(current.data.copy(), current.pitch, current.origin)
-    warped = warp_queue(queue, current_pose, current)
-    out, _ = temporal_forward_arrays(current.data, warped, params)
-    return BEVGrid(out, current.pitch, current.origin)

@@ -144,24 +144,6 @@ class TraceRecord:
     in_view: np.ndarray   # (M, K, J) bool
     weight: np.ndarray    # (M, K, J)
 
-    def valid_camera_count(self) -> int:
-        return int(np.any(self.in_view, axis=(0, 1)).sum())
-
-    def to_json(self) -> dict:
-        m, k, j = self.weight.shape
-        entries = []
-        for mi in range(m):
-            for ki in range(k):
-                for ji in range(j):
-                    entries.append({
-                        "head": mi, "point": ki, "camera": ji,
-                        "u": float(self.uv[mi, ki, ji, 0]),
-                        "v": float(self.uv[mi, ki, ji, 1]),
-                        "in_view": bool(self.in_view[mi, ki, ji]),
-                        "weight": float(self.weight[mi, ki, ji]),
-                    })
-        return {"entries": entries}
-
 
 def _feature_arrays(features, params):
     require(len(features) == params.cameras,

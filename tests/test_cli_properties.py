@@ -1,0 +1,121 @@
+"""Property test of the CLI contract: mutated inputs exit 0 or 2, never 1.
+
+Each example copies a valid scene file, params blob and queue blob, mutates
+one of them (a JSON value deleted or replaced, blob bytes overwritten, or the
+data file truncated), runs `cli.main` in-process and checks the exit status,
+plus a JSON error on stderr when it is 2. Replacement values are small, so
+no mutation can ask for a large grid, image or array.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viewocc.cli import main as cli_main
+from viewocc.encoder import init_model, save_params
+from viewocc.harness import resolve_preset
+from viewocc.scene_sim import preset_scene, save_scene
+
+REPLACEMENTS = (None, True, -1, 0, 1, 2.5, "x", [], {}, [0, 1])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A valid scene file, params blob and one-frame queue blob."""
+    base = tmp_path_factory.mktemp("cli_inputs")
+    scene = preset_scene("training")
+    save_scene(base / "scene.json", scene)
+    config, _ = resolve_preset("small", scene)
+    save_params(base / "model", init_model(np.random.default_rng(0), config, len(scene.cameras)))
+    code, _ = _run(["eval", "--scene", base / "scene.json", "--params", base / "model",
+                    "--frames", "0", "--queue-out", base / "queue"])
+    assert code == 0
+    return base
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _paths(node, path=()):
+    """Every (container path, key) below a JSON tree, parents first."""
+    keys = sorted(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path, key
+        if isinstance(node[key], (dict, list)):
+            yield from _paths(node[key], path + (key,))
+
+
+def _mutate_json(data, path: Path) -> None:
+    tree = json.loads(path.read_text())
+    parent_path, key = data.draw(st.sampled_from(list(_paths(tree))))
+    parent = tree
+    for k in parent_path:
+        parent = parent[k]
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(st.sampled_from(REPLACEMENTS))
+    path.write_text(json.dumps(tree))
+
+
+def _mutate_bytes(data, path: Path) -> None:
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 8))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(raw))
+
+
+def _check_contract(argv) -> None:
+    code, err = _run(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert json.loads(err)["error"]
+
+
+@contextlib.contextmanager
+def _mutated_copy(inputs, data, target: str):
+    """A temporary copy of the inputs with `target` mutated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(shutil.copytree(inputs, Path(tmp) / "inputs"))
+        (_mutate_bytes if target.endswith(".bin") else _mutate_json)(data, work / target)
+        yield work
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["model.json", "model.bin"]))
+def test_eval_with_mutated_params_blob_exits_0_or_2(inputs, data, target):
+    with _mutated_copy(inputs, data, target) as work:
+        _check_contract(["eval", "--scene", work / "scene.json", "--params", work / "model",
+                         "--frames", "0"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["queue.json", "queue.bin"]))
+def test_eval_with_mutated_queue_blob_exits_0_or_2(inputs, data, target):
+    with _mutated_copy(inputs, data, target) as work:
+        _check_contract(["eval", "--scene", work / "scene.json", "--params", work / "model",
+                         "--frames", "1", "--queue-in", work / "queue"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_scene_file_exits_0_or_2(inputs, data):
+    with _mutated_copy(inputs, data, "scene.json") as work:
+        _check_contract(["render", "--scene", work / "scene.json", "--frame", "0",
+                         "--out", work / "render"])
+        _check_contract(["gen-flow", "--scene", work / "scene.json", "--frame", "1"])

@@ -10,12 +10,12 @@ from viewocc.encoder import (ModelConfig, MomentumSGD, backward_frame, forward_f
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import BEVFlowField
 from viewocc.geometry import Pose
-from viewocc.harness import (CSV_COLUMNS, TrainSettings, evaluate_model, jsonable,
-                             prepare_frames, resolve_preset, train_model)
+from viewocc.harness import (CSV_COLUMNS, MetricAccumulator, TrainSettings, evaluate_model,
+                             jsonable, prepare_frames, resolve_preset, train_model)
 from viewocc.numerics import FeatureMap
-from viewocc.objective import FrameTruth, LossWeights, total_loss
+from viewocc.objective import FrameTruth, LossWeights, iou_geo, mave, miou, total_loss
 from viewocc.scene_sim import build_rig, preset_scene, save_scene
-from viewocc.temporal_stream import BEVGrid, MemoryQueue, queue_push
+from viewocc.temporal_stream import BEVGrid, MemoryQueue
 
 from helpers import check_grad_array
 
@@ -114,7 +114,7 @@ def test_temporal_path_gradients_match_fd():
                                                       size=arrays["temporal.offset_head.bias"].shape)
     queue = MemoryQueue(config.queue_len)
     prev = BEVGrid(rng.normal(size=(4, 4, config.bev_channels)), 0.5, (-1.0, -1.0))
-    queue_push(queue, prev, Pose.from_z_rotation(0.05, (0.02, 0.0, 0.0)))
+    queue.push(prev, Pose.from_z_rotation(0.05, (0.02, 0.0, 0.0)))
     weights = LossWeights()
 
     def loss_value():
@@ -221,6 +221,18 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+def test_cli_rejects_non_object_scene_file(tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text("[]")
+    assert cli_main(["coverage", "--scene", str(scene_path)]) == 2
+    assert "malformed scene" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_compare_rejects_non_integer_queue_lens(capsys):
+    assert cli_main(["compare", "--scene", "training", "--queue-lens", "abc"]) == 2
+    assert "--queue-lens" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_cli_rejects_zero_epochs(tmp_path, capsys, command):
     scene_path = tmp_path / "scene.json"
@@ -281,6 +293,61 @@ def test_cli_eval_rejects_params_header_faults(tmp_path, capsys, fault):
     _edit_params_header(prefix, _HEADER_FAULTS[fault])
     assert cli_main(["eval", "--scene", str(scene_path), "--params", str(prefix)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]
+
+
+_QUEUE_FAULTS = {
+    "no-capacity": lambda h: h["meta"].pop("capacity"),
+    "no-count": lambda h: h["meta"].pop("count"),
+    "no-poses": lambda h: h["meta"].pop("poses"),
+    "no-layout": lambda h: h["meta"].pop("layout"),
+    "missing-bev-array": lambda h: h["arrays"].pop("bev.0000"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_QUEUE_FAULTS))
+def test_cli_eval_rejects_queue_header_faults(tmp_path, capsys, fault):
+    scene = preset_scene("training")
+    scene_path = tmp_path / "scene.json"
+    save_scene(scene_path, scene)
+    config, _ = resolve_preset("small", scene)
+    params, queue = tmp_path / "model", tmp_path / "queue"
+    save_params(params, init_model(np.random.default_rng(0), config, len(scene.cameras)))
+    assert cli_main(["eval", "--scene", str(scene_path), "--params", str(params),
+                     "--frames", "0", "--queue-out", str(queue)]) == 0
+    capsys.readouterr()
+    _edit_params_header(queue, _QUEUE_FAULTS[fault])
+    assert cli_main(["eval", "--scene", str(scene_path), "--params", str(params),
+                     "--frames", "1", "--queue-in", str(queue)]) == 2
+    assert "queue blob" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_metric_accumulator_frame_scores_and_totals_match_the_metrics():
+    # each frame's scores are the metric functions on that frame; the result
+    # is the metric functions on all frames pooled
+    rng = np.random.default_rng(12)
+    classes, foreground = [1, 2, 3], [3]
+    acc = MetricAccumulator(classes, foreground)
+    frames = []
+    for _ in range(3):
+        pred, gt = rng.integers(0, 4, size=(2, 4, 5)), rng.integers(0, 4, size=(2, 4, 5))
+        mask = rng.random((2, 4, 5)) > 0.3
+        flow = rng.normal(size=(4, 5, 2))
+        truth = BEVFlowField(rng.normal(size=(4, 5, 2)), rng.random((4, 5)) > 0.2,
+                             rng.integers(0, 4, size=(4, 5)), 0.5, (0.0, 0.0))
+        scores = acc.add_frame(pred, gt, pred > 0, gt > 0, flow, truth, mask)
+        assert scores == {"miou": miou(pred, gt, classes, mask)[0],
+                          "iou_geo": iou_geo(pred > 0, gt > 0, mask),
+                          "mave": mave(flow, truth, foreground)[0]}
+        frames.append((pred, gt, mask, flow, truth))
+    pred, gt, mask, flow = (np.concatenate([f[i] for f in frames]) for i in range(4))
+    truth = BEVFlowField(*(np.concatenate([getattr(f[4], k) for f in frames])
+                           for k in ("flow", "valid", "category")), 0.5, (0.0, 0.0))
+    result = acc.result()
+    assert (result["miou"], result["iou_per_class"]) == miou(pred, gt, classes, mask)
+    assert result["iou_geo"] == iou_geo(pred > 0, gt > 0, mask)
+    mean, per_class = mave(flow, truth, foreground)
+    np.testing.assert_allclose([result["mave"], *result["ave_per_class"].values()],
+                               [mean, *per_class.values()], rtol=0, atol=1e-12)
 
 
 def test_prepared_frames_carry_consistent_shapes():

@@ -3,8 +3,7 @@ import pytest
 
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import (FlowField, GridSpec, TrackedBox, flow_vector,
-                                     generate_flow_field, map_point_back, reduce_bev_flow,
-                                     voxelize_box)
+                                     generate_flow_field, map_point_back, reduce_bev_flow)
 from viewocc.geometry import Pose
 
 
@@ -36,7 +35,7 @@ def test_map_point_back_hand_value():
 def test_voxelize_center_in_box_is_inclusive():
     grid = GridSpec((1, 1, 2), 0.5, (0.0, 0.0, 0.0))  # centers x = 0.25, 0.75
     box = TrackedBox(1, 3, (0.5, 0.5, 0.5), {0: Pose(np.eye(3), (0.5, 0.25, 0.25))})
-    inside = voxelize_box(box, box.poses[0], grid)
+    inside = box.contains(box.poses[0], grid.voxel_centers())
     # both centers sit exactly half-extent from the box center: both included
     assert inside[0, 0, 0] and inside[0, 0, 1]
 

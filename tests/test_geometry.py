@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from viewocc.errors import ContractViolation
 from viewocc.geometry import (CameraModel, Pose, altitude_angle, altitude_rotation,
                               pinhole_project, project_jacobian, project_points,
-                              relative_pose, rotation_z, vc_sample_point, view_angle,
-                              view_frame, view_rotation, view_rotations)
+                              relative_pose, rotation_z, view_angle, view_rotation,
+                              view_rotations)
 
 from helpers import central_diff, rel_err
 
@@ -118,14 +118,6 @@ def test_view_rotation_covariance_under_z_rotation():
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_vc_sample_point_matches_manual_composition():
-    p = np.array([2.0, 1.0, -0.3])
-    dp = np.array([0.3, -0.1, 0.2])
-    for mode in ("one-dof", "two-dof", "ego"):
-        expect = p + view_rotation(p, mode) @ dp
-        np.testing.assert_allclose(vc_sample_point(p, dp, mode), expect, atol=1e-15)
-
-
 def test_view_rotations_batch_matches_single():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(7, 3))
@@ -136,8 +128,8 @@ def test_view_rotations_batch_matches_single():
 
 
 def test_view_frame_pole_accepts_vertical():
-    frame = view_frame(np.array([0.0, 0.0, 3.0]))
-    assert abs(frame.phi - np.pi / 2.0) < 1e-15
+    phi = altitude_angle(np.array([0.0, 0.0, 3.0]))
+    assert abs(phi - np.pi / 2.0) < 1e-15
 
 
 # --- pinhole projection ------------------------------------------------------

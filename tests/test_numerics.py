@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewocc.errors import ContractViolation
-from viewocc.numerics import (FLOAT, AffineMap, FeatureMap, affine_apply, affine_backward,
-                              bilinear_many, bilinear_many_backward, bilinear_sample,
-                              bilinear_sample_grad, softmax_backward, softmax_norm)
+from viewocc.numerics import (FLOAT, AffineMap, FeatureMap, bilinear_many, bilinear_sample,
+                              softmax_backward, softmax_norm)
+from viewocc.view_attention import deform_aggregate, deform_aggregate_backward
 
 from helpers import central_diff, rel_err
 
@@ -21,6 +21,18 @@ from helpers import central_diff, rel_err
 DATA_2X2 = np.array([[[1.0], [3.0]], [[2.0], [5.0]]])
 
 
+def _bilinear_grads(data, u, v, g_vals):
+    """(du, dv, map gradient) of sum(g_vals * sample at (u, v)), taken through
+    the shared aggregation core with one query, head, point and map, weight 1
+    and identity value and output maps, so its output is the bare sample."""
+    eye = [AffineMap.identity(data.shape[2])]
+    u, v = np.full((1, 1, 1, 1), u), np.full((1, 1, 1, 1), v)
+    _, cache = deform_aggregate(np.ones((1, 1, 1, 1)), True, u, v, [data], eye, eye)
+    g = deform_aggregate_backward(cache, [data], eye, eye, np.asarray(g_vals)[None, :],
+                                  want_map_grads=True)
+    return g["u"][0, 0, 0, 0], g["v"][0, 0, 0, 0], g["maps"][0]
+
+
 def test_bilinear_hand_value():
     vals, valid = bilinear_many(DATA_2X2, np.array(0.25), np.array(0.5))
     assert valid
@@ -30,8 +42,7 @@ def test_bilinear_hand_value():
 def test_bilinear_hand_gradient():
     # du = (1-fy)(p10-p00) + fy(p11-p01) = 0.5*2 + 0.5*3 = 2.5
     # dv = (1-fx)(p01-p00) + fx(p11-p10) = 0.75*1 + 0.25*2 = 1.25
-    du, dv = bilinear_many_backward(DATA_2X2, np.array(0.25), np.array(0.5),
-                                    np.array([1.0]))
+    du, dv, _ = _bilinear_grads(DATA_2X2, 0.25, 0.5, np.array([1.0]))
     assert abs(du - 2.5) < 1e-15
     assert abs(dv - 1.25) < 1e-15
 
@@ -52,8 +63,7 @@ def test_bilinear_closed_boundary():
 
 
 def test_bilinear_feature_scatter():
-    g = np.zeros_like(DATA_2X2)
-    bilinear_many_backward(DATA_2X2, np.array(0.25), np.array(0.5), np.array([2.0]), g)
+    _, _, g = _bilinear_grads(DATA_2X2, 0.25, 0.5, np.array([2.0]))
     # corner weights: w00=0.375, w10=0.125, w01=0.375, w11=0.125, times upstream 2
     expect = np.array([[[0.75], [0.25]], [[0.75], [0.25]]])
     np.testing.assert_allclose(g, expect, atol=1e-15)
@@ -65,10 +75,10 @@ def test_bilinear_gradient_matches_fd():
     uv = np.array([2.3, 1.7])
     g_up = rng.normal(size=3)
     fmap = FeatureMap(data)
-    grad_uv, grad_map = bilinear_sample_grad(fmap, uv, g_up)
-    for axis in range(2):
+    du, dv, grad_map = _bilinear_grads(data, uv[0], uv[1], g_up)
+    for axis, grad in enumerate((du, dv)):
         fd = central_diff(lambda: float(bilinear_sample(fmap, uv)[0] @ g_up), uv, (axis,))
-        assert rel_err(grad_uv[axis], fd) < 1e-8
+        assert rel_err(grad, fd) < 1e-8
     idx = (1, 2, 0)
     fd = central_diff(lambda: float(bilinear_sample(fmap, uv)[0] @ g_up), data, idx)
     assert rel_err(grad_map[idx], fd) < 1e-8
@@ -123,16 +133,6 @@ def test_softmax_backward_matches_fd():
 
 
 # --- affine maps -------------------------------------------------------------
-
-
-def test_affine_hand_values():
-    m = AffineMap(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5]))
-    x = np.array([[1.0, 1.0]])
-    np.testing.assert_allclose(affine_apply(m, x), [[3.5, 6.5]], atol=1e-15)
-    g_w, g_b, g_x = affine_backward(m, x, np.array([[1.0, 2.0]]))
-    np.testing.assert_allclose(g_w, [[1.0, 1.0], [2.0, 2.0]], atol=1e-15)
-    np.testing.assert_allclose(g_b, [1.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(g_x, [[7.0, 10.0]], atol=1e-15)
 
 
 def test_affine_shape_validation():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from viewocc.flow_annotation import BEVFlowField, GridSpec
+from viewocc.flow_annotation import BEVFlowField
 from viewocc.numerics import softmax_norm
 from viewocc.objective import (FrameTruth, LossWeights, PredictionBundle, cross_entropy,
                                focal_loss, iou_geo, l1_flow, lovasz_softmax, mave, miou,
-                               resample_nearest, resample_trilinear, total_loss)
+                               total_loss)
 
 from helpers import check_grad_array
 
@@ -216,36 +216,3 @@ def test_metrics_respect_mask():
     mask = np.array([True, False, True, True])
     mean, _ = miou(pred, gt, class_ids=(1,), mask=mask)
     assert abs(mean - 1.0) < 1e-15
-
-
-# --- resolution adapters -----------------------------------------------------
-
-
-def test_resample_identity_is_exact():
-    rng = np.random.default_rng(29)
-    grid = GridSpec((2, 3, 4), 0.5, (0.0, 0.0, 0.0))
-    values = rng.normal(size=(2, 3, 4, 3))
-    np.testing.assert_array_equal(resample_trilinear(values, grid, grid), values)
-    labels = rng.integers(0, 4, size=(2, 3, 4))
-    np.testing.assert_array_equal(resample_nearest(labels, grid, grid), labels)
-
-
-def test_resample_trilinear_reproduces_affine_fields():
-    # trilinear interpolation is exact for fields affine in (x, y, z)
-    src = GridSpec((4, 6, 6), 0.5, (0.0, 0.0, 0.0))
-    dst = GridSpec((4, 8, 8), 0.3, (0.4, 0.4, 0.25))  # strictly inside src
-    def affine(c):
-        return 0.7 * c[..., 0] - 1.1 * c[..., 1] + 0.4 * c[..., 2] + 2.0
-    values = affine(src.voxel_centers())
-    out = resample_trilinear(values, src, dst)
-    np.testing.assert_allclose(out, affine(dst.voxel_centers()), atol=1e-12)
-
-
-def test_resample_nearest_picks_closest_center():
-    src = GridSpec((1, 1, 4), 1.0, (0.0, 0.0, 0.0))  # centers x = 0.5, 1.5, 2.5, 3.5
-    dst = GridSpec((1, 1, 2), 2.0, (0.0, 0.0, 0.0))  # centers x = 1.0, 3.0
-    labels = np.array([[[5, 6, 7, 8]]], dtype=np.int64)
-    out = resample_nearest(labels, src, dst)
-    # 1.0 is equidistant between 0.5 and 1.5: round-half-even picks index 0 or 1
-    assert out[0, 0, 0] in (5, 6)
-    assert out[0, 0, 1] in (7, 8)

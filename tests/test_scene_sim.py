@@ -103,7 +103,7 @@ def test_render_misses_are_zero_and_hits_match_surface_features():
     frame, cam_index = 1, 0
     cam = scene.cameras[cam_index]
     fmap = render_camera_features(scene, frame, cam_index)
-    hit, _, hit_points, class_idx = _march(scene, frame, cam)
+    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame), cam)
     pixels = fmap.data.reshape(-1, scene.feature_channels)
     assert hit.any() and not hit.all()
     np.testing.assert_array_equal(pixels[~hit], 0.0)
@@ -295,7 +295,7 @@ def _small_scenes(draw):
 
 def _assert_march_matches_dense(scene):
     cam = scene.cameras[0]
-    hit, first, hit_points, class_idx = _march(scene, 0, cam)
+    hit, first, hit_points, class_idx = _march(scene, scene.elements_in_frame(0), cam)
     ref_hit, ref_points, ref_class, pts, before_hit = dense_march(scene, 0, cam)
     np.testing.assert_array_equal(hit, ref_hit)
     np.testing.assert_array_equal(first, before_hit.sum(axis=1))

@@ -5,8 +5,7 @@ from viewocc.errors import ContractViolation
 from viewocc.geometry import Pose, relative_pose
 from viewocc.numerics import AffineMap, bilinear_many
 from viewocc.temporal_stream import (BEVGrid, MemoryQueue, VoxelGrid, check_planar,
-                                     init_temporal_params, load_queue, queue_push,
-                                     save_queue, squeeze_bev, temporal_attention,
+                                     init_temporal_params, load_queue, save_queue, squeeze_bev,
                                      temporal_backward_arrays, temporal_forward_arrays,
                                      unsqueeze_voxel, warp_bev, warp_queue)
 
@@ -121,7 +120,7 @@ def _bev_of(value: float) -> BEVGrid:
 def test_queue_fifo_keeps_most_recent():
     queue = MemoryQueue(4)
     for i in range(10):
-        queue_push(queue, _bev_of(float(i)), Pose(np.eye(3), (float(i), 0.0, 0.0)))
+        queue.push(_bev_of(float(i)), Pose(np.eye(3), (float(i), 0.0, 0.0)))
     assert len(queue) == 4
     stored = [bev.data[0, 0, 0] for bev, _ in queue.entries]
     assert stored == [6.0, 7.0, 8.0, 9.0]  # oldest first
@@ -130,16 +129,16 @@ def test_queue_fifo_keeps_most_recent():
 
 def test_queue_rejects_layout_mismatch():
     queue = MemoryQueue(2)
-    queue_push(queue, _bev_of(1.0), Pose.identity())
+    queue.push(_bev_of(1.0), Pose.identity())
     with pytest.raises(ContractViolation):
-        queue_push(queue, BEVGrid(np.zeros((3, 3, 2)), 0.25, (0.0, 0.0)), Pose.identity())
+        queue.push(BEVGrid(np.zeros((3, 3, 2)), 0.25, (0.0, 0.0)), Pose.identity())
 
 
 def test_queue_save_load_round_trip(tmp_path):
     queue = MemoryQueue(3)
     rng = np.random.default_rng(5)
     for i in range(3):
-        queue_push(queue, BEVGrid(rng.normal(size=(3, 3, 2)), 0.5, (0.0, 0.0)),
+        queue.push(BEVGrid(rng.normal(size=(3, 3, 2)), 0.5, (0.0, 0.0)),
                    Pose.from_z_rotation(0.1 * i, (float(i), 0.0, 0.0)))
     prefix = str(tmp_path / "queue")
     save_queue(prefix, queue)
@@ -152,14 +151,6 @@ def test_queue_save_load_round_trip(tmp_path):
 
 
 # --- temporal attention ------------------------------------------------------
-
-
-def test_empty_queue_is_bitwise_identity():
-    rng = np.random.default_rng(6)
-    params = init_temporal_params(rng, channels=4, points=2, levels=3)
-    bev = BEVGrid(rng.normal(size=(5, 5, 4)), 0.5, (0.0, 0.0))
-    out = temporal_attention(bev, MemoryQueue(3), Pose.identity(), params)
-    np.testing.assert_array_equal(out.data, bev.data)
 
 
 def test_temporal_matches_reference_loop():
@@ -183,12 +174,12 @@ def test_temporal_through_queue_pipeline():
     queue = MemoryQueue(4)
     poses = [Pose(np.eye(3), (0.1 * i, 0.0, 0.0)) for i in range(3)]
     for i in range(2):
-        queue_push(queue, BEVGrid(rng.normal(size=(4, 4, 3)), **layout), poses[i])
+        queue.push(BEVGrid(rng.normal(size=(4, 4, 3)), **layout), poses[i])
     current = BEVGrid(rng.normal(size=(4, 4, 3)), **layout)
-    out = temporal_attention(current, queue, poses[2], params)
     warped = warp_queue(queue, poses[2], current)
+    out, _ = temporal_forward_arrays(current.data, warped, params)
     expect = reference_temporal(current.data, warped, params)
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
     # oldest frame first: warped[0] must come from the first pushed grid
     rel = relative_pose(poses[2], poses[0])
     np.testing.assert_array_equal(warped[0],

@@ -117,12 +117,16 @@ def _micro_map() -> FeatureMap:
     return FeatureMap(data)
 
 
+def _cameras_read(trace) -> int:
+    return int(np.any(trace.in_view, axis=(0, 1)).sum())
+
+
 def test_hand_frozen_single_camera():
     rig = [_camera(0.0)]
     out, trace = view_attn_forward(QueryContext(np.array([1.0]), np.array([2.0, 0.0, 0.0])),
                                    _micro_params(1), [_micro_map()], rig)
     assert abs(out[0] - 7.5) < 1e-12
-    assert trace.valid_camera_count() == 1
+    assert _cameras_read(trace) == 1
 
 
 def test_invalid_camera_term_dropped_without_renormalizing():
@@ -133,7 +137,7 @@ def test_invalid_camera_term_dropped_without_renormalizing():
                                    _micro_params(2), [_micro_map(), _micro_map()], rig)
     # weight 0.5 on the visible sample: 1.0 * (0.5 * 8.5) - 1.0 = 3.25
     assert abs(out[0] - 3.25) < 1e-12
-    assert trace.valid_camera_count() == 1
+    assert _cameras_read(trace) == 1
 
 
 def test_all_samples_invalid_leaves_output_biases():
@@ -142,7 +146,7 @@ def test_all_samples_invalid_leaves_output_biases():
     ctx = QueryContext(np.array([1.0]), np.array([-2.0, 0.0, 0.0]))
     out, trace = view_attn_forward(ctx, params, [_micro_map()], rig)
     assert abs(out[0] - (-1.0)) < 1e-15  # only the output bias survives
-    assert trace.valid_camera_count() == 0
+    assert _cameras_read(trace) == 0
 
 
 # --- reference-loop oracle over random instances -----------------------------
@@ -249,15 +253,6 @@ def test_star_bias_layout():
     np.testing.assert_allclose(bias[1], [0.0, 0.5, 0.0], atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(bias[:, :2], axis=1), 0.5, atol=1e-15)
     np.testing.assert_array_equal(bias[:, 2], 0.0)
-
-
-def test_trace_record_json():
-    rig = [_camera(0.0)]
-    _, trace = view_attn_forward(QueryContext(np.array([1.0]), np.array([2.0, 0.0, 0.0])),
-                                 _micro_params(1), [_micro_map()], rig)
-    obj = trace.to_json()
-    assert obj["entries"][0]["in_view"] is True
-    assert {"head", "point", "camera", "u", "v", "weight"} <= set(obj["entries"][0])
 
 
 def test_camera_coverage_on_surround_rig():
