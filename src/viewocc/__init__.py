@@ -18,10 +18,10 @@ from .objective import (FrameTruth, LossWeights, PredictionBundle, cross_entropy
 from .scene_sim import (SceneClass, SceneSpec, StaticElement, build_rig, load_scene, observe,
                         preset_scene, render_camera_features, save_scene, scene_ground_truth,
                         with_feature_channels)
-from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, VoxelGrid, check_planar,
-                              init_temporal_params, load_queue, save_queue, squeeze_bev,
-                              temporal_backward_arrays, temporal_forward_arrays,
-                              unsqueeze_voxel, warp_bev, warp_queue)
+from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, check_planar,
+                              init_temporal_params, load_queue, save_queue,
+                              temporal_backward_arrays, temporal_forward_arrays, warp_bev,
+                              warp_queue)
 from .view_attention import (AttnParams, QueryContext, TraceRecord, attn_backward_batch,
                              attn_forward_batch, deform_aggregate, deform_aggregate_backward,
                              init_proj_first_params, init_view_attn_params,

@@ -4,7 +4,8 @@ Subcommands map one-to-one onto harness operations: make-scene, coverage,
 render, gen-flow, train, eval, compare. Reports are JSON on stdout (or the
 --out file) with floats rendered as 17-significant-digit strings; repeated
 runs with the same inputs produce identical bytes except for the wall_clock_s
-entry. Contract violations print a JSON diagnostic to stderr and exit 2.
+entry. Contract violations, and inputs that overflow or produce invalid values
+in the arithmetic, print one JSON diagnostic to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -264,9 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ContractViolation as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}, indent=2, sort_keys=True) + "\n")
+        # an overflow or invalid value anywhere means the inputs were out of range
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ContractViolation, FloatingPointError) as exc:
+        error = str(exc) if isinstance(exc, ContractViolation) else f"numeric fault: {exc}"
+        sys.stderr.write(json.dumps({"error": error}, indent=2, sort_keys=True) + "\n")
         return 2
 
 

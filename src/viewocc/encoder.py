@@ -6,8 +6,13 @@ The per-frame pipeline is
       -> residual multi-view attention layers over the camera features
       -> squeeze to a BEV grid
       -> temporal attention against the warped memory queue (residual + ffn)
-      -> unsqueeze back to voxels
+      -> expand back to voxels
       -> occupancy / semantic heads on voxels, flow head on the fused BEV
+
+The voxel grid (Z, H, W, C_voxel) squeezes to the BEV grid (H, W, C_bev) by
+concatenating its z-layers channel-wise (z-major) into one column per cell and
+applying one affine map per cell; the expand map inverts the layout with a
+second affine map.
 
 Everything is plain float64 numpy with hand-written backward passes; the
 parameter set walks as a flat dict of dotted names so the optimizer, the
@@ -16,7 +21,7 @@ serializer, and the finite-difference checks all share one view of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +31,8 @@ from .flow_annotation import GridSpec
 from .geometry import Pose
 from .numerics import FLOAT, AffineMap
 from .objective import PredictionBundle
-from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, VoxelGrid,
-                              init_temporal_params, squeeze_bev, temporal_backward_arrays,
-                              temporal_forward_arrays, unsqueeze_voxel, warp_queue)
+from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, init_temporal_params,
+                              temporal_backward_arrays, temporal_forward_arrays, warp_queue)
 from .view_attention import (attn_backward_batch, attn_forward_batch, init_proj_first_params,
                              init_view_attn_params, proj_first_backward_batch,
                              proj_first_forward_batch)
@@ -57,18 +61,14 @@ class ModelConfig:
     temporal_points: int = 4
     method: str = "view-attn"
     mode: str = "one-dof"
-    star_radius: float = 0.5
-    star_radius_px: float = 3.0
-    star_radius_cells: float = 0.9
 
     def __post_init__(self):
         try:
             self.grid_shape = tuple(int(x) for x in self.grid_shape)
             self.origin = tuple(float(x) for x in self.origin)
+            self.pitch = float(self.pitch)
             for name in _COUNT_FIELDS:
                 setattr(self, name, int(getattr(self, name)))
-            for name in ("pitch", "star_radius", "star_radius_px", "star_radius_cells"):
-                setattr(self, name, float(getattr(self, name)))
         except (TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed model config: {exc}") from exc
         require(len(self.grid_shape) == 3 and min(self.grid_shape) >= 1 and len(self.origin) == 3,
@@ -90,25 +90,15 @@ class ModelConfig:
         return z * h * w
 
     def to_json(self) -> dict:
-        return {
-            "grid_shape": list(self.grid_shape), "pitch": self.pitch,
-            "origin": list(self.origin), "voxel_channels": self.voxel_channels,
-            "bev_channels": self.bev_channels, "n_classes": self.n_classes,
-            "layers": self.layers, "heads": self.heads, "points": self.points,
-            "queue_len": self.queue_len, "temporal_points": self.temporal_points,
-            "method": self.method, "mode": self.mode,
-            "star_radius": self.star_radius, "star_radius_px": self.star_radius_px,
-            "star_radius_cells": self.star_radius_cells,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj.update(grid_shape=list(self.grid_shape), origin=list(self.origin))
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        """Unknown keys are ignored, so older headers that carry more load too."""
         try:
-            return cls(**{k: obj[k] for k in (
-                "grid_shape", "pitch", "origin", "voxel_channels", "bev_channels",
-                "n_classes", "layers", "heads", "points", "queue_len", "temporal_points",
-                "method", "mode", "star_radius", "star_radius_px", "star_radius_cells",
-            ) if k in obj})
+            return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
         except (KeyError, TypeError) as exc:
             raise ContractViolation(f"malformed model config: {exc}") from exc
 
@@ -155,16 +145,13 @@ def init_model(rng: np.random.Generator, config: ModelConfig, n_cameras: int) ->
     for _ in range(config.layers):
         if config.method == "view-attn":
             layers.append(init_view_attn_params(rng, c, heads=config.heads,
-                                                points=config.points, cameras=n_cameras,
-                                                star_radius=config.star_radius))
+                                                points=config.points, cameras=n_cameras))
         else:
             layers.append(init_proj_first_params(rng, c, heads=config.heads,
-                                                 points=config.points, cameras=n_cameras,
-                                                 star_radius_px=config.star_radius_px))
+                                                 points=config.points, cameras=n_cameras))
     squeeze = AffineMap(rng.normal(0.0, 1.0 / np.sqrt(z * c), (cb, z * c)), np.zeros(cb))
     temporal = init_temporal_params(rng, cb, points=config.temporal_points,
-                                    levels=config.queue_len,
-                                    star_radius_cells=config.star_radius_cells)
+                                    levels=config.queue_len)
     expand = AffineMap(rng.normal(0.0, 1.0 / np.sqrt(cb), (z * c, cb)), np.zeros(z * c))
     occ_head = AffineMap(rng.normal(0.0, 1.0 / np.sqrt(c), (1, c)), np.zeros(1))
     sem_head = AffineMap(rng.normal(0.0, 1.0 / np.sqrt(c), (config.n_classes, c)),
@@ -197,6 +184,20 @@ def load_params(prefix) -> ModelParams:
     return params
 
 
+def _to_columns(voxels: np.ndarray) -> np.ndarray:
+    """Voxel grid (Z, H, W, C) -> cell columns (H*W, Z*C), z-major: a column
+    reads z0's channels, then z1's, and so on."""
+    z, h, w, c = voxels.shape
+    return voxels.transpose(1, 2, 0, 3).reshape(h * w, z * c)
+
+
+def _to_voxels(columns: np.ndarray, grid_shape) -> np.ndarray:
+    """Cell columns (H*W or H, W, Z*C) -> contiguous voxel grid (Z, H, W, C);
+    the inverse of _to_columns."""
+    z, h, w = grid_shape
+    return np.ascontiguousarray(columns.reshape(h, w, z, -1).transpose(2, 0, 1, 3))
+
+
 @dataclass
 class FrameResult:
     """Forward products of one frame; caches present only when requested."""
@@ -227,9 +228,9 @@ def forward_frame(params: ModelParams, features, rig, pose: Pose, queue: MemoryQ
         v = v + out
         layer_caches.append(cache)
 
-    vox = VoxelGrid(np.ascontiguousarray(v.reshape(z, h, w, cfg.voxel_channels)),
-                    cfg.pitch, cfg.origin)
-    bev = squeeze_bev(vox, params.squeeze)
+    columns = _to_columns(v.reshape(z, h, w, cfg.voxel_channels))
+    bev = BEVGrid(columns.reshape(h, w, -1) @ params.squeeze.weight.T + params.squeeze.bias,
+                  cfg.pitch, cfg.origin[:2])
 
     t_cache = None
     if len(queue) > 0:
@@ -240,17 +241,15 @@ def forward_frame(params: ModelParams, features, rig, pose: Pose, queue: MemoryQ
         fused_data = bev.data.copy()
     fused = BEVGrid(fused_data, bev.pitch, bev.origin)
 
-    vox_out = unsqueeze_voxel(fused, params.expand, z, cfg.origin[2])
-    feats = vox_out.data
+    feats = _to_voxels(fused.data @ params.expand.weight.T + params.expand.bias, cfg.grid_shape)
     occ_logits = feats @ params.occ_head.weight[0] + params.occ_head.bias[0]
     sem_logits = feats @ params.sem_head.weight.T + params.sem_head.bias
     bev_flow = fused.data @ params.flow_head.weight.T + params.flow_head.bias
 
     caches = None
     if keep_cache:
-        squeeze_columns = vox.data.transpose(1, 2, 0, 3).reshape(h * w, z * cfg.voxel_channels)
         caches = {"layers": layer_caches, "temporal": t_cache,
-                  "squeeze_columns": squeeze_columns, "fused": fused,
+                  "squeeze_columns": columns, "fused": fused,
                   "voxel_features": feats}
     pred = PredictionBundle(occ_logits, sem_logits, bev_flow)
     return FrameResult(pred, fused, feats, caches)
@@ -271,7 +270,7 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
     """
     require(result.caches is not None, "backward_frame needs a forward run with keep_cache")
     cfg = params.config
-    z, h, w = cfg.grid_shape
+    _, h, w = cfg.grid_shape
     grads = zero_grads(params)
     caches = result.caches
     feats = caches["voxel_features"]
@@ -292,8 +291,8 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
                + np.einsum("zhwk,kc->zhwc", g_sem, params.sem_head.weight))
     g_fused = g_flow @ params.flow_head.weight
 
-    # unsqueeze: fused (H,W,Cb) -> out -> reshape(h,w,z,c) -> transpose(2,0,1,3)
-    g_expand_out = g_feats.transpose(1, 2, 0, 3).reshape(h * w, z * cfg.voxel_channels)
+    # expand: the cell columns of feats are fused (H,W,Cb) @ W.T + b
+    g_expand_out = _to_columns(g_feats)
     fused_flat = fused.data.reshape(h * w, cfg.bev_channels)
     grads["expand.weight"][:] = g_expand_out.T @ fused_flat
     grads["expand.bias"][:] = g_expand_out.sum(axis=0)
@@ -306,14 +305,12 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
     else:
         g_bev = g_fused
 
-    # squeeze: columns (H,W,Z*C) @ W.T + b
+    # squeeze: bev (H,W,Cb) is the cell columns (H,W,Z*C) @ W.T + b
     g_bev_flat = g_bev.reshape(h * w, cfg.bev_channels)
-    columns = caches["squeeze_columns"]
-    grads["squeeze.weight"][:] = g_bev_flat.T @ columns
+    grads["squeeze.weight"][:] = g_bev_flat.T @ caches["squeeze_columns"]
     grads["squeeze.bias"][:] = g_bev_flat.sum(axis=0)
-    g_columns = g_bev_flat @ params.squeeze.weight
-    g_vox = g_columns.reshape(h, w, z, cfg.voxel_channels).transpose(2, 0, 1, 3)
-    g_v = g_vox.reshape(-1, cfg.voxel_channels)
+    g_v = _to_voxels(g_bev_flat @ params.squeeze.weight, cfg.grid_shape)
+    g_v = g_v.reshape(-1, cfg.voxel_channels)
 
     backward = attn_backward_batch if cfg.method == "view-attn" else proj_first_backward_batch
     for i in reversed(range(len(params.layers))):

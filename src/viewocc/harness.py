@@ -12,7 +12,7 @@ byte-identical apart from wall-clock entries.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,6 @@ class FrameData:
     features: list
     pose: Pose
     truth: FrameTruth
-    labels: np.ndarray
-    bev_truth: BEVFlowField
     visibility: np.ndarray
 
 
@@ -70,15 +68,12 @@ def prepare_frames(scene: SceneSpec, frames=None, flow_mode: str = "occupancy-fl
     out = []
     for f in indices:
         labels, field = scene_ground_truth(scene, f, flow_mode=flow_mode)
-        bev = reduce_bev_flow(field)
         features, visibility = observe(scene, f)
         out.append(FrameData(
             index=f,
             features=features,
             pose=scene.ego_trajectory[f],
-            truth=FrameTruth(labels=labels, bev_flow=bev),
-            labels=labels,
-            bev_truth=bev,
+            truth=FrameTruth(labels=labels, bev_flow=reduce_bev_flow(field)),
             visibility=visibility,
         ))
     return out
@@ -138,15 +133,11 @@ class MetricAccumulator:
 class TrainSettings:
     epochs: int = 200
     lr: float = 1e-2
-    momentum: float = 0.9
-    flow_weight: float = 1.0
-    focal_gamma: float = 2.0
     focal_alpha: float | None = 0.25
     seed: int = 0
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(flow_weight=self.flow_weight, focal_gamma=self.focal_gamma,
-                           focal_alpha=self.focal_alpha)
+        return LossWeights(focal_alpha=self.focal_alpha)
 
 
 # preset name -> (model kwargs minus geometry, train settings kwargs)
@@ -155,13 +146,13 @@ PRESETS = {
                    queue_len=4, temporal_points=4),
               # alpha-weighting starves the sparse positives at this scene size,
               # so the preset trains with plain focal weighting
-              dict(epochs=200, lr=1e-2, momentum=0.9, focal_alpha=None)),
+              dict(epochs=200, lr=1e-2, focal_alpha=None)),
     "desk": (dict(voxel_channels=24, bev_channels=42, layers=2, heads=4, points=4,
                   queue_len=4, temporal_points=4),
-             dict(epochs=120, lr=1e-2, momentum=0.9, focal_alpha=None)),
+             dict(epochs=120, lr=1e-2, focal_alpha=None)),
     "full": (dict(voxel_channels=72, bev_channels=126, layers=4, heads=8, points=4,
                   queue_len=4, temporal_points=4),
-             dict(epochs=24, lr=2e-4, momentum=0.9)),
+             dict(epochs=24, lr=2e-4)),
 }
 
 
@@ -209,7 +200,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
     rig = scene.cameras
     if params is None:
         params = init_model(np.random.default_rng(settings.seed), config, len(rig))
-    opt = MomentumSGD(settings.lr, settings.momentum)
+    opt = MomentumSGD(settings.lr)
     weights = settings.loss_weights()
     history = []
     for epoch in range(settings.epochs):
@@ -228,8 +219,8 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
                 sums[k] += parts[k]
             sums["total"] += value
             occ, labels = decode_prediction(res.pred)
-            acc.add_frame(labels, fd.labels, occ, fd.labels > 0,
-                          res.pred.bev_flow, fd.bev_truth, fd.visibility)
+            acc.add_frame(labels, fd.truth.labels, occ, fd.truth.labels > 0,
+                          res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)
         n = len(data)
         row = {"epoch": epoch}
         row.update({k: sums[k] / n for k in ("focal", "ce", "lovasz", "l1_flow", "total")})
@@ -271,8 +262,8 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
         value, parts = total_loss(res.pred, fd.truth, weights)
         queue.push(BEVGrid(res.fused.data.copy(), res.fused.pitch, res.fused.origin), fd.pose)
         occ, labels = decode_prediction(res.pred)
-        scores = acc.add_frame(labels, fd.labels, occ, fd.labels > 0,
-                               res.pred.bev_flow, fd.bev_truth, fd.visibility)
+        scores = acc.add_frame(labels, fd.truth.labels, occ, fd.truth.labels > 0,
+                               res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)
         per_frame.append({"frame": fd.index, "loss": value, **scores,
                           "queue_depth": len(queue)})
     report = {
@@ -295,9 +286,10 @@ def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
         for qlen in queue_lens:
             config, settings = resolve_preset(preset, scene, method=method, mode=mode,
                                               queue_len=qlen)
-            if settings_override:
-                for k, v in settings_override.items():
-                    setattr(settings, k, v)
+            try:
+                settings = replace(settings, **(settings_override or {}))
+            except TypeError as exc:
+                raise ContractViolation(f"unknown train settings override: {exc}") from exc
             if seed is not None:
                 settings.seed = seed
             params, history = train_model(scene, config, settings)

@@ -205,17 +205,14 @@ def total_loss(pred: PredictionBundle, truth: FrameTruth, weights: LossWeights,
     sem_rows = pred.sem_logits[occupied]
     sem_labels = truth.labels[occupied] - 1
     ce = cross_entropy(sem_rows, sem_labels, with_grad=with_grads)
-    if with_grads:
-        probs = softmax_norm(sem_rows, axis=-1) if sem_rows.shape[0] else np.zeros_like(sem_rows)
-        ls, g_probs = lovasz_softmax(probs, sem_labels, with_grad=True)
-    else:
-        probs = softmax_norm(sem_rows, axis=-1) if sem_rows.shape[0] else np.zeros_like(sem_rows)
-        ls = lovasz_softmax(probs, sem_labels)
+    probs = softmax_norm(sem_rows, axis=-1) if sem_rows.shape[0] else np.zeros_like(sem_rows)
+    ls = lovasz_softmax(probs, sem_labels, with_grad=with_grads)
     l1 = l1_flow(pred.bev_flow, truth.bev_flow, with_grad=with_grads)
 
     if with_grads:
         focal, g_occ = focal
         ce, g_ce = ce
+        ls, g_probs = ls
         l1, g_l1 = l1
         g_sem_rows = g_ce + (softmax_backward(probs, g_probs, axis=-1)
                              if sem_rows.shape[0] else 0.0)

@@ -233,8 +233,8 @@ def surface_feature(scene: SceneSpec, class_id: int, world_point) -> np.ndarray:
     return scene.basis().features(np.array([ids.index(class_id)]), anchor_pt[None, :])[0]
 
 
-def _ray_grid(scene: SceneSpec, cam: CameraModel):
-    """Camera origin and per-pixel unit directions in the ego frame."""
+def _ray_grid(cam: CameraModel):
+    """Camera origin (3,) and per-pixel unit directions (P, 3) in the ego frame."""
     inv = cam.extrinsics.inverse()
     origin = inv.translation
     us, vs = np.meshgrid(np.arange(cam.width, dtype=FLOAT),
@@ -293,9 +293,9 @@ def _window(lo, hi):
     return ray, np.arange(ray.size) - np.repeat(start - lo, count)
 
 
-def _march(scene: SceneSpec, elements, cam: CameraModel):
-    """First-hit march for every pixel against `elements`, the list from
-    `scene.elements_in_frame`.
+def _march(scene: SceneSpec, elements, origin, dirs):
+    """First-hit march for every pixel ray (origin, dirs) from `_ray_grid`
+    against `elements`, the list from `scene.elements_in_frame`.
 
     Ray p takes steps t_i = (i+1)*step, and its first hit is the first step
     point inside any element. A slab test in each element's local frame
@@ -308,7 +308,6 @@ def _march(scene: SceneSpec, elements, cam: CameraModel):
     index (the step count for a miss) and class indices are 0-based rows
     into the class table.
     """
-    origin, dirs = _ray_grid(scene, cam)
     step, ts = _ray_steps(scene.grid)
     n_steps = ts.size
     first = np.full(dirs.shape[0], n_steps, dtype=np.int64)
@@ -337,12 +336,10 @@ def _march(scene: SceneSpec, elements, cam: CameraModel):
     return hit, first, hit_points, class_idx
 
 
-def _free_points(scene: SceneSpec, cam: CameraModel, first) -> np.ndarray:
+def _free_points(grid: GridSpec, origin, dirs, first) -> np.ndarray:
     """(F, 3) step points strictly before each ray's first hit (`first` from
-    `_march`) that lie near the grid's box, ray-major; the rest of the free
-    points fall outside the grid."""
-    grid = scene.grid
-    origin, dirs = _ray_grid(scene, cam)
+    `_march` on the same rays) that lie near the grid's box, ray-major; the
+    rest of the free points fall outside the grid."""
     step, ts = _ray_steps(grid)
     z, h, w = grid.shape
     half = np.array([w, h, z], dtype=FLOAT) * grid.pitch / 2.0
@@ -366,7 +363,8 @@ def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> Feat
     """Render one camera's feature image for a frame; misses are zero."""
     require(0 <= cam_index < len(scene.cameras), "camera index out of range")
     cam = scene.cameras[cam_index]
-    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame), cam)
+    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame),
+                                           *_ray_grid(cam))
     return _feature_map(scene, frame, cam, hit, hit_points, class_idx)
 
 
@@ -385,9 +383,10 @@ def observe(scene: SceneSpec, frame: int):
     features = []
     elements = scene.elements_in_frame(frame)
     for cam in scene.cameras:
-        hit, first, hit_points, class_idx = _march(scene, elements, cam)
+        origin, dirs = _ray_grid(cam)
+        hit, first, hit_points, class_idx = _march(scene, elements, origin, dirs)
         features.append(_feature_map(scene, frame, cam, hit, hit_points, class_idx))
-        mark = np.concatenate([_free_points(scene, cam, first), hit_points[hit]])
+        mark = np.concatenate([_free_points(grid, origin, dirs, first), hit_points[hit]])
         idx = np.floor((mark - grid.origin[None, :]) / grid.pitch).astype(np.int64)
         ok = ((idx[:, 0] >= 0) & (idx[:, 0] < w) & (idx[:, 1] >= 0) & (idx[:, 1] < h)
               & (idx[:, 2] >= 0) & (idx[:, 2] < z))

@@ -1,12 +1,10 @@
-"""Streaming BEV state: squeeze/unsqueeze, ego-motion warping, temporal fusion.
+"""Streaming BEV state: the grid, the memory queue, ego-motion warping and
+temporal fusion.
 
-A voxel grid (Z, H, W, C_voxel) squeezes to a BEV grid (H, W, C_bev) by
-concatenating its z-layers channel-wise (z-major) and applying one affine map
-per cell; unsqueeze inverts the layout with a second map. History lives in a
-FIFO MemoryQueue of (BEVGrid, Pose) pairs. Warping pulls: each output cell
-looks up its center in the older frame via the inverse relative pose and
-samples bilinearly, zero outside; the relative rotation must keep the z-axis
-fixed (planar motion).
+History lives in a FIFO MemoryQueue of (BEVGrid, Pose) pairs. Warping pulls:
+each output cell looks up its center in the older frame via the inverse
+relative pose and samples bilinearly, zero outside; the relative rotation must
+keep the z-axis fixed (planar motion).
 
 Temporal attention treats each queued frame, warped into the current ego
 frame, as one attention level. Every current cell generates per-level 2-d
@@ -31,21 +29,6 @@ from .numerics import (FLOAT, AffineMap, as_float_array, bilinear_many, softmax_
 from .view_attention import deform_aggregate, deform_aggregate_backward, star_bias
 
 PLANAR_TOL = 1e-6
-
-
-@dataclass
-class VoxelGrid:
-    """(Z, H, W, C) float64 features; origin is the metric min corner (x, y, z)."""
-
-    data: np.ndarray
-    pitch: float
-    origin: np.ndarray
-
-    def __post_init__(self):
-        self.data = as_float_array(self.data, name="VoxelGrid.data")
-        require(self.data.ndim == 4, "VoxelGrid.data must be (Z, H, W, C)")
-        require(self.pitch > 0, "VoxelGrid.pitch must be positive")
-        self.origin = as_float_array(self.origin, shape=(3,), name="VoxelGrid.origin")
 
 
 @dataclass
@@ -132,28 +115,6 @@ def load_queue(prefix) -> MemoryQueue:
             raise ContractViolation(f"malformed queue entry {i} in {prefix}: {exc}") from exc
         queue.push(bev, pose)
     return queue
-
-
-def squeeze_bev(voxels: VoxelGrid, proj: AffineMap) -> BEVGrid:
-    """Concatenate z-layers channel-wise (z-major) and project per cell."""
-    z, h, w, c = voxels.data.shape
-    require(proj.in_dim == z * c,
-            f"squeeze projection expects {proj.in_dim} inputs, grid provides {z * c}")
-    columns = voxels.data.transpose(1, 2, 0, 3).reshape(h, w, z * c)
-    out = columns @ proj.weight.T + proj.bias
-    return BEVGrid(out, voxels.pitch, voxels.origin[:2])
-
-
-def unsqueeze_voxel(bev: BEVGrid, proj: AffineMap, z_layers: int, z0: float) -> VoxelGrid:
-    """Project each BEV cell back to a stack of z-major voxel features."""
-    h, w, c_bev = bev.data.shape
-    require(proj.in_dim == c_bev, "unsqueeze projection input does not match BEV channels")
-    require(proj.out_dim % z_layers == 0, "unsqueeze projection output not divisible by z_layers")
-    c = proj.out_dim // z_layers
-    out = bev.data @ proj.weight.T + proj.bias
-    data = out.reshape(h, w, z_layers, c).transpose(2, 0, 1, 3)
-    origin = np.array([bev.origin[0], bev.origin[1], z0], dtype=FLOAT)
-    return VoxelGrid(np.ascontiguousarray(data), bev.pitch, origin)
 
 
 def check_planar(rel: Pose, tol: float = PLANAR_TOL) -> None:

@@ -79,7 +79,7 @@ def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
     before_hit_mask flags the strictly-free step points for visibility.
     """
     elements = scene.elements_in_frame(frame)
-    origin, dirs = _ray_grid(scene, cam)
+    origin, dirs = _ray_grid(cam)
     step = scene.grid.pitch * RAY_STEP_FRACTION
     n_steps = int(np.ceil(_max_range(scene.grid) / step))
     ts = (np.arange(n_steps, dtype=FLOAT) + 1.0) * step

@@ -2,16 +2,21 @@
 
 Each example copies a valid scene file, params blob and queue blob, mutates
 one of them (a JSON value deleted or replaced, blob bytes overwritten, or the
-data file truncated), runs `cli.main` in-process and checks the exit status,
-plus a JSON error on stderr when it is 2. Replacement values are small, so
-no mutation can ask for a large grid, image or array.
+data file truncated), runs `cli.main` in-process with every warning turned
+into an error and checks the exit status, plus a JSON error on stderr when it
+is 2. Replacement values are small, so no mutation can ask for a large grid,
+image or array.
 """
 
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import viewocc
 from viewocc.cli import main as cli_main
-from viewocc.encoder import init_model, save_params
+from viewocc.encoder import init_model, load_params, save_params
 from viewocc.harness import resolve_preset
 from viewocc.scene_sim import preset_scene, save_scene
 
@@ -42,8 +48,11 @@ def inputs(tmp_path_factory):
 
 
 def _run(argv):
+    """(exit status, stderr); a warning inside the CLI fails the test."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
         code = cli_main([str(a) for a in argv])
     return code, err.getvalue()
 
@@ -119,3 +128,21 @@ def test_mutated_scene_file_exits_0_or_2(inputs, data):
         _check_contract(["render", "--scene", work / "scene.json", "--frame", "0",
                          "--out", work / "render"])
         _check_contract(["gen-flow", "--scene", work / "scene.json", "--frame", "1"])
+
+
+@pytest.mark.parametrize("value", [1e308, 1e300])
+def test_eval_on_overflowing_params_exits_2_with_one_json_error(inputs, tmp_path, value):
+    # finite params that overflow in the forward pass; at 1e300 the overflow
+    # only reaches the flow metric's norm
+    params = load_params(inputs / "model")
+    params.query_table[:] = value
+    save_params(tmp_path / "huge", params)
+    package_root = str(Path(viewocc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "viewocc.cli", "eval",
+                             "--scene", str(inputs / "scene.json"),
+                             "--params", str(tmp_path / "huge"), "--frames", "0"],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stderr)["error"]

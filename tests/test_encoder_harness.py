@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from viewocc.cli import main as cli_main
-from viewocc.encoder import (ModelConfig, MomentumSGD, backward_frame, forward_frame,
-                             init_model, load_params, save_params, zero_grads)
+from viewocc.encoder import (ModelConfig, MomentumSGD, _to_columns, _to_voxels, backward_frame,
+                             forward_frame, init_model, load_params, save_params, zero_grads)
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import BEVFlowField
 from viewocc.geometry import Pose
-from viewocc.harness import (CSV_COLUMNS, MetricAccumulator, TrainSettings, evaluate_model,
-                             jsonable, prepare_frames, resolve_preset, train_model)
-from viewocc.numerics import FeatureMap
+from viewocc.harness import (CSV_COLUMNS, MetricAccumulator, TrainSettings, compare_methods,
+                             evaluate_model, jsonable, prepare_frames, resolve_preset,
+                             train_model)
+from viewocc.numerics import AffineMap, FeatureMap
 from viewocc.objective import FrameTruth, LossWeights, iou_geo, mave, miou, total_loss
 from viewocc.scene_sim import build_rig, preset_scene, save_scene
 from viewocc.temporal_stream import BEVGrid, MemoryQueue
@@ -51,6 +52,44 @@ def test_params_save_load_round_trip(tmp_path):
     assert sorted(orig) == sorted(back)
     for name in orig:
         np.testing.assert_array_equal(orig[name], back[name])
+
+
+def test_params_header_with_the_removed_init_radii_loads(tmp_path):
+    # blobs written before the star radii became init constants still carry them
+    config = _tiny_config()
+    params = init_model(np.random.default_rng(0), config, n_cameras=2)
+    save_params(tmp_path / "model", params)
+    path = tmp_path / "model.json"
+    header = json.loads(path.read_text())
+    header["meta"]["config"].update(star_radius=0.5, star_radius_px=3.0, star_radius_cells=0.9)
+    path.write_text(json.dumps(header))
+    loaded = load_params(tmp_path / "model")
+    assert loaded.config == config
+    back = loaded.as_dict()
+    for name, arr in params.arrays():
+        np.testing.assert_array_equal(back[name], arr)
+
+
+# --- voxel <-> BEV column layout -----------------------------------------------
+
+
+def test_squeeze_is_z_major():
+    # z0 carries (1,2), z1 carries (3,4): the column reads (1,2,3,4)
+    data = np.array([[[[1.0, 2.0]]], [[[3.0, 4.0]]]])  # (Z=2, H=1, W=1, C=2)
+    identity = AffineMap.identity(4)
+    np.testing.assert_array_equal((_to_columns(data) @ identity.weight.T + identity.bias)[0],
+                                  [1.0, 2.0, 3.0, 4.0])
+    picker = AffineMap(np.array([[0.0, 0.0, 0.0, 1.0]]), np.zeros(1))
+    np.testing.assert_array_equal((_to_columns(data) @ picker.weight.T + picker.bias)[0], [4.0])
+
+
+def test_unsqueeze_round_trip_with_identity():
+    rng = np.random.default_rng(1)
+    data = rng.normal(size=(3, 4, 5, 2))
+    identity = AffineMap.identity(6)
+    bev = _to_columns(data).reshape(4, 5, 6) @ identity.weight.T + identity.bias
+    back = _to_voxels(bev @ identity.weight.T + identity.bias, data.shape[:3])
+    np.testing.assert_array_equal(back, data)
 
 
 def test_forward_is_deterministic():
@@ -167,6 +206,13 @@ def test_two_epoch_training_writes_history(tmp_path):
     assert tuple(rows[0]) == CSV_COLUMNS
     assert len(rows) == 3
     assert float(rows[1][5]) == pytest.approx(history[0]["total"])
+
+
+@pytest.mark.parametrize("override", [{"momentum": 0.5}, {"no_such_setting": 1}],
+                         ids=["removed-momentum", "unknown-name"])
+def test_compare_rejects_unknown_settings_override(override):
+    with pytest.raises(ContractViolation, match="settings"):
+        compare_methods(preset_scene("training"), "small", settings_override=override)
 
 
 def test_preset_requires_matching_channels():
@@ -354,7 +400,7 @@ def test_prepared_frames_carry_consistent_shapes():
     scene = preset_scene("boundary")
     frames = prepare_frames(scene, frames=[0])
     fd = frames[0]
-    assert fd.labels.shape == scene.grid.shape
+    assert fd.truth.labels.shape == scene.grid.shape
     assert fd.visibility.shape == scene.grid.shape
-    assert fd.bev_truth.flow.shape == (scene.grid.shape[1], scene.grid.shape[2], 2)
+    assert fd.truth.bev_flow.flow.shape == (scene.grid.shape[1], scene.grid.shape[2], 2)
     assert len(fd.features) == len(scene.cameras)

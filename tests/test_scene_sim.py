@@ -12,7 +12,8 @@ from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticE
                                build_rig, load_scene, observe, preset_scene,
                                render_all_cameras, render_camera_features,
                                rotated_about_z, save_scene, scene_ground_truth,
-                               surface_feature, with_feature_channels, _free_points, _march)
+                               surface_feature, with_feature_channels, _free_points, _march,
+                               _ray_grid)
 
 from helpers import dense_march, dense_observe, grid_points
 
@@ -103,7 +104,8 @@ def test_render_misses_are_zero_and_hits_match_surface_features():
     frame, cam_index = 1, 0
     cam = scene.cameras[cam_index]
     fmap = render_camera_features(scene, frame, cam_index)
-    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame), cam)
+    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame),
+                                           *_ray_grid(cam))
     pixels = fmap.data.reshape(-1, scene.feature_channels)
     assert hit.any() and not hit.all()
     np.testing.assert_array_equal(pixels[~hit], 0.0)
@@ -295,13 +297,14 @@ def _small_scenes(draw):
 
 def _assert_march_matches_dense(scene):
     cam = scene.cameras[0]
-    hit, first, hit_points, class_idx = _march(scene, scene.elements_in_frame(0), cam)
+    origin, dirs = _ray_grid(cam)
+    hit, first, hit_points, class_idx = _march(scene, scene.elements_in_frame(0), origin, dirs)
     ref_hit, ref_points, ref_class, pts, before_hit = dense_march(scene, 0, cam)
     np.testing.assert_array_equal(hit, ref_hit)
     np.testing.assert_array_equal(first, before_hit.sum(axis=1))
     assert hit_points.tobytes() == ref_points.tobytes()
     np.testing.assert_array_equal(class_idx, ref_class)
-    free = grid_points(scene.grid, _free_points(scene, cam, first))
+    free = grid_points(scene.grid, _free_points(scene.grid, origin, dirs, first))
     assert free.tobytes() == grid_points(scene.grid, pts[before_hit]).tobytes()
 
 

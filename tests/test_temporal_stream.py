@@ -3,11 +3,10 @@ import pytest
 
 from viewocc.errors import ContractViolation
 from viewocc.geometry import Pose, relative_pose
-from viewocc.numerics import AffineMap, bilinear_many
-from viewocc.temporal_stream import (BEVGrid, MemoryQueue, VoxelGrid, check_planar,
-                                     init_temporal_params, load_queue, save_queue, squeeze_bev,
-                                     temporal_backward_arrays, temporal_forward_arrays,
-                                     unsqueeze_voxel, warp_bev, warp_queue)
+from viewocc.numerics import bilinear_many
+from viewocc.temporal_stream import (BEVGrid, MemoryQueue, check_planar, init_temporal_params,
+                                     load_queue, save_queue, temporal_backward_arrays,
+                                     temporal_forward_arrays, warp_bev, warp_queue)
 
 from helpers import check_grad_array
 
@@ -43,29 +42,6 @@ def reference_temporal(current, warped, params):
             fused = cell + params.output_map.weight @ agg + params.output_map.bias
             out[row, col] = params.feed_forward.weight @ fused + params.feed_forward.bias
     return out
-
-
-# --- squeeze / unsqueeze -----------------------------------------------------
-
-
-def test_squeeze_is_z_major():
-    # z0 carries (1,2), z1 carries (3,4): the column reads (1,2,3,4)
-    data = np.array([[[[1.0, 2.0]]], [[[3.0, 4.0]]]])  # (Z=2, H=1, W=1, C=2)
-    vox = VoxelGrid(data, 0.4, (0.0, 0.0, 0.0))
-    bev = squeeze_bev(vox, AffineMap.identity(4))
-    np.testing.assert_array_equal(bev.data[0, 0], [1.0, 2.0, 3.0, 4.0])
-    picker = AffineMap(np.array([[0.0, 0.0, 0.0, 1.0]]), np.zeros(1))
-    np.testing.assert_array_equal(squeeze_bev(vox, picker).data[0, 0], [4.0])
-
-
-def test_unsqueeze_round_trip_with_identity():
-    rng = np.random.default_rng(1)
-    data = rng.normal(size=(3, 4, 5, 2))
-    vox = VoxelGrid(data, 0.4, (0.0, 0.0, -0.4))
-    bev = squeeze_bev(vox, AffineMap.identity(6))
-    back = unsqueeze_voxel(bev, AffineMap.identity(6), z_layers=3, z0=-0.4)
-    np.testing.assert_array_equal(back.data, data)
-    np.testing.assert_allclose(back.origin, vox.origin)
 
 
 # --- warping -----------------------------------------------------------------
