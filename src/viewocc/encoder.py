@@ -233,13 +233,12 @@ def forward_frame(params: ModelParams, features, rig, pose: Pose, queue: MemoryQ
                   cfg.pitch, cfg.origin[:2])
 
     t_cache = None
+    fused = bev
     if len(queue) > 0:
         warped = warp_queue(queue, pose, bev)
         fused_data, t_cache = temporal_forward_arrays(bev.data, warped, params.temporal,
                                                       keep_cache=keep_cache)
-    else:
-        fused_data = bev.data.copy()
-    fused = BEVGrid(fused_data, bev.pitch, bev.origin)
+        fused = BEVGrid(fused_data, bev.pitch, bev.origin)
 
     feats = _to_voxels(fused.data @ params.expand.weight.T + params.expand.bias, cfg.grid_shape)
     occ_logits = feats @ params.occ_head.weight[0] + params.occ_head.bias[0]
@@ -325,13 +324,13 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
 
 
 class MomentumSGD:
-    """Classic momentum: v <- mu v + g; theta <- theta - lr v."""
+    """Classic momentum: v <- mu v + g; theta <- theta - lr v, mu = 0.9."""
 
-    def __init__(self, lr: float, momentum: float = 0.9):
+    MOMENTUM = 0.9
+
+    def __init__(self, lr: float):
         require(lr > 0, "learning rate must be positive")
-        require(0.0 <= momentum < 1.0, "momentum must be in [0, 1)")
         self.lr = lr
-        self.momentum = momentum
         self.velocity = {}
 
     def step(self, params: ModelParams, grads: dict) -> None:
@@ -342,6 +341,6 @@ class MomentumSGD:
             if v is None:
                 v = np.zeros_like(arr)
                 self.velocity[name] = v
-            v *= self.momentum
+            v *= self.MOMENTUM
             v += g
             arr -= self.lr * v

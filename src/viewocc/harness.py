@@ -25,7 +25,7 @@ from .geometry import Pose, project_points
 from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, class_means,
                         geo_counts, geo_ratio, iou_counts, total_loss)
 from .scene_sim import SceneSpec, observe, scene_ground_truth
-from .temporal_stream import BEVGrid, MemoryQueue
+from .temporal_stream import MemoryQueue
 
 CSV_COLUMNS = ("epoch", "focal", "ce", "lovasz", "l1_flow", "total",
                "miou", "iou_geo", "mave")
@@ -63,11 +63,11 @@ class FrameData:
     visibility: np.ndarray
 
 
-def prepare_frames(scene: SceneSpec, frames=None, flow_mode: str = "occupancy-flow"):
+def prepare_frames(scene: SceneSpec, frames=None):
     indices = list(range(scene.num_frames)) if frames is None else list(frames)
     out = []
     for f in indices:
-        labels, field = scene_ground_truth(scene, f, flow_mode=flow_mode)
+        labels, field = scene_ground_truth(scene, f)
         features, visibility = observe(scene, f)
         out.append(FrameData(
             index=f,
@@ -187,7 +187,7 @@ def _check_geometry(scene: SceneSpec, config: ModelConfig) -> None:
 
 
 def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
-                frames=None, csv_path=None, params: ModelParams | None = None):
+                csv_path=None):
     """Streamed training; returns (params, history).
 
     Every epoch replays the frame sequence with a fresh memory queue; each
@@ -196,10 +196,9 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
     """
     require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
     _check_geometry(scene, config)
-    data = prepare_frames(scene, frames)
+    data = prepare_frames(scene)
     rig = scene.cameras
-    if params is None:
-        params = init_model(np.random.default_rng(settings.seed), config, len(rig))
+    params = init_model(np.random.default_rng(settings.seed), config, len(rig))
     opt = MomentumSGD(settings.lr)
     weights = settings.loss_weights()
     history = []
@@ -213,8 +212,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
                                                   with_grads=True)
             grads = backward_frame(params, res, fd.features, rig, loss_grads)
             opt.step(params, grads)
-            queue.push(BEVGrid(res.fused.data.copy(), res.fused.pitch, res.fused.origin),
-                       fd.pose)
+            queue.push(res.fused, fd.pose)
             for k in ("focal", "ce", "lovasz", "l1_flow"):
                 sums[k] += parts[k]
             sums["total"] += value
@@ -260,7 +258,7 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
     for fd in data:
         res = forward_frame(params, fd.features, rig, fd.pose, queue)
         value, parts = total_loss(res.pred, fd.truth, weights)
-        queue.push(BEVGrid(res.fused.data.copy(), res.fused.pitch, res.fused.origin), fd.pose)
+        queue.push(res.fused, fd.pose)
         occ, labels = decode_prediction(res.pred)
         scores = acc.add_frame(labels, fd.truth.labels, occ, fd.truth.labels > 0,
                                res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)

@@ -30,6 +30,7 @@ from .geometry import CameraModel, Pose, rotation_z
 from .numerics import FLOAT, FeatureMap, as_float_array
 
 RAY_STEP_FRACTION = 0.25  # step length as a fraction of the grid pitch
+MAX_RAY_STEPS = 10**6     # per ray; the presets need 135
 
 
 @dataclass
@@ -44,7 +45,8 @@ class SceneClass:
 
 @dataclass
 class StaticElement:
-    """Axis-oriented box fixed in the world frame."""
+    """Oriented box: a scene's static in the world frame, or any element of
+    `SceneSpec.elements_in_frame` in the ego frame."""
 
     category: int
     size: np.ndarray
@@ -109,24 +111,16 @@ class SceneSpec:
         return self._basis
 
     def elements_in_frame(self, frame: int):
-        """(element, class) membership callables in priority order, ego frame.
-
-        Dynamic boxes precede statics, so a voxel inside both takes the box
-        class. Returns list of (contains_fn, category, ego_box), where ego_box
-        is a StaticElement with the element's ego-frame pose and size.
+        """The frame's elements as ego-frame `StaticElement`s, in priority
+        order: the boxes present at the frame, then the statics. A point
+        inside several elements takes the class of the earliest.
         """
         require(0 <= frame < self.num_frames, f"frame {frame} out of range")
         inv = self.ego_trajectory[frame].inverse()
-        out = []
-        for box in self.boxes:
-            if frame in box.poses:
-                pose = inv.compose(box.poses[frame])
-                out.append((lambda pts, b=box, p=pose: b.contains(p, pts), box.category,
-                            StaticElement(box.category, box.size, pose)))
-        for st in self.statics:
-            st_ego = StaticElement(st.category, st.size, inv.compose(st.pose))
-            out.append((st_ego.contains, st.category, st_ego))
-        return out
+        return ([StaticElement(b.category, b.size, inv.compose(b.poses[frame]))
+                 for b in self.boxes if frame in b.poses]
+                + [StaticElement(st.category, st.size, inv.compose(st.pose))
+                   for st in self.statics])
 
     def to_json(self) -> dict:
         return {
@@ -252,6 +246,10 @@ def _ray_steps(grid: GridSpec):
     z, h, w = grid.shape
     max_range = float(np.linalg.norm([w * grid.pitch, h * grid.pitch, z * grid.pitch])) + 2.0
     step = grid.pitch * RAY_STEP_FRACTION
+    # compared, not divided: a subnormal pitch rounds step to 0
+    require(max_range < np.inf and max_range <= MAX_RAY_STEPS * step,
+            f"grid pitch {grid.pitch!r} needs an infinite range or more than "
+            f"{MAX_RAY_STEPS} ray steps")
     n_steps = int(np.ceil(max_range / step))
     return step, (np.arange(n_steps, dtype=FLOAT) + 1.0) * step
 
@@ -302,6 +300,9 @@ def _march(scene: SceneSpec, elements, origin, dirs):
     bounds the steps that can fall inside it; only those before the ray's
     current first hit are built (origin + ts[i]*dirs[p]) and tested with the
     element's own contains, so every output equals the march over all steps.
+    The element that last lowers a ray's first hit owns it and gives its
+    class: an earlier element holding that point would have set it already,
+    as its window covered the step and the first hit only falls.
 
     Returns (hit (P,), first (P,), hit_points_ego (P, 3), hit_class_index (P,))
     where P = width*height in row-major pixel order, first is the hit's step
@@ -311,28 +312,20 @@ def _march(scene: SceneSpec, elements, origin, dirs):
     step, ts = _ray_steps(scene.grid)
     n_steps = ts.size
     first = np.full(dirs.shape[0], n_steps, dtype=np.int64)
-    for contains, _, box in elements:
+    class_idx = np.full(dirs.shape[0], -1, dtype=np.int64)
+    for box in elements:
         rot, trans = box.pose.rotation, box.pose.translation
         lo, hi = _slab_steps((origin - trans) @ rot, dirs @ rot, box.size / 2.0, step, n_steps)
         ray, i = _window(lo, np.minimum(hi, first))
-        inside = contains(origin + ts[i, None] * dirs[ray])
+        inside = box.contains(origin + ts[i, None] * dirs[ray])
         ray, i = ray[inside], i[inside]
         lead = np.flatnonzero(np.diff(ray, prepend=-1))   # each ray's earliest step
         first[ray[lead]] = i[lead]
+        class_idx[ray[lead]] = scene.class_ids.index(box.category)
 
     hit = first < n_steps
     hit_points = origin[None, :] + ts[np.minimum(first, n_steps - 1), None] * dirs
     hit_points = np.where(hit[:, None], hit_points, 0.0)
-
-    class_idx = np.full(dirs.shape[0], -1, dtype=np.int64)
-    ids = scene.class_ids
-    if hit.any():
-        hp = hit_points[hit]
-        owner = np.full(hp.shape[0], -1, dtype=np.int64)
-        for contains, category, _ in reversed(elements):
-            inside = contains(hp)
-            owner[inside] = ids.index(category)
-        class_idx[hit] = owner
     return hit, first, hit_points, class_idx
 
 
@@ -399,19 +392,19 @@ def scene_ground_truth(scene: SceneSpec, frame: int, flow_mode: str = "occupancy
     """(labels, FlowField) on the ego-frame grid at `frame`.
 
     Labels: 0 = free, otherwise the class id of the occupying element, with
-    dynamic boxes taking priority over statics and overlapping boxes resolved
-    by the flow field's nearest-center rule. Flow lives on box voxels; frame 0
-    has no predecessor so all flow is zero there.
+    the earliest of `scene.elements_in_frame` winning, except that the flow
+    field labels every box voxel, resolving overlapping boxes by its
+    nearest-center rule. Flow lives on box voxels; frame 0 has no
+    predecessor so all flow is zero there.
     """
     grid = scene.grid
     centers = grid.voxel_centers().reshape(-1, 3)
     labels = np.zeros(centers.shape[0], dtype=np.int64)
-    inv = scene.ego_trajectory[frame].inverse()
-    for st in reversed(scene.statics):
-        ego_el = StaticElement(st.category, st.size, inv.compose(st.pose))
-        labels[ego_el.contains(centers)] = st.category
+    for el in reversed(scene.elements_in_frame(frame)):
+        labels[el.contains(centers)] = el.category
     labels = labels.reshape(grid.shape)
 
+    inv = scene.ego_trajectory[frame].inverse()
     ego_boxes = []
     for box in scene.boxes:
         poses = {}

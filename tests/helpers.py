@@ -87,8 +87,8 @@ def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
 
     flat = pts.reshape(-1, 3)
     inside_any = np.zeros(flat.shape[0], dtype=bool)
-    for contains, _, _ in elements:
-        inside_any |= contains(flat)
+    for el in elements:
+        inside_any |= el.contains(flat)
     inside_any = inside_any.reshape(pts.shape[0], n_steps)
 
     hit = inside_any.any(axis=1)
@@ -101,9 +101,9 @@ def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
     if hit.any():
         hp = hit_points[hit]
         owner = np.full(hp.shape[0], -1, dtype=np.int64)
-        for contains, category, _ in reversed(elements):
-            inside = contains(hp)
-            owner[inside] = ids.index(category)
+        for el in reversed(elements):
+            inside = el.contains(hp)
+            owner[inside] = ids.index(el.category)
         class_idx[hit] = owner
 
     before_hit = np.arange(n_steps)[None, :] < first[:, None]

@@ -130,6 +130,19 @@ def test_mutated_scene_file_exits_0_or_2(inputs, data):
         _check_contract(["gen-flow", "--scene", work / "scene.json", "--frame", "1"])
 
 
+@pytest.mark.parametrize("pitch", [1e-300, 5e-324, 1e308])
+def test_render_on_a_pitch_beyond_the_ray_march_exits_2_with_one_json_error(inputs, tmp_path,
+                                                                            pitch):
+    # 1e-300 asks for about 1e301 steps per ray, 5e-324 rounds the step to 0
+    # and 1e308 overflows the ray range
+    scene = json.loads((inputs / "scene.json").read_text())
+    scene["grid"]["pitch"] = pitch
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    code, err = _run(["render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "r"])
+    assert code == 2
+    assert "pitch" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("value", [1e308, 1e300])
 def test_eval_on_overflowing_params_exits_2_with_one_json_error(inputs, tmp_path, value):
     # finite params that overflow in the forward pass; at 1e300 the overflow

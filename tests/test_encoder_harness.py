@@ -179,7 +179,7 @@ def test_momentum_sgd_two_step_hand_values():
     grads = zero_grads(params)
     g = np.ones_like(x0)
     grads["occ_head.bias"][:] = g
-    opt = MomentumSGD(lr=0.1, momentum=0.9)
+    opt = MomentumSGD(lr=0.1)
     opt.step(params, grads)
     x1 = params.as_dict()["occ_head.bias"]
     np.testing.assert_allclose(x1, x0 - 0.1 * g, atol=1e-15)

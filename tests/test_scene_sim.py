@@ -341,3 +341,34 @@ def _edge_scenes():
 def test_windowed_march_edge_cases():
     for scene in _edge_scenes():
         _assert_march_matches_dense(scene)
+
+
+def _block(x0, depth, ys, zs):
+    """(size, pose) of an axis-aligned block whose near face lies on x = x0,
+    spanning ys and zs."""
+    lo, hi = np.array([x0, ys[0], zs[0]]), np.array([x0 + depth, ys[1], zs[1]])
+    return hi - lo, Pose(np.eye(3), (lo + hi) / 2.0)
+
+
+def test_first_hit_inside_two_elements_takes_the_earlier_class():
+    # near faces on one plane between two steps of the axis ray, so a ray
+    # meeting an overlap first hits a point inside both elements
+    pitch = 0.4
+    x0 = 12.5 * pitch * RAY_STEP_FRACTION
+    size, pose = _block(x0, 0.6, (-0.8, -0.2), (0.5, 1.0))
+    box = TrackedBox(1, 3, size, {0: pose})                  # cut into the wall
+    wall = StaticElement(2, *_block(x0, 0.3, (-1.5, 0.0), (0.0, 1.5)))
+    first_static = StaticElement(1, *_block(x0, 0.3, (0.2, 1.2), (0.25, 1.25)))
+    second_static = StaticElement(2, *_block(x0, 0.3, (0.6, 1.6), (0.5, 1.5)))
+    scene = _small_scene(pitch, 0.75, 100.0, 21, 11, [first_static, second_static, wall], [box])
+    _assert_march_matches_dense(scene)
+
+    elements = scene.elements_in_frame(0)
+    hit, _, hit_points, class_idx = _march(scene, elements, *_ray_grid(scene.cameras[0]))
+    box_el, first_el, second_el, wall_el = elements
+    points, rows = hit_points[hit], class_idx[hit]
+    in_box_and_wall = box_el.contains(points) & wall_el.contains(points)
+    in_both_statics = first_el.contains(points) & second_el.contains(points)
+    assert in_box_and_wall.any() and in_both_statics.any()
+    np.testing.assert_array_equal(rows[in_box_and_wall], scene.class_ids.index(3))
+    np.testing.assert_array_equal(rows[in_both_statics], scene.class_ids.index(1))
