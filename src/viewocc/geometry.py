@@ -234,6 +234,55 @@ def project_jacobian(cam: CameraModel, points: np.ndarray) -> np.ndarray:
     return np.where(safe[..., None, None], jac, 0.0)
 
 
+def project_rig(rig, points: np.ndarray):
+    """Project ego-frame points (..., 3) through all J cameras of a rig at once.
+
+    Returns (uv (..., J, 2), camera-frame points (..., J, 3), in_view
+    (..., J)). One (N, 3) @ (3, 3J) product takes every point into every
+    camera frame; the pinhole arithmetic is that of `project_points`, so
+    camera j's slice equals project_points(rig[j], points) and its depth is
+    the camera-frame z.
+    """
+    pts = np.asarray(points, dtype=FLOAT)
+    shape = pts.shape[:-1] + (len(rig), 3)
+    rot = np.concatenate([cam.extrinsics.rotation for cam in rig])          # (3J, 3)
+    trans = np.concatenate([cam.extrinsics.translation for cam in rig])
+    # in place here and below: these are the largest arrays of a training
+    # step, and a second copy of each raises its peak memory
+    q = pts.reshape(-1, 3) @ rot.T
+    q += trans
+    q = q.reshape(shape)
+    fx, fy, cx, cy, u_max, v_max = np.array(
+        [(c.fx, c.fy, c.cx, c.cy, c.width - 1.0, c.height - 1.0) for c in rig], dtype=FLOAT).T
+    depth = q[..., 2]
+    safe = depth > _DEPTH_EPS
+    zdiv = np.where(safe, depth, 1.0)
+    u = fx * q[..., 0] / zdiv + cx
+    v = fy * q[..., 1] / zdiv + cy
+    in_view = safe & (u >= 0.0) & (u <= u_max) & (v >= 0.0) & (v <= v_max)
+    u[~safe] = 0.0
+    v[~safe] = 0.0
+    return np.stack([u, v], axis=-1), q, in_view
+
+
+def project_rig_jacobian(rig, cam_points: np.ndarray, cams: np.ndarray) -> np.ndarray:
+    """d(uv)/d(ego point) (E, 2, 3) of E samples in front of their cameras.
+
+    cam_points (E, 3) are camera-frame points as `project_rig` returns them
+    and cams (E,) their camera indices; rows equal `project_jacobian` of the
+    matching ego-frame points.
+    """
+    fx = np.array([cam.fx for cam in rig], dtype=FLOAT)[cams]
+    fy = np.array([cam.fy for cam in rig], dtype=FLOAT)[cams]
+    x, y, z = cam_points.T
+    jac_cam = np.zeros((cam_points.shape[0], 2, 3), dtype=FLOAT)
+    jac_cam[:, 0, 0] = fx / z
+    jac_cam[:, 0, 2] = -fx * x / (z * z)
+    jac_cam[:, 1, 1] = fy / z
+    jac_cam[:, 1, 2] = -fy * y / (z * z)
+    return jac_cam @ np.stack([cam.extrinsics.rotation for cam in rig])[cams]
+
+
 def pinhole_project(cam: CameraModel, p) -> tuple[np.ndarray, float, bool]:
     """Single-point projection; see project_points."""
     p = as_float_array(p, shape=(3,), name="p")

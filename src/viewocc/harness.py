@@ -21,7 +21,7 @@ from .encoder import (METHODS, ModelConfig, ModelParams, MomentumSGD, backward_f
                       forward_frame, init_model)
 from .errors import ContractViolation, require
 from .flow_annotation import BEVFlowField, reduce_bev_flow
-from .geometry import Pose, project_points
+from .geometry import Pose, project_rig
 from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, class_means,
                         geo_counts, geo_ratio, iou_counts, total_loss)
 from .scene_sim import SceneSpec, observe, scene_ground_truth
@@ -187,16 +187,19 @@ def _check_geometry(scene: SceneSpec, config: ModelConfig) -> None:
 
 
 def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
-                csv_path=None):
+                csv_path=None, data=None):
     """Streamed training; returns (params, history).
 
     Every epoch replays the frame sequence with a fresh memory queue; each
     frame does one optimizer step. History rows carry the per-epoch mean loss
     terms plus metrics accumulated from the training predictions themselves.
+    `data` is the scene's `prepare_frames` list when the caller already has
+    it; by default the frames are prepared here.
     """
     require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
     _check_geometry(scene, config)
-    data = prepare_frames(scene)
+    if data is None:
+        data = prepare_frames(scene)
     rig = scene.cameras
     params = init_model(np.random.default_rng(settings.seed), config, len(rig))
     opt = MomentumSGD(settings.lr)
@@ -242,13 +245,16 @@ def write_history_csv(path, history) -> None:
 
 
 def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
-                   queue: MemoryQueue | None = None):
+                   queue: MemoryQueue | None = None, data=None):
     """Streamed evaluation; returns (report, queue after the last frame).
 
     Passing a queue resumes a stream mid-sequence; the default starts cold.
+    `data` is `prepare_frames(scene, frames)` when the caller already has it;
+    by default the frames are prepared here.
     """
     _check_geometry(scene, params.config)
-    data = prepare_frames(scene, frames)
+    if data is None:
+        data = prepare_frames(scene, frames)
     rig = scene.cameras
     if queue is None:
         queue = MemoryQueue(params.config.queue_len)
@@ -278,8 +284,12 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
 def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
                     queue_lens=(4,), mode: str = "one-dof",
                     settings_override: dict | None = None, seed: int | None = None):
-    """Train and evaluate each (method, queue length) combination identically."""
-    runs = []
+    """Train and evaluate each (method, queue length) combination identically.
+
+    Every combination is resolved before any work starts, then all of them
+    train and evaluate on one preparation of the scene's frames.
+    """
+    combos = []
     for method in methods:
         for qlen in queue_lens:
             config, settings = resolve_preset(preset, scene, method=method, mode=mode,
@@ -290,19 +300,23 @@ def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
                 raise ContractViolation(f"unknown train settings override: {exc}") from exc
             if seed is not None:
                 settings.seed = seed
-            params, history = train_model(scene, config, settings)
-            report, _ = evaluate_model(scene, params)
-            runs.append({
-                "method": method,
-                "mode": mode if method == "view-attn" else "n/a",
-                "queue_len": qlen,
-                "epochs": settings.epochs,
-                "initial_loss": history[0]["total"],
-                "final_loss": history[-1]["total"],
-                "miou": report["aggregate"]["miou"],
-                "iou_geo": report["aggregate"]["iou_geo"],
-                "mave": report["aggregate"]["mave"],
-            })
+            combos.append((method, qlen, config, settings))
+    data = prepare_frames(scene)
+    runs = []
+    for method, qlen, config, settings in combos:
+        params, history = train_model(scene, config, settings, data=data)
+        report, _ = evaluate_model(scene, params, data=data)
+        runs.append({
+            "method": method,
+            "mode": mode if method == "view-attn" else "n/a",
+            "queue_len": qlen,
+            "epochs": settings.epochs,
+            "initial_loss": history[0]["total"],
+            "final_loss": history[-1]["total"],
+            "miou": report["aggregate"]["miou"],
+            "iou_geo": report["aggregate"]["iou_geo"],
+            "mave": report["aggregate"]["mave"],
+        })
     order = sorted(range(len(runs)), key=lambda i: -runs[i]["miou"])
     return {"scene": scene.name, "preset": preset, "runs": runs,
             "ranking_by_miou": [runs[i]["method"] + f"@N={runs[i]['queue_len']}"
@@ -313,10 +327,7 @@ def coverage_report(scene: SceneSpec, frame: int = 0) -> dict:
     """How many cameras see each voxel center, plus gap statistics."""
     require(0 <= frame < scene.num_frames, "frame out of range")
     centers = scene.grid.voxel_centers().reshape(-1, 3)
-    counts = np.zeros(centers.shape[0], dtype=np.int64)
-    for cam in scene.cameras:
-        _, _, vis = project_points(cam, centers)
-        counts += vis
+    counts = project_rig(scene.cameras, centers)[2].sum(axis=1)
     hist = {int(k): int((counts == k).sum()) for k in range(len(scene.cameras) + 1)}
     total = centers.shape[0]
     return {

@@ -270,14 +270,17 @@ def _slab_steps(origin, dirs, half, step: float, n_steps: int):
     half = half + _SLAB_SLACK
     parallel = dirs == 0.0
     safe = np.where(parallel, 1.0, dirs)
-    with np.errstate(over="ignore"):      # a subnormal component gives +-inf: no bound
+    # a tiny component gives a huge or infinite t, and t/step may overflow
+    # too: either way there is no bound, and the clip below is exact
+    with np.errstate(over="ignore"):
         t_a = (-half - origin) / safe
         t_b = (half - origin) / safe
-    t_in = np.where(parallel, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
-    t_out = np.where(parallel, np.inf, np.maximum(t_a, t_b)).min(axis=1)
-    # i = t/step - 1 on the range's ends, then one step of slack each side
-    lo = np.clip(np.ceil(t_in / step) - 2.0, 0, n_steps).astype(np.int64)
-    hi = np.clip(np.floor(t_out / step) + 1.0, 0, n_steps).astype(np.int64)
+        t_in = np.where(parallel, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
+        t_out = np.where(parallel, np.inf, np.maximum(t_a, t_b)).min(axis=1)
+        # i = t/step - 1 on the range's ends, then one step of slack each side
+        i_in, i_out = t_in / step, t_out / step
+    lo = np.clip(np.ceil(i_in) - 2.0, 0, n_steps).astype(np.int64)
+    hi = np.clip(np.floor(i_out) + 1.0, 0, n_steps).astype(np.int64)
     blocked = (parallel & (np.abs(origin) > half)).any(axis=1)
     return lo, np.where(blocked, lo, hi)
 

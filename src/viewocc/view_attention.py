@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require
-from .geometry import project_jacobian, project_points, view_rotations
+from .geometry import project_rig, project_rig_jacobian, view_rotations
 from .numerics import (FLOAT, AffineMap, FeatureMap, as_float_array, bilinear_valid,
                        corner_indices, softmax_backward, softmax_norm)
 
@@ -319,16 +319,16 @@ def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams
 
     rot = view_rotations(refs, mode)
     sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets, optimize=True)
-    uv = np.zeros((nq, m, k, j, 2), dtype=FLOAT)
-    in_view = np.zeros((nq, m, k, j), dtype=bool)
-    for ji, cam in enumerate(rig):
-        uv[:, :, :, ji, :], _, in_view[:, :, :, ji] = project_points(cam, sample_pts)
+    uv, cam_pts, in_view = project_rig(rig, sample_pts)              # (Q, M, K, J, ...)
+    # the Jacobian needs the camera-frame points of valid samples only, which
+    # are in view: keep those, and not the dense array, through the aggregation
+    cam_pts = cam_pts[in_view]
 
     out, cache = deform_aggregate(attn, in_view, uv[..., 0], uv[..., 1], fdata,
                                   params.value_maps, params.output_maps)
     if not keep_cache:
         return out, None
-    cache.update(queries=queries, uv=uv, sample_pts=sample_pts, rot=rot)
+    cache.update(queries=queries, uv=uv, cam_pts=cam_pts[cache["valid"][in_view]], rot=rot)
     return out, cache
 
 
@@ -343,15 +343,14 @@ def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
     fdata = _feature_arrays(features, params)
     g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps,
                                   g_out, want_feature_grads)
-    valid, sample_pts = cache["valid"], cache["sample_pts"]
+    valid = cache["valid"]
     nq, m, k, j = valid.shape
 
-    g_pts = np.zeros((nq, m, k, 3), dtype=FLOAT)
-    for ji, cam in enumerate(rig):
-        ok = valid[..., ji]
-        jac = project_jacobian(cam, sample_pts[ok])                  # valid points only
-        g_pts[ok] += (jac[:, 0, :] * g["u"][..., ji][ok][:, None]
-                      + jac[:, 1, :] * g["v"][..., ji][ok][:, None])
+    idx = np.flatnonzero(valid)
+    jac = project_rig_jacobian(rig, cache["cam_pts"], idx % j)       # (E, 2, 3)
+    g_pts = _scatter_rows(idx // j, jac[:, 0, :] * g["u"][valid][:, None]
+                          + jac[:, 1, :] * g["v"][valid][:, None], nq * m * k)
+    g_pts = g_pts.reshape(nq, m, k, 3)
     g_offsets = np.einsum("qab,qmka->qmkb", cache["rot"], g_pts, optimize=True)
     g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
                                 g["attn"].reshape(nq, m, k * j), axis=-1)
@@ -405,10 +404,7 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
     offsets = off_flat.reshape(nq, m, k, 2)
     logits = (queries @ params.logit_head.weight.T + params.logit_head.bias).reshape(nq, m, k, j)
 
-    ref_uv = np.zeros((nq, j, 2), dtype=FLOAT)
-    cam_vis = np.zeros((nq, j), dtype=bool)
-    for ji, cam in enumerate(rig):
-        ref_uv[:, ji, :], _, cam_vis[:, ji] = project_points(cam, refs)
+    ref_uv, _, cam_vis = project_rig(rig, refs)                     # (Q, J, ...)
 
     # masked softmax over points x visible cameras, per head
     mask = np.broadcast_to(cam_vis[:, None, None, :], logits.shape)
@@ -461,11 +457,7 @@ def projection_first_forward(ctx: QueryContext, params: AttnParams, features, ri
 def camera_coverage(p, rig) -> int:
     """Number of rig cameras in which point p is visible."""
     p = as_float_array(p, shape=(3,), name="p")
-    count = 0
-    for cam in rig:
-        _, _, vis = project_points(cam, p)
-        count += int(vis)
-    return count
+    return int(project_rig(rig, p)[2].sum())
 
 
 def batch_valid_camera_counts(cache: dict) -> np.ndarray:

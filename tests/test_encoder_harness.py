@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from viewocc import harness
 from viewocc.cli import main as cli_main
 from viewocc.encoder import (ModelConfig, MomentumSGD, _to_columns, _to_voxels, backward_frame,
                              forward_frame, init_model, load_params, save_params, zero_grads)
@@ -213,6 +214,36 @@ def test_two_epoch_training_writes_history(tmp_path):
 def test_compare_rejects_unknown_settings_override(override):
     with pytest.raises(ContractViolation, match="settings"):
         compare_methods(preset_scene("training"), "small", settings_override=override)
+
+
+def test_compare_prepares_once_and_trains_through_the_module_attribute(monkeypatch):
+    # a wrapper around harness.train_model (as the benchmark installs one)
+    # must see every training run, and the frames are prepared once
+    scene = preset_scene("training")
+    calls = {"prepare_frames": 0, "train_model": 0}
+    for name in calls:
+        inner = getattr(harness, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    methods = ("view-attn", "proj-first")
+    report = compare_methods(scene, "small", methods=methods,
+                             settings_override={"epochs": 2}, seed=5)
+    assert calls == {"prepare_frames": 1, "train_model": len(methods)}
+
+    monkeypatch.undo()
+    for method, run in zip(methods, report["runs"]):
+        config, settings = resolve_preset("small", scene, method=method)
+        settings.epochs, settings.seed = 2, 5
+        params, history = train_model(scene, config, settings)
+        alone, _ = evaluate_model(scene, params)
+        assert jsonable([run["initial_loss"], run["final_loss"]]) == jsonable(
+            [history[0]["total"], history[-1]["total"]])
+        assert jsonable([run[k] for k in ("miou", "iou_geo", "mave")]) == jsonable(
+            [alone["aggregate"][k] for k in ("miou", "iou_geo", "mave")])
 
 
 def test_preset_requires_matching_channels():

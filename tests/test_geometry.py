@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from viewocc.errors import ContractViolation
 from viewocc.geometry import (CameraModel, Pose, altitude_angle, altitude_rotation,
                               pinhole_project, project_jacobian, project_points,
-                              relative_pose, rotation_z, view_angle, view_rotation,
-                              view_rotations)
+                              project_rig, project_rig_jacobian, relative_pose, rotation_z,
+                              view_angle, view_rotation, view_rotations)
+from viewocc.scene_sim import preset_scene
 
 from helpers import central_diff, rel_err
 
@@ -203,6 +204,60 @@ def test_project_points_batch_matches_single():
         uv1, d1, ok1 = pinhole_project(cam, p)
         np.testing.assert_allclose(uv[i], uv1, atol=1e-13)
         assert ok[i] == ok1
+
+
+def _on_image_edge(cam, axis: int) -> np.ndarray:
+    """An ego point whose pixel coordinate `axis` (0: u, 1: v) projects to
+    exactly width-1 or height-1: start from the camera-frame point on that
+    edge, then step one ego coordinate an ulp at a time onto it."""
+    edge = (cam.width - 1.0, cam.height - 1.0)[axis]
+    q = np.array([0.0, 0.0, 2.0])
+    q[axis] = 2.0 * (edge - (cam.cx, cam.cy)[axis]) / (cam.fx, cam.fy)[axis]
+    p = cam.extrinsics.inverse().apply(q)
+    slope = project_jacobian(cam, p)[axis]
+    d = int(np.argmax(np.abs(slope)))
+    for _ in range(64):
+        at = project_points(cam, p)[0][axis]
+        if at == edge:
+            return p
+        p[d] = np.nextafter(p[d], np.inf if (edge - at) * slope[d] > 0 else -np.inf)
+    raise AssertionError(f"no ego point lands exactly on pixel edge {edge}")
+
+
+@pytest.mark.parametrize("preset", ["training", "boundary"])
+def test_project_rig_matches_project_points_bit_for_bit(preset):
+    rig = preset_scene(preset).cameras
+    rng = np.random.default_rng(11)
+    # points all around the rig, so every camera has some behind it
+    pts = rng.uniform(-4.0, 4.0, (60, 3)) + np.array([0.0, 0.0, 1.0])
+    edges = [_on_image_edge(cam, axis) for cam in rig for axis in (0, 1)]
+    pts = np.concatenate([pts, edges]).reshape(-1, 4, 3)
+    uv, cam_pts, in_view = project_rig(rig, pts)
+    assert uv.shape == pts.shape[:-1] + (len(rig), 2)
+    assert cam_pts.shape == pts.shape[:-1] + (len(rig), 3)
+    for j, cam in enumerate(rig):
+        uv_j, depth_j, in_view_j = project_points(cam, pts)
+        assert uv[..., j, :].tobytes() == uv_j.tobytes()
+        assert cam_pts[..., j, 2].tobytes() == depth_j.tobytes()
+        assert in_view[..., j].tobytes() == in_view_j.tobytes()
+        assert (depth_j < 0.0).any() and in_view_j.any()
+    flat = in_view.reshape(-1, len(rig))
+    for i, (j, axis) in enumerate((j, axis) for j in range(len(rig)) for axis in (0, 1)):
+        assert flat[60 + i, j]            # the edge pixel is inside the closed bound
+
+
+@pytest.mark.parametrize("preset", ["training", "boundary"])
+def test_project_rig_jacobian_matches_project_jacobian_bit_for_bit(preset):
+    rig = preset_scene(preset).cameras
+    pts = np.random.default_rng(12).uniform(-4.0, 4.0, (400, 3)) + np.array([0.0, 0.0, 1.0])
+    _, cam_pts, in_view = project_rig(rig, pts)
+    point, cams = np.nonzero(in_view)
+    jac = project_rig_jacobian(rig, cam_pts[in_view], cams)
+    assert jac.shape == (point.size, 2, 3)
+    for j, cam in enumerate(rig):
+        assert (cams == j).any()
+        want = project_jacobian(cam, pts[point[cams == j]])
+        assert jac[cams == j].tobytes() == want.tobytes()
 
 
 def test_camera_json_round_trip():

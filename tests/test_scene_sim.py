@@ -13,7 +13,7 @@ from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticE
                                render_all_cameras, render_camera_features,
                                rotated_about_z, save_scene, scene_ground_truth,
                                surface_feature, with_feature_channels, _free_points, _march,
-                               _ray_grid)
+                               _ray_grid, _slab_steps)
 
 from helpers import dense_march, dense_observe, grid_points
 
@@ -341,6 +341,21 @@ def _edge_scenes():
 def test_windowed_march_edge_cases():
     for scene in _edge_scenes():
         _assert_march_matches_dense(scene)
+
+
+def test_slab_steps_of_a_near_parallel_ray_do_not_overflow():
+    # a local direction component of 1e-307 puts the slab exit near 5e306 m,
+    # beyond the float range once divided by the step: no bound, not an error
+    dirs = np.array([[1e-307, 0.0, 0.0], [-3e-307, 0.0, 0.0], [0.6, 0.8, 0.0]])
+    args = (np.zeros(3), dirs, np.full(3, 0.5), 0.01, 400)
+    with np.errstate(over="ignore"):
+        want = _slab_steps(*args)
+    with np.errstate(over="raise"):
+        got = _slab_steps(*args)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(want[0][:2], [0, 0])
+    np.testing.assert_array_equal(want[1][:2], [400, 400])
 
 
 def _block(x0, depth, ys, zs):
