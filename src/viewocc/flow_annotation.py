@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, require
-from .geometry import Pose
+from .geometry import Pose, in_box
 from .numerics import FLOAT, as_float_array
 
 
@@ -73,8 +73,7 @@ class TrackedBox:
 
     def contains(self, pose: Pose, points: np.ndarray) -> np.ndarray:
         """Inclusive membership of points (..., 3) given the box pose."""
-        local = (np.asarray(points, dtype=FLOAT) - pose.translation) @ pose.rotation
-        return np.all(np.abs(local) <= self.size / 2.0, axis=-1)
+        return in_box(pose, self.size, points)
 
 
 @dataclass

@@ -82,6 +82,18 @@ class Pose:
         return cls(rot, obj["translation"])
 
 
+def in_box(pose: Pose, size: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Inclusive membership of points (..., 3) in the box of full extent
+    `size` (3,) whose local frame `pose` maps into the points' frame.
+
+    The three axis tests are and-ed column by column: a reduction over the
+    length-3 axis costs many times more and gives the same booleans.
+    """
+    local = (np.asarray(points, dtype=FLOAT) - pose.translation) @ pose.rotation
+    ok = np.abs(local) <= size / 2.0
+    return ok[..., 0] & ok[..., 1] & ok[..., 2]
+
+
 def relative_pose(current: Pose, previous: Pose) -> Pose:
     """Transform mapping previous-frame coordinates into the current frame.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
-from .geometry import CameraModel, Pose, rotation_z
+from .geometry import CameraModel, Pose, in_box, rotation_z
 from .numerics import FLOAT, FeatureMap, as_float_array
 
 RAY_STEP_FRACTION = 0.25  # step length as a fraction of the grid pitch
@@ -57,8 +57,7 @@ class StaticElement:
         require(np.all(self.size > 0), "StaticElement.size must be positive")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        local = (np.asarray(points, dtype=FLOAT) - self.pose.translation) @ self.pose.rotation
-        return np.all(np.abs(local) <= self.size / 2.0, axis=-1)
+        return in_box(self.pose, self.size, points)
 
 
 @dataclass
@@ -83,6 +82,7 @@ class SceneSpec:
                 "feature_channels must cover the class table")
         require(self.frame_dt > 0, "frame_dt must be positive")
         require(len(self.ego_trajectory) >= 1, "scene needs at least one frame")
+        require(len(self.cameras) >= 1, "scene needs at least one camera")
         ids = [c.id for c in self.classes]
         require(len(set(ids)) == len(ids), "duplicate class ids")
         fg = {c.id for c in self.classes if c.foreground}
@@ -266,6 +266,8 @@ def _slab_steps(origin, dirs, half, step: float, n_steps: int):
 
     origin (3,) and dirs (P, 3) are in the box's local frame. The range is
     widened by one step on each side and clipped to [0, n_steps].
+    The three axes are combined column by column with np.maximum,
+    np.minimum and |: exact, and far cheaper than reducing over axis 1.
     """
     half = half + _SLAB_SLACK
     parallel = dirs == 0.0
@@ -275,13 +277,16 @@ def _slab_steps(origin, dirs, half, step: float, n_steps: int):
     with np.errstate(over="ignore"):
         t_a = (-half - origin) / safe
         t_b = (half - origin) / safe
-        t_in = np.where(parallel, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
-        t_out = np.where(parallel, np.inf, np.maximum(t_a, t_b)).min(axis=1)
+        enter = np.where(parallel, -np.inf, np.minimum(t_a, t_b))
+        leave = np.where(parallel, np.inf, np.maximum(t_a, t_b))
+        t_in = np.maximum(np.maximum(enter[:, 0], enter[:, 1]), enter[:, 2])
+        t_out = np.minimum(np.minimum(leave[:, 0], leave[:, 1]), leave[:, 2])
         # i = t/step - 1 on the range's ends, then one step of slack each side
         i_in, i_out = t_in / step, t_out / step
     lo = np.clip(np.ceil(i_in) - 2.0, 0, n_steps).astype(np.int64)
     hi = np.clip(np.floor(i_out) + 1.0, 0, n_steps).astype(np.int64)
-    blocked = (parallel & (np.abs(origin) > half)).any(axis=1)
+    stuck = parallel & (np.abs(origin) > half)
+    blocked = stuck[:, 0] | stuck[:, 1] | stuck[:, 2]
     return lo, np.where(blocked, lo, hi)
 
 
@@ -332,16 +337,17 @@ def _march(scene: SceneSpec, elements, origin, dirs):
     return hit, first, hit_points, class_idx
 
 
-def _free_points(grid: GridSpec, origin, dirs, first) -> np.ndarray:
-    """(F, 3) step points strictly before each ray's first hit (`first` from
-    `_march` on the same rays) that lie near the grid's box, ray-major; the
-    rest of the free points fall outside the grid."""
+def _free_points(grid: GridSpec, origin, dirs, first):
+    """x, y and z, each (F,), of the step points strictly before each ray's
+    first hit (`first` from `_march` on the same rays) that lie near the
+    grid's box, ray-major; the rest of the free points fall outside the grid."""
     step, ts = _ray_steps(grid)
     z, h, w = grid.shape
     half = np.array([w, h, z], dtype=FLOAT) * grid.pitch / 2.0
     lo, hi = _slab_steps(origin - grid.origin - half, dirs, half, step, ts.size)
     ray, i = _window(lo, np.minimum(hi, first))
-    return origin + ts[i, None] * dirs[ray]
+    t = ts[i]
+    return tuple(origin[c] + t * dirs[ray, c] for c in range(3))
 
 
 def _feature_map(scene: SceneSpec, frame: int, cam: CameraModel, hit, hit_points,
@@ -382,12 +388,14 @@ def observe(scene: SceneSpec, frame: int):
         origin, dirs = _ray_grid(cam)
         hit, first, hit_points, class_idx = _march(scene, elements, origin, dirs)
         features.append(_feature_map(scene, frame, cam, hit, hit_points, class_idx))
-        mark = np.concatenate([_free_points(grid, origin, dirs, first), hit_points[hit]])
-        idx = np.floor((mark - grid.origin[None, :]) / grid.pitch).astype(np.int64)
-        ok = ((idx[:, 0] >= 0) & (idx[:, 0] < w) & (idx[:, 1] >= 0) & (idx[:, 1] < h)
-              & (idx[:, 2] >= 0) & (idx[:, 2] < z))
-        idx = idx[ok]
-        observed[idx[:, 2], idx[:, 1], idx[:, 0]] = True
+        # the voxel of each free and hit point, one axis at a time
+        free, hits = _free_points(grid, origin, dirs, first), hit_points[hit]
+        cells = [np.floor((np.concatenate([free[c], hits[:, c]]) - grid.origin[c]) / grid.pitch)
+                 for c in range(3)]
+        ok = ((cells[0] >= 0) & (cells[0] < w) & (cells[1] >= 0) & (cells[1] < h)
+              & (cells[2] >= 0) & (cells[2] < z))
+        x, y, zz = (cell[ok].astype(np.int64) for cell in cells)
+        observed.reshape(-1)[(zz * h + y) * w + x] = True
     return features, observed
 
 

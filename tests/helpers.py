@@ -6,7 +6,7 @@ import numpy as np
 from viewocc.flow_annotation import GridSpec
 from viewocc.geometry import CameraModel
 from viewocc.numerics import FLOAT, FeatureMap
-from viewocc.scene_sim import RAY_STEP_FRACTION, SceneSpec, _ray_grid
+from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec, _ray_grid
 
 
 def rel_err(analytic: float, numeric: float, floor: float = 1e-6) -> float:
@@ -62,7 +62,32 @@ def check_grad_array(fn, arr: np.ndarray, grad: np.ndarray, rng: np.random.Gener
 # The march as it was before the windowed rewrite: every pixel ray takes all
 # of its steps t_i = (i+1)*step and every scene element tests every step
 # point. Kept as the reference that scene_sim._march and scene_sim.observe
-# must equal byte for byte.
+# must equal byte for byte; it shares no membership or slab code with them.
+
+
+def box_membership(el, points):
+    """Inclusive membership of points (..., 3) in element `el`, written
+    independently of the production `contains`."""
+    local = (np.asarray(points, dtype=FLOAT) - el.pose.translation) @ el.pose.rotation
+    return np.all(np.abs(local) <= el.size / 2.0, axis=-1)
+
+
+def slab_steps_reference(origin, dirs, half, step, n_steps):
+    """scene_sim._slab_steps as first written, with reductions over the
+    length-3 axis; the production version must return the same (lo, hi)."""
+    half = half + _SLAB_SLACK
+    parallel = dirs == 0.0
+    safe = np.where(parallel, 1.0, dirs)
+    with np.errstate(over="ignore"):
+        t_a = (-half - origin) / safe
+        t_b = (half - origin) / safe
+        t_in = np.where(parallel, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
+        t_out = np.where(parallel, np.inf, np.maximum(t_a, t_b)).min(axis=1)
+        i_in, i_out = t_in / step, t_out / step
+    lo = np.clip(np.ceil(i_in) - 2.0, 0, n_steps).astype(np.int64)
+    hi = np.clip(np.floor(i_out) + 1.0, 0, n_steps).astype(np.int64)
+    blocked = (parallel & (np.abs(origin) > half)).any(axis=1)
+    return lo, np.where(blocked, lo, hi)
 
 
 def _max_range(grid: GridSpec) -> float:
@@ -88,7 +113,7 @@ def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
     flat = pts.reshape(-1, 3)
     inside_any = np.zeros(flat.shape[0], dtype=bool)
     for el in elements:
-        inside_any |= el.contains(flat)
+        inside_any |= box_membership(el, flat)
     inside_any = inside_any.reshape(pts.shape[0], n_steps)
 
     hit = inside_any.any(axis=1)
@@ -102,7 +127,7 @@ def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
         hp = hit_points[hit]
         owner = np.full(hp.shape[0], -1, dtype=np.int64)
         for el in reversed(elements):
-            inside = el.contains(hp)
+            inside = box_membership(el, hp)
             owner[inside] = ids.index(el.category)
         class_idx[hit] = owner
 

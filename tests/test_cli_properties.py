@@ -143,6 +143,18 @@ def test_render_on_a_pitch_beyond_the_ray_march_exits_2_with_one_json_error(inpu
     assert "pitch" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", ["render", "coverage", "gen-flow"])
+def test_camera_less_scene_exits_2_with_one_json_error(inputs, tmp_path, command):
+    scene = json.loads((inputs / "scene.json").read_text())
+    scene["cameras"] = []
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    argv = [command, "--scene", tmp_path / "scene.json"]
+    code, err = _run(argv + (["--out", tmp_path / "r"] if command == "render" else []))
+    assert code == 2
+    assert "camera" in json.loads(err)["error"]
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("value", [1e308, 1e300])
 def test_eval_on_overflowing_params_exits_2_with_one_json_error(inputs, tmp_path, value):
     # finite params that overflow in the forward pass; at 1e300 the overflow

@@ -15,7 +15,8 @@ from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticE
                                surface_feature, with_feature_channels, _free_points, _march,
                                _ray_grid, _slab_steps)
 
-from helpers import dense_march, dense_observe, grid_points
+from helpers import (box_membership, dense_march, dense_observe, grid_points,
+                     slab_steps_reference)
 
 
 # --- rig geometry ------------------------------------------------------------
@@ -304,7 +305,8 @@ def _assert_march_matches_dense(scene):
     np.testing.assert_array_equal(first, before_hit.sum(axis=1))
     assert hit_points.tobytes() == ref_points.tobytes()
     np.testing.assert_array_equal(class_idx, ref_class)
-    free = grid_points(scene.grid, _free_points(scene.grid, origin, dirs, first))
+    free = grid_points(scene.grid, np.stack(_free_points(scene.grid, origin, dirs, first),
+                                            axis=-1))
     assert free.tobytes() == grid_points(scene.grid, pts[before_hit]).tobytes()
 
 
@@ -356,6 +358,72 @@ def test_slab_steps_of_a_near_parallel_ray_do_not_overflow():
         np.testing.assert_array_equal(g, w)
     np.testing.assert_array_equal(want[0][:2], [0, 0])
     np.testing.assert_array_equal(want[1][:2], [400, 400])
+
+
+def _face_points(half):
+    """Every combination, per axis, of a coordinate on a face (+-half), one
+    ulp inside and outside it, and 0: points on faces, edges and corners."""
+    axes = []
+    for h in half:
+        on = np.array([-h, h])
+        axes.append(np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 2.0 * on),
+                                    [0.0]]))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+_QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("pose", [Pose.identity(), Pose(_QUARTER_TURN, np.zeros(3)),
+                                  Pose.from_z_rotation(0.7, (0.3, -1.1, 0.25))],
+                         ids=["identity", "quarter-turn", "oriented"])
+def test_box_membership_equals_the_axis_reduction_bit_for_bit(pose):
+    size = np.array([1.5, 0.5, 3.0])
+    local = _face_points(size / 2.0)
+    points = pose.apply(local)
+    static = StaticElement(2, size, pose)
+    box = TrackedBox(1, 3, size, {0: pose})
+    want = box_membership(static, points)
+    for got in (static.contains(points), box.contains(pose, points)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    # (2, 5, 3) inputs keep their leading shape
+    batch = points[:points.shape[0] // 10 * 10].reshape(-1, 2, 5, 3)
+    for chunk in batch:
+        np.testing.assert_array_equal(static.contains(chunk), box_membership(static, chunk))
+        np.testing.assert_array_equal(box.contains(pose, chunk), box_membership(static, chunk))
+    if pose.translation.any():
+        return
+    # faces are exact in these frames: on a face is inside, one ulp out is not
+    outside = np.any(np.abs(local) > size / 2.0, axis=-1)
+    assert outside.any() and (~outside).any()
+    np.testing.assert_array_equal(want, ~outside)
+
+
+def test_slab_steps_equal_the_axis_reduction():
+    rng = np.random.default_rng(3)
+    half = np.array([0.5, 0.75, 0.25])
+    dirs = rng.normal(size=(64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # exact zero components on one axis, on two, and along an axis; then a
+    # tiny component that is not zero
+    dirs[8:24, 0] = 0.0
+    dirs[16:32, 1] = 0.0
+    dirs[40:48, 2] = 0.0
+    dirs[48:52] = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]
+    dirs[52:56, 2] = 1e-300
+    # the origin inside the slab on every axis, and outside it on each one
+    origins = [np.zeros(3), np.array([0.2, -0.7, 0.24]), np.array([0.5, 0.0, 0.0]),
+               np.array([-0.9, 0.1, 0.0]), np.array([0.0, 2.0, 0.1]),
+               np.array([0.1, 0.0, -0.6]), np.array([3.0, -2.0, 1.0])]
+    for origin in origins:
+        for step, n_steps in ((0.1, 40), (0.025, 400)):
+            want = slab_steps_reference(origin, dirs, half, step, n_steps)
+            got = _slab_steps(origin, dirs, half, step, n_steps)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
 
 def _block(x0, depth, ys, zs):
