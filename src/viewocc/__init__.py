@@ -17,7 +17,7 @@ from .numerics import FLOAT, AffineMap, FeatureMap, bilinear_many, softmax_norm
 from .objective import (FrameTruth, LossWeights, PredictionBundle, cross_entropy,
                         focal_loss, l1_flow, lovasz_softmax, total_loss)
 from .scene_sim import (SceneClass, SceneSpec, StaticElement, build_rig, load_scene, observe,
-                        preset_scene, render_camera_features, save_scene, scene_ground_truth,
+                        preset_scene, render_all_cameras, save_scene, scene_ground_truth,
                         with_feature_channels)
 from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, check_planar,
                               init_temporal_params, load_queue, save_queue,

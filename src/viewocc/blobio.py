@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, open_output
 
 _DTYPES = {"float64": "<f8", "int64": "<i8", "uint8": "|u1", "bool": "|b1"}
 
@@ -27,7 +27,6 @@ def _paths(prefix) -> tuple[Path, Path]:
 
 def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
     json_path, bin_path = _paths(prefix)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
     header = {"meta": meta or {}, "arrays": {}}
     chunks = []
     offset = 0
@@ -36,21 +35,23 @@ def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
         key = str(arr.dtype)
         if key not in _DTYPES:
             raise ContractViolation(f"write_blob: unsupported dtype {key} for {name!r}")
-        raw = arr.astype(_DTYPES[key], copy=False).tobytes(order="C")
+        # a contiguous little-endian array's buffer is its bytes: written
+        # as it is, with no tobytes() copy
+        arr = arr.astype(_DTYPES[key], copy=False)
         header["arrays"][name] = {
             "dtype": key,
             "shape": list(arr.shape),
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": arr.nbytes,
         }
-        chunks.append(raw)
-        offset += len(raw)
-    with open(json_path, "w") as fh:
+        chunks.append(arr)
+        offset += arr.nbytes
+    with open_output(json_path) as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(bin_path, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    with open_output(bin_path, "wb") as fh:
+        for arr in chunks:
+            fh.write(arr.data)
 
 
 def is_count(value) -> bool:

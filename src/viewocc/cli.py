@@ -11,6 +11,7 @@ in the arithmetic, print one JSON diagnostic to stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -20,11 +21,11 @@ import numpy as np
 
 from . import blobio
 from .encoder import METHODS, MODES, load_params, save_params
-from .errors import ContractViolation
+from .errors import ContractViolation, open_output
 from .flow_annotation import reduce_bev_flow
 from .harness import (compare_methods, coverage_report, evaluate_model, jsonable,
                       resolve_preset, train_model)
-from .scene_sim import (load_scene, preset_scene, render_camera_features, save_scene,
+from .scene_sim import (load_scene, preset_scene, render_all_cameras, save_scene,
                         scene_ground_truth, with_feature_channels)
 from .temporal_stream import load_queue, save_queue
 
@@ -43,8 +44,8 @@ def _resolve_scene(ref: str):
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+        with open_output(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -95,8 +96,8 @@ def _cmd_coverage(args) -> int:
 def _cmd_render(args) -> int:
     scene = _resolve_scene(args.scene)
     _check_frame(args.frame, scene.num_frames)
-    arrays = {f"cam.{j}": render_camera_features(scene, args.frame, j).data
-              for j in range(len(scene.cameras))}
+    arrays = {f"cam.{j}": fmap.data
+              for j, fmap in enumerate(render_all_cameras(scene, args.frame))}
     meta = {"scene": scene.name, "frame": args.frame,
             "cameras": [cam.name for cam in scene.cameras]}
     blobio.write_blob(args.out, arrays, meta)
@@ -191,7 +192,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built on first use and shared by every `main` call in
+    the process: it depends on no input. Each handler reads module globals
+    when it runs, so names patched on this module after the build still take
+    effect."""
     parser = argparse.ArgumentParser(
         prog="viewocc",
         description="multi-view occupancy perception on synthetic desk-scale scenes")

@@ -68,7 +68,7 @@ class TrackedBox:
 
     def __post_init__(self):
         self.size = as_float_array(self.size, shape=(3,), name="TrackedBox.size")
-        require(np.all(self.size > 0), "TrackedBox.size must be positive")
+        require((self.size > 0).all(), "TrackedBox.size must be positive")
         require(self.category >= 1, "TrackedBox.category must be a nonzero class id")
 
     def contains(self, pose: Pose, points: np.ndarray) -> np.ndarray:

@@ -32,7 +32,11 @@ def _check_rotation(rot: np.ndarray) -> None:
     err = np.abs(rot @ rot.T - np.eye(3)).max()
     if err > ROTATION_TOL:
         raise ContractViolation(f"rotation is not orthonormal (max deviation {err:.3e})")
-    if np.linalg.det(rot) < 0.0:
+    # the determinant of an orthonormal matrix is +-1, so the cofactor
+    # expansion on Python floats has np.linalg.det's sign at a fraction of
+    # its call cost
+    (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
         raise ContractViolation("rotation has negative determinant (reflection)")
 
 
@@ -78,8 +82,12 @@ class Pose:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pose":
-        rot = as_float_array(obj["rotation"], name="Pose.rotation").reshape(3, 3)
-        return cls(rot, obj["translation"])
+        # one conversion; __post_init__ checks it, and a rotation of the wrong
+        # size reports a non-finite entry before the failed reshape
+        rot = np.asarray(obj["rotation"], dtype=FLOAT)
+        if rot.size != 9:
+            as_float_array(rot, name="Pose.rotation")
+        return cls(rot.reshape(3, 3), obj["translation"])
 
 
 def in_box(pose: Pose, size: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -205,55 +213,13 @@ class CameraModel:
 _DEPTH_EPS = 1e-12
 
 
-def project_points(cam: CameraModel, points: np.ndarray):
-    """Project ego-frame points (..., 3) through a camera.
-
-    Returns (uv, depth, in_view). Behind-camera points report in_view False
-    with uv pinned to zero; in-view requires depth > 0 and the pixel inside
-    [0, width-1] x [0, height-1] (the bilinear validity box).
-    """
-    pts = np.asarray(points, dtype=FLOAT)
-    q = cam.extrinsics.apply(pts)
-    depth = q[..., 2]
-    safe = depth > _DEPTH_EPS
-    zdiv = np.where(safe, depth, 1.0)
-    u = cam.fx * q[..., 0] / zdiv + cam.cx
-    v = cam.fy * q[..., 1] / zdiv + cam.cy
-    in_view = (safe & (u >= 0.0) & (u <= cam.width - 1.0)
-               & (v >= 0.0) & (v <= cam.height - 1.0))
-    u = np.where(safe, u, 0.0)
-    v = np.where(safe, v, 0.0)
-    uv = np.stack([u, v], axis=-1)
-    return uv, depth, in_view
-
-
-def project_jacobian(cam: CameraModel, points: np.ndarray) -> np.ndarray:
-    """d(uv)/d(point) for ego-frame points (..., 3); returns (..., 2, 3).
-
-    Only meaningful where depth > 0; behind-camera rows are zero.
-    """
-    pts = np.asarray(points, dtype=FLOAT)
-    q = cam.extrinsics.apply(pts)
-    depth = q[..., 2]
-    safe = depth > _DEPTH_EPS
-    z = np.where(safe, depth, 1.0)
-    jac_cam = np.zeros(pts.shape[:-1] + (2, 3), dtype=FLOAT)
-    jac_cam[..., 0, 0] = cam.fx / z
-    jac_cam[..., 0, 2] = -cam.fx * q[..., 0] / (z * z)
-    jac_cam[..., 1, 1] = cam.fy / z
-    jac_cam[..., 1, 2] = -cam.fy * q[..., 1] / (z * z)
-    jac = jac_cam @ cam.extrinsics.rotation
-    return np.where(safe[..., None, None], jac, 0.0)
-
-
 def project_rig(rig, points: np.ndarray):
     """Project ego-frame points (..., 3) through all J cameras of a rig at once.
 
     Returns (uv (..., J, 2), camera-frame points (..., J, 3), in_view
     (..., J)). One (N, 3) @ (3, 3J) product takes every point into every
-    camera frame; the pinhole arithmetic is that of `project_points`, so
-    camera j's slice equals project_points(rig[j], points) and its depth is
-    the camera-frame z.
+    camera frame. Points at depth <= 1e-12 are behind the camera: out of
+    view, with uv pinned to zero. Camera j's depth is the camera-frame z.
     """
     pts = np.asarray(points, dtype=FLOAT)
     shape = pts.shape[:-1] + (len(rig), 3)
@@ -281,8 +247,7 @@ def project_rig_jacobian(rig, cam_points: np.ndarray, cams: np.ndarray) -> np.nd
     """d(uv)/d(ego point) (E, 2, 3) of E samples in front of their cameras.
 
     cam_points (E, 3) are camera-frame points as `project_rig` returns them
-    and cams (E,) their camera indices; rows equal `project_jacobian` of the
-    matching ego-frame points.
+    and cams (E,) their camera indices.
     """
     fx = np.array([cam.fx for cam in rig], dtype=FLOAT)[cams]
     fy = np.array([cam.fy for cam in rig], dtype=FLOAT)[cams]
@@ -293,10 +258,3 @@ def project_rig_jacobian(rig, cam_points: np.ndarray, cams: np.ndarray) -> np.nd
     jac_cam[:, 1, 1] = fy / z
     jac_cam[:, 1, 2] = -fy * y / (z * z)
     return jac_cam @ np.stack([cam.extrinsics.rotation for cam in rig])[cams]
-
-
-def pinhole_project(cam: CameraModel, p) -> tuple[np.ndarray, float, bool]:
-    """Single-point projection; see project_points."""
-    p = as_float_array(p, shape=(3,), name="p")
-    uv, depth, in_view = project_points(cam, p)
-    return uv, float(depth), bool(in_view)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .encoder import (METHODS, ModelConfig, ModelParams, MomentumSGD, backward_frame,
                       forward_frame, init_model)
-from .errors import ContractViolation, require
+from .errors import ContractViolation, open_output, require
 from .flow_annotation import BEVFlowField, reduce_bev_flow
 from .geometry import Pose, project_rig
 from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, class_means,
@@ -235,9 +234,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
 
 
 def write_history_csv(path, history) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in history:

@@ -23,7 +23,7 @@ def as_float_array(values, shape=None, name: str = "array") -> np.ndarray:
     arr = np.asarray(values, dtype=FLOAT)
     if shape is not None and tuple(arr.shape) != tuple(shape):
         raise ContractViolation(f"{name}: expected shape {tuple(shape)}, got {tuple(arr.shape)}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractViolation(f"{name}: contains non-finite values")
     return arr
 
@@ -40,7 +40,7 @@ class FeatureMap:
             raise ContractViolation(f"FeatureMap: expected 3-d (H, W, C) data, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ContractViolation(f"FeatureMap: empty axis in shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ContractViolation("FeatureMap: contains non-finite values")
         self.data = arr
 
@@ -148,14 +148,3 @@ def bilinear_many(data: np.ndarray, u: np.ndarray, v: np.ndarray):
     )
     vals = np.where(valid[..., None], vals, 0.0)
     return vals, valid
-
-
-def bilinear_sample(fmap: FeatureMap, uv) -> tuple[np.ndarray, bool]:
-    """Sample one location from a feature map.
-
-    Returns (value, valid): value is a (channels,) vector, zeros when the
-    location falls outside [0, width-1] x [0, height-1].
-    """
-    uv = as_float_array(uv, shape=(2,), name="uv")
-    vals, valid = bilinear_many(fmap.data, uv[0], uv[1])
-    return vals, bool(valid)

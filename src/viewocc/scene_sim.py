@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, require
+from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, rotation_z
 from .numerics import FLOAT, FeatureMap, as_float_array
@@ -54,7 +53,7 @@ class StaticElement:
 
     def __post_init__(self):
         self.size = as_float_array(self.size, shape=(3,), name="StaticElement.size")
-        require(np.all(self.size > 0), "StaticElement.size must be positive")
+        require((self.size > 0).all(), "StaticElement.size must be positive")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return in_box(self.pose, self.size, points)
@@ -168,9 +167,7 @@ class SceneSpec:
 
 
 def save_scene(path, scene: SceneSpec) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(scene.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -217,14 +214,6 @@ class _FeatureBasis:
         """class_indices are 0-based rows; anchor_points (N, 3)."""
         pos = self.POS_AMP * np.sin(self.freqs * (anchor_points @ self.dirs.T) + self.phases)
         return self.class_codes[class_indices] + pos
-
-
-def surface_feature(scene: SceneSpec, class_id: int, world_point) -> np.ndarray:
-    """Feature emitted for a surface point of a given class (pre-sampling)."""
-    ids = scene.class_ids
-    require(class_id in ids, f"unknown class id {class_id}")
-    anchor_pt = scene.feature_anchor.inverse().apply(as_float_array(world_point, shape=(3,)))
-    return scene.basis().features(np.array([ids.index(class_id)]), anchor_pt[None, :])[0]
 
 
 def _ray_grid(cam: CameraModel):
@@ -361,17 +350,21 @@ def _feature_map(scene: SceneSpec, frame: int, cam: CameraModel, hit, hit_points
     return FeatureMap(data.reshape(cam.height, cam.width, scene.feature_channels))
 
 
-def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> FeatureMap:
-    """Render one camera's feature image for a frame; misses are zero."""
-    require(0 <= cam_index < len(scene.cameras), "camera index out of range")
-    cam = scene.cameras[cam_index]
-    hit, _, hit_points, class_idx = _march(scene, scene.elements_in_frame(frame),
-                                           *_ray_grid(cam))
+def _render(scene: SceneSpec, frame: int, cam: CameraModel, elements) -> FeatureMap:
+    hit, _, hit_points, class_idx = _march(scene, elements, *_ray_grid(cam))
     return _feature_map(scene, frame, cam, hit, hit_points, class_idx)
 
 
+def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> FeatureMap:
+    """Render one camera's feature image for a frame; misses are zero."""
+    require(0 <= cam_index < len(scene.cameras), "camera index out of range")
+    return _render(scene, frame, scene.cameras[cam_index], scene.elements_in_frame(frame))
+
+
 def render_all_cameras(scene: SceneSpec, frame: int):
-    return [render_camera_features(scene, frame, j) for j in range(len(scene.cameras))]
+    """Every camera's `render_camera_features`, from one element list."""
+    elements = scene.elements_in_frame(frame)
+    return [_render(scene, frame, cam, elements) for cam in scene.cameras]
 
 
 def observe(scene: SceneSpec, frame: int):

@@ -1,11 +1,12 @@
-"""Shared test utilities: finite differences, tolerance helpers and the
-dense reference ray march."""
+"""Shared test utilities: finite differences, tolerance helpers, the dense
+reference ray march and the single-camera and single-point references."""
 
 import numpy as np
 
+from viewocc.errors import require
 from viewocc.flow_annotation import GridSpec
-from viewocc.geometry import CameraModel
-from viewocc.numerics import FLOAT, FeatureMap
+from viewocc.geometry import _DEPTH_EPS, CameraModel
+from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_many
 from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec, _ray_grid
 
 
@@ -56,6 +57,79 @@ def check_grad_array(fn, arr: np.ndarray, grad: np.ndarray, rng: np.random.Gener
         assert err < tol, (f"gradient mismatch at {idx}: analytic {grad[idx]:.9g}, "
                            f"numeric {fd:.9g}, rel err {err:.3e}")
     return worst
+
+
+# --- single-camera and single-point references -------------------------------
+# One camera or one point at a time, as the production code was first
+# written; the batched versions (geometry.project_rig, project_rig_jacobian,
+# numerics.bilinear_many, the render) must agree with them.
+
+
+def project_points(cam: CameraModel, points: np.ndarray):
+    """Project ego-frame points (..., 3) through a camera.
+
+    Returns (uv, depth, in_view). Behind-camera points report in_view False
+    with uv pinned to zero; in-view requires depth > 0 and the pixel inside
+    [0, width-1] x [0, height-1] (the bilinear validity box).
+    """
+    pts = np.asarray(points, dtype=FLOAT)
+    q = cam.extrinsics.apply(pts)
+    depth = q[..., 2]
+    safe = depth > _DEPTH_EPS
+    zdiv = np.where(safe, depth, 1.0)
+    u = cam.fx * q[..., 0] / zdiv + cam.cx
+    v = cam.fy * q[..., 1] / zdiv + cam.cy
+    in_view = (safe & (u >= 0.0) & (u <= cam.width - 1.0)
+               & (v >= 0.0) & (v <= cam.height - 1.0))
+    u = np.where(safe, u, 0.0)
+    v = np.where(safe, v, 0.0)
+    uv = np.stack([u, v], axis=-1)
+    return uv, depth, in_view
+
+
+def project_jacobian(cam: CameraModel, points: np.ndarray) -> np.ndarray:
+    """d(uv)/d(point) for ego-frame points (..., 3); returns (..., 2, 3).
+
+    Only meaningful where depth > 0; behind-camera rows are zero.
+    """
+    pts = np.asarray(points, dtype=FLOAT)
+    q = cam.extrinsics.apply(pts)
+    depth = q[..., 2]
+    safe = depth > _DEPTH_EPS
+    z = np.where(safe, depth, 1.0)
+    jac_cam = np.zeros(pts.shape[:-1] + (2, 3), dtype=FLOAT)
+    jac_cam[..., 0, 0] = cam.fx / z
+    jac_cam[..., 0, 2] = -cam.fx * q[..., 0] / (z * z)
+    jac_cam[..., 1, 1] = cam.fy / z
+    jac_cam[..., 1, 2] = -cam.fy * q[..., 1] / (z * z)
+    jac = jac_cam @ cam.extrinsics.rotation
+    return np.where(safe[..., None, None], jac, 0.0)
+
+
+def pinhole_project(cam: CameraModel, p) -> tuple[np.ndarray, float, bool]:
+    """Single-point projection; see project_points."""
+    p = as_float_array(p, shape=(3,), name="p")
+    uv, depth, in_view = project_points(cam, p)
+    return uv, float(depth), bool(in_view)
+
+
+def bilinear_sample(fmap: FeatureMap, uv) -> tuple[np.ndarray, bool]:
+    """Sample one location from a feature map.
+
+    Returns (value, valid): value is a (channels,) vector, zeros when the
+    location falls outside [0, width-1] x [0, height-1].
+    """
+    uv = as_float_array(uv, shape=(2,), name="uv")
+    vals, valid = bilinear_many(fmap.data, uv[0], uv[1])
+    return vals, bool(valid)
+
+
+def surface_feature(scene: SceneSpec, class_id: int, world_point) -> np.ndarray:
+    """Feature emitted for a surface point of a given class (pre-sampling)."""
+    ids = scene.class_ids
+    require(class_id in ids, f"unknown class id {class_id}")
+    anchor_pt = scene.feature_anchor.inverse().apply(as_float_array(world_point, shape=(3,)))
+    return scene.basis().features(np.array([ids.index(class_id)]), anchor_pt[None, :])[0]
 
 
 # --- dense reference ray march -----------------------------------------------

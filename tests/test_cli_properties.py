@@ -25,10 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import viewocc
+from viewocc import blobio, cli
 from viewocc.cli import main as cli_main
 from viewocc.encoder import init_model, load_params, save_params
 from viewocc.harness import resolve_preset
-from viewocc.scene_sim import preset_scene, save_scene
+from viewocc.scene_sim import SceneSpec, preset_scene, render_all_cameras, save_scene
 
 REPLACEMENTS = (None, True, -1, 0, 1, 2.5, "x", [], {}, [0, 1])
 
@@ -171,3 +172,100 @@ def test_eval_on_overflowing_params_exits_2_with_one_json_error(inputs, tmp_path
                             env=env, capture_output=True, text=True)
     assert result.returncode == 2, result.stderr
     assert json.loads(result.stderr)["error"]
+
+
+@pytest.mark.parametrize("command, option", [
+    ("make-scene", "--out"), ("coverage", "--out"), ("render", "--out"),
+    ("gen-flow", "--out"), ("train", "--params"), ("train", "--curve"), ("train", "--out"),
+    ("eval", "--out"), ("eval", "--queue-out"), ("compare", "--out"),
+])
+def test_unwritable_output_path_exits_2_with_one_json_error(inputs, tmp_path, command, option):
+    # the output's parent directory is a regular file
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / "afile" / "x"
+    scene = inputs / "scene.json"
+    argv = {
+        "make-scene": ["--preset", "training"],
+        "coverage": ["--scene", scene],
+        "render": ["--scene", scene],
+        "gen-flow": ["--scene", scene],
+        "train": ["--scene", scene, "--epochs", "1"],
+        "eval": ["--scene", scene, "--params", inputs / "model", "--frames", "0"],
+        "compare": ["--scene", scene, "--epochs", "1"],
+    }[command]
+    code, err = _run([command, *argv, option, target])
+    assert code == 2
+    assert str(target) in json.loads(err)["error"]
+
+
+def _session(work: Path, inputs: Path, fresh_parser: bool) -> dict:
+    """Stdout of each call of one in-process session run in `work` with
+    relative paths, plus every file it wrote; eval reports lose their
+    wall-clock entry. `fresh_parser` rebuilds the parser before each call."""
+    shutil.copy(inputs / "scene.json", work / "scene.json")
+    for suffix in (".json", ".bin"):
+        shutil.copy(inputs / f"model{suffix}", work / f"model{suffix}")
+    calls = [
+        ["render", "--scene", "scene.json", "--frame", "1", "--out", "out/render"],
+        ["gen-flow", "--scene", "scene.json", "--frame", "1", "--out", "out/flow"],
+        ["gen-flow", "--scene", "scene.json", "--frame", "1", "--flow-mode", "object-flow",
+         "--out", "out/object"],
+        ["eval", "--scene", "scene.json", "--params", "model", "--frames", "0",
+         "--queue-out", "out/q0"],
+        ["eval", "--scene", "scene.json", "--params", "model", "--frames", "1",
+         "--queue-in", "out/q0", "--queue-out", "out/q1"],
+        ["eval", "--scene", "scene.json", "--params", "model", "--frames", "1"],
+        ["render", "--scene", "scene.json", "--frame", "x", "--out", "out/bad"],
+        ["coverage", "--scene", "scene.json", "--frame", "2"],
+    ]
+    outputs = []
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for argv in calls:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:    # argparse's usage error
+                    code = exc.code
+            report = out.getvalue()
+            if argv[0] == "eval":
+                report = json.loads(report)
+                report.pop("wall_clock_s")
+            outputs.append((code, report, err.getvalue()))
+    finally:
+        os.chdir(cwd)
+    files = {p.relative_to(work).as_posix(): p.read_bytes()
+             for p in sorted(work.rglob("*")) if p.is_file()}
+    return {"outputs": outputs, "files": files}
+
+
+def test_shared_parser_leaks_no_state_between_calls(inputs, tmp_path):
+    (tmp_path / "shared").mkdir()
+    (tmp_path / "fresh").mkdir()
+    shared = _session(tmp_path / "shared", inputs, fresh_parser=False)
+    fresh = _session(tmp_path / "fresh", inputs, fresh_parser=True)
+    assert [code for code, _, _ in shared["outputs"]] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert "invalid int value" in shared["outputs"][6][2]
+    assert shared["outputs"][5][1]["queue_in"] is None
+    assert shared == fresh
+
+
+def test_every_call_rereads_its_scene_file(tmp_path):
+    scene = preset_scene("stream")
+    save_scene(tmp_path / "scene.json", scene)
+    argv = ["render", "--scene", tmp_path / "scene.json", "--frame", "2"]
+    assert _run(argv + ["--out", tmp_path / "before"]) == (0, "")
+    edited = json.loads((tmp_path / "scene.json").read_text())
+    edited["statics"][1]["pose"]["translation"][1] -= 0.5
+    (tmp_path / "scene.json").write_text(json.dumps(edited))
+    assert _run(argv + ["--out", tmp_path / "after"]) == (0, "")
+    before, _ = blobio.read_blob(tmp_path / "before")
+    after, _ = blobio.read_blob(tmp_path / "after")
+    want = render_all_cameras(SceneSpec.from_json(edited), 2)
+    assert any(not np.array_equal(before[name], after[name]) for name in before)
+    for j, fmap in enumerate(want):
+        np.testing.assert_array_equal(after[f"cam.{j}"], fmap.data)

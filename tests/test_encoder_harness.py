@@ -141,6 +141,66 @@ def test_full_model_gradients_match_fd(method):
         check_grad_array(loss_value, arrays[name], grads[name], check_rng, tol=2e-4)
 
 
+def _in_view_problem(method, mode, layers, seed=3):
+    """A tiny model whose grid sits in front of a low stereo rig, so most
+    attention samples are valid, with every parameter nudged off its init
+    and one level in the memory queue."""
+    config = ModelConfig(grid_shape=(2, 4, 4), pitch=0.5, origin=(1.0, -1.0, -0.25),
+                         voxel_channels=8, bev_channels=12, n_classes=3, layers=layers,
+                         heads=2, points=2, queue_len=2, temporal_points=2,
+                         method=method, mode=mode)
+    rng = np.random.default_rng(seed)
+    rig = build_rig("stereo2", fov_deg=80.0, width=12, height=9, mount_height=0.3)
+    features = [FeatureMap(rng.normal(size=(9, 12, 8))) for _ in rig]
+    pose = Pose.from_z_rotation(0.1, (0.05, -0.02, 0.0))
+    labels = rng.integers(0, 4, size=(2, 4, 4)).astype(np.int64)
+    labels[0, 1, 1] = 2
+    truth = FrameTruth(labels=labels, bev_flow=BEVFlowField(
+        flow=rng.normal(size=(4, 4, 2)), valid=rng.random((4, 4)) < 0.6,
+        category=np.full((4, 4), 3, dtype=np.int64), pitch=0.5, origin=(1.0, -1.0)))
+    params = init_model(rng, config, len(rig))
+    for _, arr in params.arrays():
+        arr += rng.normal(0.0, 0.05, arr.shape)
+    queue = MemoryQueue(config.queue_len)
+    queue.push(BEVGrid(rng.normal(size=(4, 4, config.bev_channels)), 0.5, (1.0, -1.0)),
+               Pose.from_z_rotation(0.05, (0.02, 0.0, 0.0)))
+    return params, rig, features, pose, queue, truth
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("mode", ["one-dof", "two-dof"])
+@pytest.mark.parametrize("method", ["view-attn", "proj-first"])
+def test_in_view_model_gradients_match_fd_through_every_layer(method, mode, layers):
+    params, rig, features, pose, queue, truth = _in_view_problem(method, mode, layers)
+    weights = LossWeights(flow_weight=1.3)
+
+    def loss_value():
+        res = forward_frame(params, features, rig, pose, queue)
+        value, _ = total_loss(res.pred, truth, weights)
+        return float(value)
+
+    res = forward_frame(params, features, rig, pose, queue, keep_cache=True)
+    assert len(res.caches["layers"]) == layers
+    for cache in res.caches["layers"]:
+        assert cache["valid"].any(), "every layer must read some camera"
+    _, _, loss_grads = total_loss(res.pred, truth, weights, with_grads=True)
+    grads = backward_frame(params, res, features, rig, loss_grads)
+    names = ["query_table", "squeeze.weight", "temporal.offset_head.weight",
+             "temporal.value_map.weight", "expand.weight", "occ_head.weight",
+             "sem_head.bias", "flow_head.weight"]
+    for i in range(layers):
+        names += [f"layers.{i}.{name}" for name in (
+            "offset_head.weight", "offset_head.bias", "logit_head.weight",
+            "logit_head.bias", "value_maps.0.weight", "value_maps.1.bias",
+            "output_maps.0.weight", "output_maps.1.bias")]
+    for name in names:
+        assert np.abs(grads[name]).max() > 0.0, f"{name} has an all-zero gradient"
+    arrays = params.as_dict()
+    check_rng = np.random.default_rng(19)
+    for name in names:
+        check_grad_array(loss_value, arrays[name], grads[name], check_rng, tol=2e-4)
+
+
 def test_temporal_path_gradients_match_fd():
     config = _tiny_config()
     rng, rig, features, pose, truth = _tiny_inputs(seed=5)

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from viewocc.errors import ContractViolation
 from viewocc.geometry import (CameraModel, Pose, altitude_angle, altitude_rotation,
-                              pinhole_project, project_jacobian, project_points,
                               project_rig, project_rig_jacobian, relative_pose, rotation_z,
                               view_angle, view_rotation, view_rotations)
 from viewocc.scene_sim import preset_scene
 
-from helpers import central_diff, rel_err
+from helpers import (central_diff, pinhole_project, project_jacobian, project_points,
+                     rel_err)
 
 finite_coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -38,6 +38,29 @@ def test_relative_pose_maps_previous_into_current():
 def test_pose_rejects_non_rotation():
     with pytest.raises(ContractViolation):
         Pose(np.eye(3) * 2.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("rotation, message", [
+    (np.diag([1.0, 1.0, -1.0]), "rotation has negative determinant (reflection)"),
+    (rotation_z(0.4)[[1, 0, 2]], "rotation has negative determinant (reflection)"),
+    (np.eye(3) * 2.0, "rotation is not orthonormal (max deviation 3.000e+00)"),
+    (rotation_z(0.4) + 1e-6, "rotation is not orthonormal (max deviation"),
+])
+def test_pose_rejects_reflections_and_non_orthonormal_matrices(rotation, message):
+    with pytest.raises(ContractViolation) as info:
+        Pose(rotation, np.zeros(3))
+    assert str(info.value).startswith(message)
+    with pytest.raises(ContractViolation) as info:
+        Pose.from_json({"rotation": rotation.reshape(-1).tolist(), "translation": [0, 0, 0]})
+    assert str(info.value).startswith(message)
+
+
+def test_pose_from_json_reports_a_non_finite_rotation_before_its_size():
+    for rotation in ([1.0] * 8 + [float("nan")], [float("inf")] * 4):
+        with pytest.raises(ContractViolation, match="Pose.rotation: contains non-finite"):
+            Pose.from_json({"rotation": rotation, "translation": [0, 0, 0]})
+    with pytest.raises(ValueError, match="reshape"):
+        Pose.from_json({"rotation": [1.0] * 8, "translation": [0, 0, 0]})
 
 
 @given(st.floats(-np.pi, np.pi), finite_coord, finite_coord, finite_coord)

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import GridSpec, TrackedBox
-from viewocc.geometry import Pose, project_points
+from viewocc.geometry import Pose
 from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticElement,
                                build_rig, load_scene, observe, preset_scene,
                                render_all_cameras, render_camera_features,
                                rotated_about_z, save_scene, scene_ground_truth,
-                               surface_feature, with_feature_channels, _free_points, _march,
-                               _ray_grid, _slab_steps)
+                               with_feature_channels, _free_points, _march, _ray_grid,
+                               _slab_steps)
 
-from helpers import (box_membership, dense_march, dense_observe, grid_points,
-                     slab_steps_reference)
+from helpers import (box_membership, dense_march, dense_observe, grid_points, project_points,
+                     slab_steps_reference, surface_feature)
 
 
 # --- rig geometry ------------------------------------------------------------

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from viewocc.errors import ContractViolation
-from viewocc.geometry import CameraModel, Pose, pinhole_project, view_rotation
-from viewocc.numerics import FeatureMap, bilinear_sample
+from viewocc.geometry import CameraModel, Pose, view_rotation
+from viewocc.numerics import FeatureMap
 from viewocc.view_attention import (AttnParams, QueryContext, attn_backward_batch,
                                     attn_forward_batch, camera_coverage, init_proj_first_params,
                                     init_view_attn_params, proj_first_backward_batch,
                                     proj_first_forward_batch, projection_first_forward,
                                     star_bias, view_attn_forward)
 
-from helpers import check_grad_array
+from helpers import bilinear_sample, check_grad_array, pinhole_project
 
 AXES = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
