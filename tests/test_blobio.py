@@ -38,8 +38,8 @@ def test_read_blob_rejects_header_that_does_not_fit_the_data(tmp_path, field, va
 
 
 def _tobytes_blob(arrays: dict, meta: dict) -> tuple[str, bytes]:
-    """The header text and data bytes of a blob, each array copied by
-    tobytes() as write_blob first did."""
+    """The header text and data bytes write_blob must produce, with each
+    array's bytes copied out by tobytes()."""
     header = {"meta": meta, "arrays": {}}
     chunks, offset = [], 0
     for name in sorted(arrays):
