@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +23,12 @@ import numpy as np
 from . import blobio
 from .encoder import METHODS, MODES, load_params, save_params
 from .errors import ContractViolation, open_output
-from .flow_annotation import reduce_bev_flow
+from .flow_annotation import FLOW_MODES, reduce_bev_flow
 from .harness import (compare_methods, coverage_report, evaluate_model, jsonable,
                       resolve_preset, train_model)
-from .scene_sim import (load_scene, preset_scene, render_all_cameras, save_scene,
-                        scene_ground_truth, with_feature_channels)
+from .scene_sim import (SCENE_PRESETS, load_scene, preset_scene, render_all_cameras,
+                        save_scene, scene_ground_truth, with_feature_channels)
 from .temporal_stream import load_queue, save_queue
-
-SCENE_PRESETS = ("training", "boundary", "rotation", "stream")
 
 
 def _resolve_scene(ref: str):
@@ -38,7 +37,13 @@ def _resolve_scene(ref: str):
     if ref in SCENE_PRESETS:
         return preset_scene(ref)
     raise ContractViolation(
-        f"scene {ref!r} is neither a file nor a preset; presets: {SCENE_PRESETS}")
+        f"scene {ref!r} is neither a file nor a preset; presets: {tuple(SCENE_PRESETS)}")
+
+
+def _settings_override(args) -> dict:
+    """The train settings given on the command line."""
+    return {name: getattr(args, name) for name in ("epochs", "lr")
+            if getattr(args, name) is not None}
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -135,11 +140,7 @@ def _cmd_train(args) -> int:
     scene = _resolve_scene(args.scene)
     config, settings = resolve_preset(args.preset, scene, method=args.method,
                                       mode=args.mode, queue_len=args.queue_len)
-    if args.epochs is not None:
-        settings.epochs = args.epochs
-    if args.lr is not None:
-        settings.lr = args.lr
-    settings.seed = args.seed
+    settings = replace(settings, seed=args.seed, **_settings_override(args))
     params, history = train_model(scene, config, settings, csv_path=args.curve)
     report, _ = evaluate_model(scene, params)
     if args.params:
@@ -174,11 +175,6 @@ def _cmd_eval(args) -> int:
 def _cmd_compare(args) -> int:
     t0 = time.perf_counter()
     scene = _resolve_scene(args.scene)
-    override = {}
-    if args.epochs is not None:
-        override["epochs"] = args.epochs
-    if args.lr is not None:
-        override["lr"] = args.lr
     try:
         queue_lens = tuple(int(x) for x in args.queue_lens.split(","))
     except ValueError:
@@ -186,7 +182,7 @@ def _cmd_compare(args) -> int:
             f"--queue-lens expects comma-separated integers, got {args.queue_lens!r}")
     report = compare_methods(
         scene, args.preset, methods=tuple(args.methods.split(",")), queue_lens=queue_lens,
-        mode=args.mode, settings_override=override or None, seed=args.seed)
+        mode=args.mode, settings_override=_settings_override(args), seed=args.seed)
     report["wall_clock_s"] = time.perf_counter() - t0
     _emit(report, args.out)
     return 0
@@ -226,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-flow", help="generate occupancy and flow ground truth")
     p.add_argument("--scene", required=True)
     p.add_argument("--frame", type=int, default=0)
-    p.add_argument("--flow-mode", choices=("occupancy-flow", "object-flow"),
-                   default="occupancy-flow")
+    p.add_argument("--flow-mode", choices=FLOW_MODES, default="occupancy-flow")
     p.add_argument("--out", default=None, help="blob prefix for the full arrays")
     p.set_defaults(func=_cmd_gen_flow)
 

@@ -247,9 +247,7 @@ def forward_frame(params: ModelParams, features, rig, pose: Pose, queue: MemoryQ
 
     caches = None
     if keep_cache:
-        caches = {"layers": layer_caches, "temporal": t_cache,
-                  "squeeze_columns": columns, "fused": fused,
-                  "voxel_features": feats}
+        caches = {"layers": layer_caches, "temporal": t_cache, "squeeze_columns": columns}
     pred = PredictionBundle(occ_logits, sem_logits, bev_flow)
     return FrameResult(pred, fused, feats, caches)
 
@@ -272,8 +270,7 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
     _, h, w = cfg.grid_shape
     grads = zero_grads(params)
     caches = result.caches
-    feats = caches["voxel_features"]
-    fused = caches["fused"]
+    feats, fused = result.voxel_features, result.fused
 
     g_occ = np.asarray(loss_grads["occ_logits"], dtype=FLOAT)
     g_sem = np.asarray(loss_grads["sem_logits"], dtype=FLOAT)

@@ -10,8 +10,10 @@ is found by round-tripping through the box frame:
 The per-voxel field assigns that flow to every voxel whose center falls
 inside the box at frame t. The object-flow baseline instead assigns the
 box-center velocity uniformly, which erases rotational structure. Voxels
-claimed by several boxes go to the nearest box center, ties to the lower
-track id; boxes without a previous pose (new tracks) carry zero flow.
+claimed by several boxes go to the nearest box center: boxes are visited in
+ascending track id and a later box takes a voxel only when strictly nearer,
+so ties go to the lower track id. Boxes without a previous pose (new tracks)
+carry zero flow.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 from .errors import ContractViolation, require
 from .geometry import Pose, in_box
 from .numerics import FLOAT, as_float_array
+
+FLOW_MODES = ("occupancy-flow", "object-flow")
 
 
 @dataclass
@@ -136,7 +140,7 @@ def generate_flow_field(boxes, frame: int, grid: GridSpec, dt: float,
     "object-flow" assigns the box-center velocity uniformly. Boxes lacking a
     pose at frame-1 contribute zero flow.
     """
-    require(mode in ("occupancy-flow", "object-flow"), f"unknown flow mode {mode!r}")
+    require(mode in FLOW_MODES, f"unknown flow mode {mode!r}")
     require(dt > 0, "generate_flow_field: dt must be positive")
     z, h, w = grid.shape
     centers = grid.voxel_centers().reshape(-1, 3)
@@ -144,34 +148,27 @@ def generate_flow_field(boxes, frame: int, grid: GridSpec, dt: float,
     occupied = np.zeros(z * h * w, dtype=bool)
     category = np.zeros(z * h * w, dtype=np.int64)
     owner_dist = np.full(z * h * w, np.inf, dtype=FLOAT)
-    owner_track = np.full(z * h * w, np.iinfo(np.int64).max, dtype=np.int64)
 
+    # ascending track id, strict < keeps the lower id on distance ties
     for box in sorted(boxes, key=lambda b: b.track_id):
         if frame not in box.poses:
             continue
         pose_t = box.poses[frame]
         inside = box.contains(pose_t, centers)
-        if not inside.any():
-            continue
-        dist = np.linalg.norm(centers - pose_t.translation, axis=-1)
-        closer = inside & ((dist < owner_dist)
-                           | ((dist == owner_dist) & (box.track_id < owner_track)))
-        if not closer.any():
-            continue
+        dist = np.full(z * h * w, np.inf, dtype=FLOAT)
+        dist[inside] = np.linalg.norm(centers[inside] - pose_t.translation, axis=-1)
+        closer = dist < owner_dist
         pose_prev = box.poses.get(frame - 1)
         if pose_prev is None:
-            box_flow = np.zeros((int(closer.sum()), 3), dtype=FLOAT)
+            flow[closer] = 0.0
         elif mode == "occupancy-flow":
             prev_pts = map_point_back(pose_t, pose_prev, centers[closer])
-            box_flow = flow_vector(centers[closer], prev_pts, dt)
+            flow[closer] = flow_vector(centers[closer], prev_pts, dt)
         else:
-            vel = flow_vector(pose_t.translation, pose_prev.translation, dt)
-            box_flow = np.broadcast_to(vel, (int(closer.sum()), 3)).copy()
-        flow[closer] = box_flow
+            flow[closer] = flow_vector(pose_t.translation, pose_prev.translation, dt)
         occupied[closer] = True
         category[closer] = box.category
         owner_dist[closer] = dist[closer]
-        owner_track[closer] = box.track_id
 
     foreground = tuple(sorted({int(b.category) for b in boxes}))
     return FlowField(grid=grid, flow=flow.reshape(z, h, w, 3),

@@ -18,12 +18,13 @@ exercises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, require
-from .numerics import FLOAT, as_float_array
+from .numerics import FLOAT, as_float_array, bilinear_valid
 
 ROTATION_TOL = 1e-9
 
@@ -192,6 +193,8 @@ class CameraModel:
 
     def __post_init__(self):
         require(self.fx > 0 and self.fy > 0, "CameraModel: focal lengths must be positive")
+        require(all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))),
+                "CameraModel: intrinsics must be finite")
         require(self.width >= 2 and self.height >= 2, "CameraModel: image must be at least 2x2")
 
     def to_json(self) -> dict:
@@ -230,14 +233,14 @@ def project_rig(rig, points: np.ndarray):
     q = pts.reshape(-1, 3) @ rot.T
     q += trans
     q = q.reshape(shape)
-    fx, fy, cx, cy, u_max, v_max = np.array(
-        [(c.fx, c.fy, c.cx, c.cy, c.width - 1.0, c.height - 1.0) for c in rig], dtype=FLOAT).T
+    fx, fy, cx, cy, widths, heights = np.array(
+        [(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig], dtype=FLOAT).T
     depth = q[..., 2]
     safe = depth > _DEPTH_EPS
     zdiv = np.where(safe, depth, 1.0)
     u = fx * q[..., 0] / zdiv + cx
     v = fy * q[..., 1] / zdiv + cy
-    in_view = safe & (u >= 0.0) & (u <= u_max) & (v >= 0.0) & (v <= v_max)
+    in_view = safe & bilinear_valid(u, v, heights, widths)
     u[~safe] = 0.0
     v[~safe] = 0.0
     return np.stack([u, v], axis=-1), q, in_view

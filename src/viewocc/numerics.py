@@ -88,11 +88,16 @@ class AffineMap:
 
 
 def softmax_norm(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max subtraction) along `axis`."""
+    """Numerically stable softmax (max subtraction) along `axis`.
+
+    Masked entries are -inf and come out as exact zeros; a row masked
+    entirely comes out all zero.
+    """
     z = np.asarray(logits, dtype=FLOAT)
-    z = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    zmax = np.max(z, axis=axis, keepdims=True)
+    e = np.exp(z - np.where(np.isfinite(zmax), zmax, 0.0))
+    total = np.sum(e, axis=axis, keepdims=True)
+    return e / np.where(total > 0.0, total, 1.0)
 
 
 def softmax_backward(probs: np.ndarray, g_probs: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -12,13 +12,15 @@ the same surface point therefore render near-identical features, and jointly
 rotating scene content and rig about z reproduces the same feature maps,
 which the rotational-invariance suite relies on.
 
-Ground truth rasterizes the same analytic elements into the ego-frame grid
-(center-in-element) and derives per-voxel flow from the tracked boxes.
+Ground truth rasterizes the static elements into the ego-frame grid
+(center-in-element); the flow field, derived from the tracked boxes, labels
+every box voxel.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -80,6 +82,7 @@ class SceneSpec:
         require(self.feature_channels >= max(1, len(self.classes)),
                 "feature_channels must cover the class table")
         require(self.frame_dt > 0, "frame_dt must be positive")
+        require(math.isfinite(self.frame_dt), "frame_dt must be finite")
         require(len(self.ego_trajectory) >= 1, "scene needs at least one frame")
         require(len(self.cameras) >= 1, "scene needs at least one camera")
         ids = [c.id for c in self.classes]
@@ -395,28 +398,29 @@ def observe(scene: SceneSpec, frame: int):
 def scene_ground_truth(scene: SceneSpec, frame: int, flow_mode: str = "occupancy-flow"):
     """(labels, FlowField) on the ego-frame grid at `frame`.
 
-    Labels: 0 = free, otherwise the class id of the occupying element, with
-    the earliest of `scene.elements_in_frame` winning, except that the flow
-    field labels every box voxel, resolving overlapping boxes by its
-    nearest-center rule. Flow lives on box voxels; frame 0 has no
-    predecessor so all flow is zero there.
+    Labels: 0 = free, otherwise the class id of the occupying element. The
+    flow field labels every box voxel, giving a voxel inside several boxes to
+    the nearest box center (ties to the lower track id, as the boxes are
+    visited in ascending id); the statics label the rest, the earliest of
+    `scene.elements_in_frame` winning. Flow lives on box voxels; frame 0 has
+    no predecessor so all flow is zero there.
     """
     grid = scene.grid
+    elements = scene.elements_in_frame(frame)
+    present = [box for box in scene.boxes if frame in box.poses]
     centers = grid.voxel_centers().reshape(-1, 3)
     labels = np.zeros(centers.shape[0], dtype=np.int64)
-    for el in reversed(scene.elements_in_frame(frame)):
+    for el in reversed(elements[len(present):]):
         labels[el.contains(centers)] = el.category
     labels = labels.reshape(grid.shape)
 
     inv = scene.ego_trajectory[frame].inverse()
     ego_boxes = []
-    for box in scene.boxes:
-        poses = {}
-        if frame in box.poses:
-            poses[frame] = inv.compose(box.poses[frame])
-            if frame - 1 in box.poses:
-                poses[frame - 1] = inv.compose(box.poses[frame - 1])
-            ego_boxes.append(TrackedBox(box.track_id, box.category, box.size, poses))
+    for box, el in zip(present, elements):
+        poses = {frame: el.pose}
+        if frame - 1 in box.poses:
+            poses[frame - 1] = inv.compose(box.poses[frame - 1])
+        ego_boxes.append(TrackedBox(box.track_id, box.category, box.size, poses))
     flow = generate_flow_field(ego_boxes, frame, grid, scene.frame_dt, mode=flow_mode)
     labels[flow.occupied] = flow.category[flow.occupied]
     if not flow.foreground_classes:
@@ -503,9 +507,9 @@ _DEFAULT_CLASSES = [
 ]
 
 
-def _desk_grid(cells: int = 20, z_cells: int = 4, pitch: float = 0.4) -> GridSpec:
-    half = cells * pitch / 2.0
-    return GridSpec((z_cells, cells, cells), pitch, (-half, -half, -0.4))
+def _desk_grid() -> GridSpec:
+    """20 x 20 cells of 0.4 m, 4 high."""
+    return GridSpec((4, 20, 20), 0.4, (-4.0, -4.0, -0.4))
 
 
 def _ground(extent_x: float = 7.9, extent_y: float = 7.9) -> StaticElement:
@@ -513,22 +517,9 @@ def _ground(extent_x: float = 7.9, extent_y: float = 7.9) -> StaticElement:
                          Pose(np.eye(3), (0.03, -0.05, -0.19)))
 
 
-def _wall(x: float, y: float, yaw: float, length: float, height: float = 1.1) -> StaticElement:
-    return StaticElement(2, (length, 0.24, height),
-                         Pose.from_z_rotation(yaw, (x, y, height / 2.0)))
-
-
-def preset_scene(name: str, seed: int = 7) -> SceneSpec:
-    """Named scene presets used by the verification harness and the CLI."""
-    if name == "training":
-        return _training_scene(seed)
-    if name == "boundary":
-        return _boundary_scene(seed)
-    if name == "rotation":
-        return _rotation_scene(seed)
-    if name == "stream":
-        return _stream_scene(seed)
-    raise ContractViolation(f"unknown scene preset {name!r}")
+def _wall(x: float, y: float, yaw: float, length: float) -> StaticElement:
+    """A 1.1 m high, 0.24 m thick wall standing on z = 0."""
+    return StaticElement(2, (length, 0.24, 1.1), Pose.from_z_rotation(yaw, (x, y, 0.55)))
 
 
 def _training_scene(seed: int) -> SceneSpec:
@@ -633,3 +624,15 @@ def _stream_scene(seed: int) -> SceneSpec:
                           {f: Pose.from_z_rotation(0.25 * f, (1.6 + 0.3 * f, -1.2, 0.35))
                            for f in range(frames)})],
     )
+
+
+# preset name -> builder(seed); the names, in this order, are the CLI's choices
+SCENE_PRESETS = {"training": _training_scene, "boundary": _boundary_scene,
+                 "rotation": _rotation_scene, "stream": _stream_scene}
+
+
+def preset_scene(name: str, seed: int = 7) -> SceneSpec:
+    """Named scene presets used by the verification harness and the CLI."""
+    if name not in SCENE_PRESETS:
+        raise ContractViolation(f"unknown scene preset {name!r}")
+    return SCENE_PRESETS[name](seed)

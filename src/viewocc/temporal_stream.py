@@ -117,11 +117,11 @@ def load_queue(prefix) -> MemoryQueue:
     return queue
 
 
-def check_planar(rel: Pose, tol: float = PLANAR_TOL) -> None:
-    """Require that rel's rotation maps the z-axis to itself within tol."""
+def check_planar(rel: Pose) -> None:
+    """Require that rel's rotation maps the z-axis to itself within PLANAR_TOL."""
     zhat = np.array([0.0, 0.0, 1.0])
     err = np.abs(rel.rotation @ zhat - zhat).max()
-    if err > tol:
+    if err > PLANAR_TOL:
         raise ContractViolation(f"warp requires planar motion: z-axis moves by {err:.3e}")
 
 

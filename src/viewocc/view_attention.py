@@ -402,19 +402,14 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
 
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
     offsets = off_flat.reshape(nq, m, k, 2)
-    logits = (queries @ params.logit_head.weight.T + params.logit_head.bias).reshape(nq, m, k, j)
+    logits = queries @ params.logit_head.weight.T + params.logit_head.bias
 
     ref_uv, _, cam_vis = project_rig(rig, refs)                     # (Q, J, ...)
 
-    # masked softmax over points x visible cameras, per head
-    mask = np.broadcast_to(cam_vis[:, None, None, :], logits.shape)
-    neg_inf = np.full_like(logits, -np.inf)
-    z = np.where(mask, logits, neg_inf)
-    zmax = z.reshape(nq, m, k * j).max(axis=-1).reshape(nq, m, 1, 1)
-    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
-    expz = np.where(mask, np.exp(z - zmax), 0.0)
-    denom = expz.reshape(nq, m, k * j).sum(axis=-1).reshape(nq, m, 1, 1)
-    attn = expz / np.where(denom > 0.0, denom, 1.0)
+    # softmax over points x visible cameras, per head
+    mask = np.broadcast_to(cam_vis[:, None, None, :], (nq, m, k, j))
+    masked = np.where(mask, logits.reshape(nq, m, k, j), -np.inf)
+    attn = softmax_norm(masked.reshape(nq, m, k * j)).reshape(nq, m, k, j)
 
     # (Q, M, K, J, 2): reference pixel per camera plus the shared 2-d offset
     uv = ref_uv[:, None, None, :, :] + offsets[:, :, :, None, :]
@@ -424,6 +419,7 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
     out = np.where(any_vis[:, None], out, 0.0)
     if not keep_cache:
         return out, None
+    # "sample_ok" is the name the benchmark's tracer reads the valid mask by
     cache.update(queries=queries, uv=uv, sample_ok=cache["valid"], any_vis=any_vis)
     return out, cache
 
@@ -449,8 +445,8 @@ def projection_first_forward(ctx: QueryContext, params: AttnParams, features, ri
     """Single-query projection-first baseline; returns (out, TraceRecord)."""
     out, cache = proj_first_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
                                           params, features, rig, keep_cache=True)
-    trace = TraceRecord(uv=cache["uv"][0], in_view=cache["sample_ok"][0],
-                        weight=(cache["attn"] * cache["sample_ok"])[0])
+    trace = TraceRecord(uv=cache["uv"][0], in_view=cache["valid"][0],
+                        weight=(cache["attn"] * cache["valid"])[0])
     return out[0], trace
 
 

@@ -4,7 +4,7 @@ reference ray march and the single-camera and single-point references."""
 import numpy as np
 
 from viewocc.errors import require
-from viewocc.flow_annotation import GridSpec
+from viewocc.flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from viewocc.geometry import _DEPTH_EPS, CameraModel
 from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_many
 from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec, _ray_grid
@@ -242,3 +242,36 @@ def dense_observe(scene, frame: int):
         idx = idx[ok]
         observed[idx[:, 2], idx[:, 1], idx[:, 0]] = True
     return features, observed
+
+
+# --- ground-truth reference ----------------------------------------------------
+
+
+def scene_ground_truth_reference(scene: SceneSpec, frame: int,
+                                 flow_mode: str = "occupancy-flow"):
+    """scene_sim.scene_ground_truth as first written: every element of the
+    frame rasterized, earliest winning, then the flow field's labels copied
+    over every box voxel."""
+    grid = scene.grid
+    centers = grid.voxel_centers().reshape(-1, 3)
+    labels = np.zeros(centers.shape[0], dtype=np.int64)
+    for el in reversed(scene.elements_in_frame(frame)):
+        labels[el.contains(centers)] = el.category
+    labels = labels.reshape(grid.shape)
+
+    inv = scene.ego_trajectory[frame].inverse()
+    ego_boxes = []
+    for box in scene.boxes:
+        poses = {}
+        if frame in box.poses:
+            poses[frame] = inv.compose(box.poses[frame])
+            if frame - 1 in box.poses:
+                poses[frame - 1] = inv.compose(box.poses[frame - 1])
+            ego_boxes.append(TrackedBox(box.track_id, box.category, box.size, poses))
+    flow = generate_flow_field(ego_boxes, frame, grid, scene.frame_dt, mode=flow_mode)
+    labels[flow.occupied] = flow.category[flow.occupied]
+    if not flow.foreground_classes:
+        flow = FlowField(grid=grid, flow=flow.flow, occupied=flow.occupied,
+                         category=flow.category,
+                         foreground_classes=tuple(scene.foreground_class_ids))
+    return labels, flow

@@ -156,6 +156,24 @@ def test_camera_less_scene_exits_2_with_one_json_error(inputs, tmp_path, command
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "frame_dt"])
+def test_non_finite_intrinsics_or_frame_dt_exit_2_with_one_json_error(tmp_path, field, value):
+    # json reads NaN and Infinity, so a scene file can carry them
+    scene = preset_scene("stream").to_json()
+    if field == "frame_dt":
+        scene["frame_dt"] = value
+    else:
+        scene["cameras"][2]["intrinsics"][field] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for argv in (["render", "--out", tmp_path / "r"], ["gen-flow", "--frame", "1"],
+                 ["coverage"]):
+        code, err = _run(argv + ["--scene", tmp_path / "scene.json"])
+        assert code == 2, (argv, err)
+        assert json.loads(err)["error"]
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("value", [1e308, 1e300])
 def test_eval_on_overflowing_params_exits_2_with_one_json_error(inputs, tmp_path, value):
     # finite params that overflow in the forward pass; at 1e300 the overflow

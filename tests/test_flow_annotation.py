@@ -113,6 +113,9 @@ def test_overlap_resolves_to_nearest_center_then_lower_track():
                                  1: Pose(np.eye(3), (0.4, 0.0, 0.5))})
     field2 = generate_flow_field([a2, b2], 1, grid, dt)
     np.testing.assert_allclose(field2.flow[0, 0, 0], [0.0, 0.0, 0.0], atol=1e-12)
+    # the same tie with the higher track id listed first
+    field3 = generate_flow_field([b2, a2], 1, grid, dt)
+    np.testing.assert_allclose(field3.flow[0, 0, 0], [0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_new_track_gets_zero_flow():

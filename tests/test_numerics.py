@@ -122,6 +122,24 @@ def test_softmax_sums_to_one_and_shift_invariant(logits, shift):
     np.testing.assert_allclose(softmax_norm(z + shift, axis=-1), s, atol=1e-12)
 
 
+def test_softmax_of_a_fully_masked_row_is_exact_zeros():
+    z = np.array([[-np.inf, -np.inf, -np.inf], [0.5, -np.inf, 1.5]])
+    with np.errstate(all="raise"):
+        probs = softmax_norm(z, axis=-1)
+    np.testing.assert_array_equal(probs[0], 0.0)
+    assert probs[1, 1] == 0.0 and abs(probs[1].sum() - 1.0) < 1e-15
+
+
+def test_softmax_bytes_on_finite_rows_match_plain_max_subtraction():
+    rng = np.random.default_rng(5)
+    for shape, axis in (((4, 7), -1), ((3, 5, 6), 1), ((9,), 0)):
+        z = rng.normal(0.0, 10.0, size=shape)
+        e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+        want = e / np.sum(e, axis=axis, keepdims=True)
+        with np.errstate(all="raise"):
+            assert softmax_norm(z, axis=axis).tobytes() == want.tobytes()
+
+
 def test_softmax_backward_matches_fd():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(2, 5))

@@ -1,9 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import viewocc
 
 PACKAGE = Path(viewocc.__file__).resolve().parent
+SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
 
 
 def _reads(tree: ast.AST) -> set:
@@ -36,3 +40,14 @@ def test_every_export_has_a_caller_in_the_package():
                          for path in PACKAGE.glob("*.py") if path.name != "__init__.py"))
     unused = [name for name in exported if name not in used]
     assert not unused, f"exported from viewocc but never used inside it: {unused}"
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    # the benchmark imports names from every layer of the package; its
+    # self-test fails on the first one that is renamed or removed
+    package_root = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, str(SELFTEST)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr

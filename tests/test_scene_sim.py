@@ -16,7 +16,7 @@ from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticE
                                _slab_steps)
 
 from helpers import (box_membership, dense_march, dense_observe, grid_points, project_points,
-                     slab_steps_reference, surface_feature)
+                     scene_ground_truth_reference, slab_steps_reference, surface_feature)
 
 
 # --- rig geometry ------------------------------------------------------------
@@ -179,6 +179,22 @@ def test_moving_box_carries_nonzero_flow_after_first_frame():
     _, flow = scene_ground_truth(scene, 3)
     speeds = np.linalg.norm(flow.flow[flow.occupied], axis=-1)
     assert speeds.max() > 0.1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("preset", ["training", "boundary", "rotation", "stream"])
+def test_ground_truth_is_byte_equal_to_the_reference(preset, seed):
+    scene = preset_scene(preset, seed=seed)
+    for frame in range(scene.num_frames):
+        for mode in ("occupancy-flow", "object-flow"):
+            labels, flow = scene_ground_truth(scene, frame, flow_mode=mode)
+            ref_labels, ref_flow = scene_ground_truth_reference(scene, frame, flow_mode=mode)
+            for got, want in ((labels, ref_labels), (flow.flow, ref_flow.flow),
+                              (flow.occupied, ref_flow.occupied),
+                              (flow.category, ref_flow.category)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert flow.foreground_classes == ref_flow.foreground_classes
 
 
 # --- visibility --------------------------------------------------------------
