@@ -18,6 +18,7 @@ carry zero flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ class GridSpec:
         self.shape = tuple(int(s) for s in self.shape)
         require(len(self.shape) == 3 and min(self.shape) >= 1, "GridSpec.shape must be (z, h, w)")
         require(self.pitch > 0, "GridSpec.pitch must be positive")
+        require(math.isfinite(self.pitch), "GridSpec.pitch must be finite")
         self.origin = as_float_array(self.origin, shape=(3,), name="GridSpec.origin")
 
     def voxel_centers(self) -> np.ndarray:

@@ -4,10 +4,11 @@ A scene is a set of oriented boxes in a world frame (static walls and ground
 slabs plus tracked dynamic boxes), a camera rig mounted on an ego body, a
 per-frame ego trajectory, and a voxel grid fixed in the ego frame. Rendering
 ray-casts each pixel by uniform stepping at pitch/4 against the analytic
-elements (first hit wins; a slab test per element picks the steps worth
-testing) and emits a feature that depends only on the hit point's world
-position and the hit element's class: a fixed orthogonal per-class code
-plus a smooth sinusoidal position code. Two cameras observing
+elements (first hit wins; per element, a bounding-sphere test picks the
+rays and a slab test the steps worth testing) and emits a feature that
+depends only on the hit point's world position and the hit element's
+class: a fixed orthogonal per-class code plus a smooth sinusoidal position
+code. Two cameras observing
 the same surface point therefore render near-identical features, and jointly
 rotating scene content and rig about z reproduces the same feature maps,
 which the rotational-invariance suite relies on.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -219,17 +221,48 @@ class _FeatureBasis:
         return self.class_codes[class_indices] + pos
 
 
+# At most this many ray and voxel-run tables (one of each per camera and
+# grid) stay cached per process; the least recently used goes first.
+_TABLE_CACHE_SIZE = 32
+_tables: OrderedDict = OrderedDict()
+
+
+def _cached(key, build):
+    """The tuple of arrays cached under `key`, made read-only; `build()`
+    makes it on a miss."""
+    table = _tables.get(key)
+    if table is None:
+        table = build()
+        for arr in table:
+            arr.flags.writeable = False
+        _tables[key] = table
+        if len(_tables) > _TABLE_CACHE_SIZE:
+            _tables.popitem(last=False)
+    else:
+        _tables.move_to_end(key)
+    return table
+
+
+def _camera_key(cam: CameraModel):
+    """Everything a camera's rays depend on, by value."""
+    ext = cam.extrinsics
+    return (np.array([cam.fx, cam.fy, cam.cx, cam.cy], dtype=FLOAT).tobytes(),
+            int(cam.width), int(cam.height), ext.rotation.tobytes(), ext.translation.tobytes())
+
+
 def _ray_grid(cam: CameraModel):
-    """Camera origin (3,) and per-pixel unit directions (P, 3) in the ego frame."""
-    inv = cam.extrinsics.inverse()
-    origin = inv.translation
-    us, vs = np.meshgrid(np.arange(cam.width, dtype=FLOAT),
-                         np.arange(cam.height, dtype=FLOAT))
-    d_cam = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones_like(us)],
-                     axis=-1)
-    d_cam /= np.linalg.norm(d_cam, axis=-1, keepdims=True)
-    d_ego = d_cam @ inv.rotation.T
-    return origin, d_ego.reshape(-1, 3)
+    """Camera origin (3,) and per-pixel unit directions (P, 3) in the ego
+    frame. Both are read-only, built on the first call for the camera's
+    values and reused by every later frame and call."""
+    def build():
+        inv = cam.extrinsics.inverse()
+        us, vs = np.meshgrid(np.arange(cam.width, dtype=FLOAT),
+                             np.arange(cam.height, dtype=FLOAT))
+        d_cam = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones_like(us)],
+                         axis=-1)
+        d_cam /= np.linalg.norm(d_cam, axis=-1, keepdims=True)
+        return inv.translation, (d_cam @ inv.rotation.T).reshape(-1, 3)
+    return _cached(("rays",) + _camera_key(cam), build)
 
 
 def _ray_steps(grid: GridSpec):
@@ -291,18 +324,46 @@ def _window(lo, hi):
     return ray, np.arange(ray.size) - np.repeat(start - lo, count)
 
 
+# relative margin of an element's bounding sphere in the ray pre-test: the
+# radius grows by this share of (1 m + the sphere's distance), far above the
+# roundoff of the test and of contains() at that distance
+_CULL_MARGIN = 1e-6
+
+
+def _rays_near(origin, dirs, center, radius: float, reach: float):
+    """Indices of the rays (origin, dirs) that pass within `radius` (plus
+    the margin) of `center` no farther than `reach` from the origin: every
+    ray with a step point in an element bounded by that sphere.
+
+    A unit ray meets the sphere ahead of its origin, which lies at distance
+    D from the center, iff d.(c - o) >= sqrt(D^2 - r^2). Distances go
+    through hypot and the square root is split, so no finite input
+    overflows."""
+    to_center = center - origin
+    dist = math.hypot(*to_center)
+    r = radius + _CULL_MARGIN * (1.0 + dist)
+    if dist <= r:                            # the origin is inside the sphere
+        return np.arange(dirs.shape[0])
+    if dist - r > reach:                     # the sphere is past the last step
+        return np.arange(0)
+    return np.flatnonzero(dirs @ to_center >= math.sqrt(dist - r) * math.sqrt(dist + r))
+
+
 def _march(scene: SceneSpec, elements, origin, dirs):
     """First-hit march for every pixel ray (origin, dirs) from `_ray_grid`
     against `elements`, the list from `scene.elements_in_frame`.
 
     Ray p takes steps t_i = (i+1)*step, and its first hit is the first step
-    point inside any element. A slab test in each element's local frame
-    bounds the steps that can fall inside it; only those before the ray's
+    point inside any element. Each element first keeps the rays that pass
+    within its bounding sphere before the last step (`_rays_near`); an
+    element behind the camera or beyond the march range keeps none and is
+    skipped. A slab test in the element's local frame then bounds the steps
+    of the kept rays that can fall inside it; only those before the ray's
     current first hit are built (origin + ts[i]*dirs[p]) and tested with the
-    element's own contains, so every output equals the march over all steps.
-    The element that last lowers a ray's first hit owns it and gives its
-    class: an earlier element holding that point would have set it already,
-    as its window covered the step and the first hit only falls.
+    element's own contains, so every output equals the march over all rays
+    and steps. The element that last lowers a ray's first hit owns it and
+    gives its class: an earlier element holding that point would have set
+    it already, as its window covered the step and the first hit only falls.
 
     Returns (hit (P,), first (P,), hit_points_ego (P, 3), hit_class_index (P,))
     where P = width*height in row-major pixel order, first is the hit's step
@@ -315,8 +376,13 @@ def _march(scene: SceneSpec, elements, origin, dirs):
     class_idx = np.full(dirs.shape[0], -1, dtype=np.int64)
     for box in elements:
         rot, trans = box.pose.rotation, box.pose.translation
-        lo, hi = _slab_steps((origin - trans) @ rot, dirs @ rot, box.size / 2.0, step, n_steps)
-        ray, i = _window(lo, np.minimum(hi, first))
+        rays = _rays_near(origin, dirs, trans, math.hypot(*box.size) / 2.0, ts[-1])
+        if rays.size == 0:
+            continue
+        lo, hi = _slab_steps((origin - trans) @ rot, dirs[rays] @ rot, box.size / 2.0, step,
+                             n_steps)
+        k, i = _window(lo, np.minimum(hi, first[rays]))
+        ray = rays[k]
         inside = box.contains(origin + ts[i, None] * dirs[ray])
         ray, i = ray[inside], i[inside]
         lead = np.flatnonzero(np.diff(ray, prepend=-1))   # each ray's earliest step
@@ -329,17 +395,40 @@ def _march(scene: SceneSpec, elements, origin, dirs):
     return hit, first, hit_points, class_idx
 
 
-def _free_points(grid: GridSpec, origin, dirs, first):
-    """x, y and z, each (F,), of the step points strictly before each ray's
-    first hit (`first` from `_march` on the same rays) that lie near the
-    grid's box, ray-major; the rest of the free points fall outside the grid."""
+def _grid_steps(grid: GridSpec, origin, dirs):
+    """(ray, step, voxel) of every step point of the rays (origin, dirs)
+    that falls in the grid, ray-major with steps ascending; voxel is the
+    flat index into the (Z, H, W) grid. The slab window of the grid's box
+    holds every such point."""
     step, ts = _ray_steps(grid)
     z, h, w = grid.shape
     half = np.array([w, h, z], dtype=FLOAT) * grid.pitch / 2.0
     lo, hi = _slab_steps(origin - grid.origin - half, dirs, half, step, ts.size)
-    ray, i = _window(lo, np.minimum(hi, first))
+    ray, i = _window(lo, hi)
     t = ts[i]
-    return tuple(origin[c] + t * dirs[ray, c] for c in range(3))
+    # the voxel of each point, one axis at a time
+    cells = [np.floor((origin[c] + t * dirs[ray, c] - grid.origin[c]) / grid.pitch)
+             for c in range(3)]
+    ok = ((cells[0] >= 0) & (cells[0] < w) & (cells[1] >= 0) & (cells[1] < h)
+          & (cells[2] >= 0) & (cells[2] < z))
+    x, y, zz = (cell[ok].astype(np.int64) for cell in cells)
+    return ray[ok], i[ok], (zz * h + y) * w + x
+
+
+def _voxel_runs(cam: CameraModel, grid: GridSpec):
+    """(ray, start, voxel) of each run: a stretch of one ray's consecutive
+    in-grid step points in one voxel, starting at step `start`. The ray
+    observes the voxel iff start <= its first hit. Read-only, built on the
+    first call for the camera's and grid's values and reused after."""
+    def build():
+        ray, i, voxel = _grid_steps(grid, *_ray_grid(cam))
+        new = np.ones(ray.size, dtype=bool)
+        new[1:] = (ray[1:] != ray[:-1]) | (i[1:] != i[:-1] + 1) | (voxel[1:] != voxel[:-1])
+        fits = max(cam.width * cam.height, math.prod(grid.shape)) < 2**31
+        return tuple(a[new].astype(np.int32 if fits else np.int64) for a in (ray, i, voxel))
+    key = ("runs",) + _camera_key(cam) + (
+        grid.shape, np.array([grid.pitch], dtype=FLOAT).tobytes(), grid.origin.tobytes())
+    return _cached(key, build)
 
 
 def _feature_map(scene: SceneSpec, frame: int, cam: CameraModel, hit, hit_points,
@@ -373,25 +462,21 @@ def render_all_cameras(scene: SceneSpec, frame: int):
 def observe(scene: SceneSpec, frame: int):
     """(feature maps, (Z, H, W) visibility) from one march per camera.
 
-    A voxel is observed by any camera whose ray traverses it free or hits in it.
+    A voxel is observed by any camera whose ray traverses it free or hits in
+    it: one scatter per camera of the voxels of its runs (`_voxel_runs`)
+    that start no later than their ray's first hit. The rig and the grid
+    live in the ego frame, so each camera's rays and runs are the same on
+    every frame; a process's first frame of a rig pays for building them.
     """
     grid = scene.grid
-    z, h, w = grid.shape
-    observed = np.zeros((z, h, w), dtype=bool)
+    observed = np.zeros(grid.shape, dtype=bool)
     features = []
     elements = scene.elements_in_frame(frame)
     for cam in scene.cameras:
-        origin, dirs = _ray_grid(cam)
-        hit, first, hit_points, class_idx = _march(scene, elements, origin, dirs)
+        hit, first, hit_points, class_idx = _march(scene, elements, *_ray_grid(cam))
         features.append(_feature_map(scene, frame, cam, hit, hit_points, class_idx))
-        # the voxel of each free and hit point, one axis at a time
-        free, hits = _free_points(grid, origin, dirs, first), hit_points[hit]
-        cells = [np.floor((np.concatenate([free[c], hits[:, c]]) - grid.origin[c]) / grid.pitch)
-                 for c in range(3)]
-        ok = ((cells[0] >= 0) & (cells[0] < w) & (cells[1] >= 0) & (cells[1] < h)
-              & (cells[2] >= 0) & (cells[2] < z))
-        x, y, zz = (cell[ok].astype(np.int64) for cell in cells)
-        observed.reshape(-1)[(zz * h + y) * w + x] = True
+        ray, start, voxel = _voxel_runs(cam, grid)
+        observed.reshape(-1)[voxel[start <= first[ray]]] = True
     return features, observed
 
 

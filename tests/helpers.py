@@ -7,7 +7,7 @@ from viewocc.errors import require
 from viewocc.flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from viewocc.geometry import _DEPTH_EPS, CameraModel
 from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_many
-from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec, _ray_grid
+from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec
 
 
 def rel_err(analytic: float, numeric: float, floor: float = 1e-6) -> float:
@@ -136,7 +136,8 @@ def surface_feature(scene: SceneSpec, class_id: int, world_point) -> np.ndarray:
 # The march as it was before the windowed rewrite: every pixel ray takes all
 # of its steps t_i = (i+1)*step and every scene element tests every step
 # point. Kept as the reference that scene_sim._march and scene_sim.observe
-# must equal byte for byte; it shares no membership or slab code with them.
+# must equal byte for byte; it shares no ray, membership or slab code (and
+# no cached table) with them.
 
 
 def box_membership(el, points):
@@ -164,6 +165,17 @@ def slab_steps_reference(origin, dirs, half, step, n_steps):
     return lo, np.where(blocked, lo, hi)
 
 
+def ray_grid_reference(cam: CameraModel):
+    """scene_sim._ray_grid as first written, built afresh on every call:
+    camera origin (3,) and per-pixel unit directions (P, 3) in the ego frame."""
+    inv = cam.extrinsics.inverse()
+    us, vs = np.meshgrid(np.arange(cam.width, dtype=FLOAT), np.arange(cam.height, dtype=FLOAT))
+    d_cam = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones_like(us)],
+                     axis=-1)
+    d_cam /= np.linalg.norm(d_cam, axis=-1, keepdims=True)
+    return inv.translation, (d_cam @ inv.rotation.T).reshape(-1, 3)
+
+
 def _max_range(grid: GridSpec) -> float:
     z, h, w = grid.shape
     return float(np.linalg.norm([w * grid.pitch, h * grid.pitch, z * grid.pitch])) + 2.0
@@ -178,7 +190,7 @@ def dense_march(scene: SceneSpec, frame: int, cam: CameraModel):
     before_hit_mask flags the strictly-free step points for visibility.
     """
     elements = scene.elements_in_frame(frame)
-    origin, dirs = _ray_grid(cam)
+    origin, dirs = ray_grid_reference(cam)
     step = scene.grid.pitch * RAY_STEP_FRACTION
     n_steps = int(np.ceil(_max_range(scene.grid) / step))
     ts = (np.arange(n_steps, dtype=FLOAT) + 1.0) * step

@@ -174,6 +174,19 @@ def test_non_finite_intrinsics_or_frame_dt_exit_2_with_one_json_error(tmp_path, 
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_pitch_exits_2_with_one_json_error_naming_the_pitch(tmp_path, value):
+    scene = preset_scene("stream").to_json()
+    scene["grid"]["pitch"] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for argv in (["render", "--out", tmp_path / "r"], ["gen-flow", "--frame", "1"],
+                 ["coverage"]):
+        code, err = _run(argv + ["--scene", tmp_path / "scene.json"])
+        assert code == 2, (argv, err)
+        assert "GridSpec.pitch" in json.loads(err)["error"], (argv, err)
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("value", [1e308, 1e300])
 def test_eval_on_overflowing_params_exits_2_with_one_json_error(inputs, tmp_path, value):
     # finite params that overflow in the forward pass; at 1e300 the overflow

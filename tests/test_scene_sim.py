@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewocc import scene_sim
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import GridSpec, TrackedBox
 from viewocc.geometry import Pose
@@ -12,11 +13,12 @@ from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticE
                                build_rig, load_scene, observe, preset_scene,
                                render_all_cameras, render_camera_features,
                                rotated_about_z, save_scene, scene_ground_truth,
-                               with_feature_channels, _free_points, _march, _ray_grid,
-                               _slab_steps)
+                               with_feature_channels, _grid_steps, _march, _ray_grid,
+                               _ray_steps, _slab_steps, _voxel_runs)
 
 from helpers import (box_membership, dense_march, dense_observe, grid_points, project_points,
-                     scene_ground_truth_reference, slab_steps_reference, surface_feature)
+                     ray_grid_reference, scene_ground_truth_reference, slab_steps_reference,
+                     surface_feature)
 
 
 # --- rig geometry ------------------------------------------------------------
@@ -321,8 +323,10 @@ def _assert_march_matches_dense(scene):
     np.testing.assert_array_equal(first, before_hit.sum(axis=1))
     assert hit_points.tobytes() == ref_points.tobytes()
     np.testing.assert_array_equal(class_idx, ref_class)
-    free = grid_points(scene.grid, np.stack(_free_points(scene.grid, origin, dirs, first),
-                                            axis=-1))
+    ray, i, _ = _grid_steps(scene.grid, origin, dirs)
+    before = i < first[ray]
+    _, ts = _ray_steps(scene.grid)
+    free = grid_points(scene.grid, origin + ts[i[before], None] * dirs[ray[before]])
     assert free.tobytes() == grid_points(scene.grid, pts[before_hit]).tobytes()
 
 
@@ -471,3 +475,178 @@ def test_first_hit_inside_two_elements_takes_the_earlier_class():
     assert in_box_and_wall.any() and in_both_statics.any()
     np.testing.assert_array_equal(rows[in_box_and_wall], scene.class_ids.index(3))
     np.testing.assert_array_equal(rows[in_both_statics], scene.class_ids.index(1))
+
+
+# --- cached per-camera tables --------------------------------------------------
+
+
+def _assert_observe_matches_dense(scene, frame):
+    features, seen = observe(scene, frame)
+    rendered = render_all_cameras(scene, frame)
+    ref_features, ref_seen = dense_observe(scene, frame)
+    for j, want in enumerate(ref_features):
+        for got in (features[j], rendered[j]):
+            assert got.data.tobytes() == want.data.tobytes(), f"cam {j}"
+    assert seen.tobytes() == ref_seen.tobytes()
+    assert len(scene_sim._tables) <= scene_sim._TABLE_CACHE_SIZE
+
+
+def test_cached_tables_follow_every_camera_and_grid_change():
+    # each change is made in place, so only a cache keyed by value sees it
+    scene = preset_scene("training", seed=4)
+    cam = scene.cameras[2]
+    _assert_observe_matches_dense(scene, 1)            # warms the tables
+    cam.extrinsics.translation[1] += 0.25
+    _assert_observe_matches_dense(scene, 1)
+    cam.extrinsics = cam.extrinsics.compose(Pose.from_z_rotation(0.2))
+    _assert_observe_matches_dense(scene, 1)
+    cam.fx *= 1.2
+    _assert_observe_matches_dense(scene, 1)
+    scene.grid.origin[0] += 0.13
+    _assert_observe_matches_dense(scene, 1)
+    scene.grid.pitch = 0.45
+    _assert_observe_matches_dense(scene, 1)
+
+
+def test_cached_tables_are_read_only_and_bounded():
+    scene = preset_scene("stream")
+    cam = scene.cameras[0]
+    for arr in _ray_grid(cam) + _voxel_runs(cam, scene.grid):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    cams = [build_rig("mono1", width=3, height=2, mount_height=0.1 * (k + 1))[0]
+            for k in range(scene_sim._TABLE_CACHE_SIZE + 5)]
+    for cam in cams:
+        _ray_grid(cam)
+        assert len(scene_sim._tables) <= scene_sim._TABLE_CACHE_SIZE
+    assert len(scene_sim._tables) == scene_sim._TABLE_CACHE_SIZE
+    # the evicted table is built again, equal to a fresh one
+    for got, want in zip(_ray_grid(cams[0]), ray_grid_reference(cams[0])):
+        assert got.tobytes() == want.tobytes()
+
+
+# --- rays culled before the slab test -------------------------------------------
+
+
+def _slab_calls(monkeypatch, scene):
+    """The number of rays of every _slab_steps call in one _march of the
+    scene's first camera."""
+    calls = []
+
+    def counted(origin, dirs, *args):
+        calls.append(dirs.shape[0])
+        return _slab_steps(origin, dirs, *args)
+
+    monkeypatch.setattr(scene_sim, "_slab_steps", counted)
+    _march(scene, scene.elements_in_frame(0), *_ray_grid(scene.cameras[0]))
+    monkeypatch.undo()
+    return calls
+
+
+def _cube(center, edge=1.0):
+    return StaticElement(2, (edge, edge, edge), Pose(np.eye(3), center))
+
+
+def test_march_skips_an_element_behind_the_camera(monkeypatch):
+    mount = 0.75
+    scene = _small_scene(0.4, mount, 60.0, 9, 5,
+                         [_cube((2.0, 0.0, mount)), _cube((-2.0, 0.0, mount)),
+                          _cube((-1.5, 0.5, mount + 0.5), edge=0.6)])
+    _assert_march_matches_dense(scene)
+    assert len(_slab_calls(monkeypatch, scene)) == 1       # only the cube ahead
+
+
+def test_march_skips_an_element_beyond_the_march_range(monkeypatch):
+    mount = 0.75
+    base = _small_scene(0.4, mount, 60.0, 9, 5)
+    _, ts = _ray_steps(base.grid)
+    # one cube ahead and off axis, one across the range's end, one past it
+    scene = dataclasses.replace(base, statics=[_cube((2.0, 1.0, mount), edge=0.5),
+                                               _cube((ts[-1] + 0.2, 0.0, mount)),
+                                               _cube((ts[-1] + 2.0, -0.5, mount), edge=1.5)])
+    _assert_march_matches_dense(scene)
+    assert len(_slab_calls(monkeypatch, scene)) == 2
+    hit, first, _, _ = _march(scene, scene.elements_in_frame(0), *_ray_grid(scene.cameras[0]))
+    assert (first[hit] > ts.size - 5).any()  # the cube across the range's end is hit
+
+
+def test_march_from_inside_a_bounding_sphere_but_outside_the_element(monkeypatch):
+    mount = 0.75
+    # a long thin bar beside the camera: the camera is 1.1 m from its center,
+    # inside its 2 m bounding sphere, and 0.4 m from the bar itself
+    bar = StaticElement(1, (4.0, 0.1, 0.1), Pose(np.eye(3), (1.0, 0.4, mount)))
+    wall = StaticElement(2, (0.2, 4.0, 2.0), Pose(np.eye(3), (3.5, 0.0, mount)))
+    scene = _small_scene(0.4, mount, 60.0, 9, 5, [bar, wall])
+    _assert_march_matches_dense(scene)
+    origin, dirs = _ray_grid(scene.cameras[0])
+    # every ray kept: the camera is inside the bar's sphere, the wall's fills the view
+    assert _slab_calls(monkeypatch, scene) == [dirs.shape[0]] * 2
+    hit, _, _, class_idx = _march(scene, scene.elements_in_frame(0), origin, dirs)
+    assert set(class_idx[hit].tolist()) == {0, 1}      # the bar and the wall are both seen
+
+
+@pytest.mark.parametrize("size, center", [
+    ((1.0, 1.0, 1.0), (1e160, 0.0, 0.75)), ((1.0, 1.0, 1.0), (1e300, 1e300, 0.0)),
+    ((1e160, 1.0, 1.0), (3.0, 0.0, 0.75)), ((1e300, 1e300, 1.0), (0.0, 0.0, -10.0)),
+], ids=["far-1e160", "far-1e300", "huge-1e160", "huge-1e300"])
+def test_march_on_a_far_or_huge_element_raises_no_float_fault(size, center):
+    # finite scene values whose squares overflow; the CLI turns any float
+    # fault into exit 2, so such a scene would stop rendering
+    mount = 0.75
+    far = StaticElement(2, size, Pose(np.eye(3), center))
+    scene = _small_scene(0.4, mount, 60.0, 9, 5, [_cube((2.0, 1.0, mount), edge=0.5), far])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        _assert_march_matches_dense(scene)
+
+
+@pytest.mark.parametrize("azimuth_deg", [30.0, -30.0, 30.4, -29.6])
+def test_march_on_a_thin_wall_seen_edge_on_at_the_image_border(azimuth_deg):
+    # a 60-degree camera's border columns look along +-30 degrees; the wall's
+    # plane holds that direction, so only rays on and next to it can meet it
+    mount = 0.75
+    az = np.radians(azimuth_deg)
+    center = (2.0 * np.cos(az), 2.0 * np.sin(az), mount)
+    wall = StaticElement(2, (2.0, 0.02, 0.6), Pose.from_z_rotation(az, center))
+    scene = _small_scene(0.4, mount, 60.0, 9, 5, [wall])
+    _assert_march_matches_dense(scene)
+    if azimuth_deg in (30.0, -30.0):
+        hit, _, _, _ = _march(scene, scene.elements_in_frame(0), *_ray_grid(scene.cameras[0]))
+        assert hit.reshape(5, 9)[:, [0, -1]].any()
+
+
+def _turning(a, b):
+    """A rotation taking the direction of a to that of b."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    v = np.cross(a, b)
+    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    u, _, vt = np.linalg.svd(np.eye(3) + vx + vx @ vx / (1.0 + a @ b))
+    return u @ vt
+
+
+def test_march_keeps_rays_that_graze_a_bounding_sphere_at_a_corner():
+    # boxes whose corner is a step point of a pixel ray, with the
+    # corner-to-center diagonal at right angles to that ray: the ray is
+    # tangent to the bounding sphere there. Whether contains() takes the
+    # corner, and which side of the exact sphere test it lands on, is up to
+    # roundoff; the margin must keep every such ray that hits.
+    rng = np.random.default_rng(11)
+    base = _small_scene(0.4, 0.75, 70.0, 9, 5)
+    origin, dirs = ray_grid_reference(base.cameras[0])
+    _, ts = _ray_steps(base.grid)
+    graze_hits = unmargined_misses = 0
+    for _ in range(200):
+        p, k = rng.integers(dirs.shape[0]), rng.integers(5, 60)
+        corner = origin + ts[k] * dirs[p]
+        half = rng.uniform(0.05, 0.6, size=3) * rng.choice([-1.0, 1.0], size=3)
+        rot = _turning(half, np.cross(dirs[p], rng.normal(size=3)))
+        if np.linalg.det(rot) < 0:
+            continue
+        box = StaticElement(2, 2.0 * np.abs(half), Pose(rot, corner + rot @ half))
+        scene = dataclasses.replace(base, statics=[box])
+        _assert_march_matches_dense(scene)
+        if box.contains(corner[None, :])[0]:
+            graze_hits += 1
+            to_center = box.pose.translation - origin
+            exact = np.sqrt(to_center @ to_center - (np.linalg.norm(box.size) / 2.0) ** 2)
+            unmargined_misses += bool(dirs[p] @ to_center < exact)
+    assert graze_hits >= 10 and unmargined_misses >= 1, (graze_hits, unmargined_misses)
