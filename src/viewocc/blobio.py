@@ -58,6 +58,14 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def count_field(value, name: str) -> int:
+    """`value` when `is_count` accepts it; otherwise a ContractViolation
+    naming the field, so a file's 2.5 or true is never truncated to a count."""
+    if not is_count(value):
+        raise ContractViolation(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _read_array(raw: bytes, name: str, spec) -> np.ndarray:
     """One array of a blob, once its header entry is shown to fit the data."""
     spec = spec if isinstance(spec, dict) else {}

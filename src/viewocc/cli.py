@@ -25,7 +25,7 @@ from .encoder import METHODS, MODES, load_params, save_params
 from .errors import ContractViolation, open_output
 from .flow_annotation import FLOW_MODES, reduce_bev_flow
 from .harness import (compare_methods, coverage_report, evaluate_model, jsonable,
-                      resolve_preset, train_model)
+                      prepare_frames, resolve_preset, train_model)
 from .scene_sim import (SCENE_PRESETS, load_scene, preset_scene, render_all_cameras,
                         save_scene, scene_ground_truth, with_feature_channels)
 from .temporal_stream import load_queue, save_queue
@@ -123,12 +123,12 @@ def _cmd_gen_flow(args) -> int:
         }, {"scene": scene.name, "frame": args.frame, "mode": args.flow_mode,
             "dt": scene.frame_dt, "grid": scene.grid.to_json(),
             "foreground_classes": list(field.foreground_classes)})
-    speeds = np.linalg.norm(field.flow[field.occupied], axis=-1) if field.occupied.any() else None
+    speeds = np.linalg.norm(field.flow[field.occupied], axis=-1)
     _emit({
         "scene": scene.name, "frame": args.frame, "mode": args.flow_mode,
         "occupied_voxels": int(field.occupied.sum()),
         "moving_voxels": int((np.linalg.norm(field.flow, axis=-1) > 1e-12).sum()),
-        "max_speed": float(speeds.max()) if speeds is not None and speeds.size else 0.0,
+        "max_speed": float(speeds.max()) if speeds.size else 0.0,
         "bev_valid_cells": int(bev.valid.sum()),
         "blob": args.out,
     }, None)
@@ -141,8 +141,9 @@ def _cmd_train(args) -> int:
     config, settings = resolve_preset(args.preset, scene, method=args.method,
                                       mode=args.mode, queue_len=args.queue_len)
     settings = replace(settings, seed=args.seed, **_settings_override(args))
-    params, history = train_model(scene, config, settings, csv_path=args.curve)
-    report, _ = evaluate_model(scene, params)
+    data = prepare_frames(scene)
+    params, history = train_model(scene, config, settings, csv_path=args.curve, data=data)
+    report, _ = evaluate_model(scene, params, data=data)
     if args.params:
         save_params(args.params, params)
     _emit({

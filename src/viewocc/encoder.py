@@ -97,9 +97,15 @@ class ModelConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
         """Unknown keys are ignored, so older headers that carry more load too."""
+        kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
         try:
-            return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
-        except (KeyError, TypeError) as exc:
+            for name in _COUNT_FIELDS:
+                if name in kwargs:
+                    blobio.count_field(kwargs[name], f"model config {name}")
+            for n in kwargs.get("grid_shape", ()):
+                blobio.count_field(n, "model config grid_shape")
+            return cls(**kwargs)
+        except TypeError as exc:
             raise ContractViolation(f"malformed model config: {exc}") from exc
 
 
@@ -141,14 +147,9 @@ def init_model(rng: np.random.Generator, config: ModelConfig, n_cameras: int) ->
     c, cb = config.voxel_channels, config.bev_channels
     z = config.grid_shape[0]
     query_table = rng.normal(0.0, 0.3, (config.n_voxels, c))
-    layers = []
-    for _ in range(config.layers):
-        if config.method == "view-attn":
-            layers.append(init_view_attn_params(rng, c, heads=config.heads,
-                                                points=config.points, cameras=n_cameras))
-        else:
-            layers.append(init_proj_first_params(rng, c, heads=config.heads,
-                                                 points=config.points, cameras=n_cameras))
+    init_layer = init_view_attn_params if config.method == "view-attn" else init_proj_first_params
+    layers = [init_layer(rng, c, heads=config.heads, points=config.points, cameras=n_cameras)
+              for _ in range(config.layers)]
     squeeze = AffineMap(rng.normal(0.0, 1.0 / np.sqrt(z * c), (cb, z * c)), np.zeros(cb))
     temporal = init_temporal_params(rng, cb, points=config.temporal_points,
                                     levels=config.queue_len)
@@ -216,15 +217,15 @@ def forward_frame(params: ModelParams, features, rig, pose: Pose, queue: MemoryQ
     z, h, w = cfg.grid_shape
     centers = cfg.grid.voxel_centers().reshape(-1, 3)
 
-    forward = attn_forward_batch if cfg.method == "view-attn" else proj_first_forward_batch
     v = params.query_table
     layer_caches = []
     for layer in params.layers:
         if cfg.method == "view-attn":
-            out, cache = forward(v, centers, layer, features, rig, cfg.mode,
-                                 keep_cache=keep_cache)
+            out, cache = attn_forward_batch(v, centers, layer, features, rig, cfg.mode,
+                                            keep_cache=keep_cache)
         else:
-            out, cache = forward(v, centers, layer, features, rig, keep_cache=keep_cache)
+            out, cache = proj_first_forward_batch(v, centers, layer, features, rig,
+                                                  keep_cache=keep_cache)
         v = v + out
         layer_caches.append(cache)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blobio import count_field
 from .errors import ContractViolation, require
 from .numerics import FLOAT, as_float_array, bilinear_valid
 
@@ -117,40 +118,9 @@ def rotation_z(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], dtype=FLOAT)
 
 
-def altitude_rotation(phi: float) -> np.ndarray:
-    """Rotation about y that lifts the x-axis toward +z by phi."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]], dtype=FLOAT)
-
-
-def view_angle(p) -> float:
-    """Azimuth of p in (-pi, pi]; the origin maps to 0."""
-    p = np.asarray(p, dtype=FLOAT)
-    theta = float(np.arctan2(p[..., 1], p[..., 0]))
-    if theta <= -np.pi:
-        theta = np.pi
-    return theta
-
-
-def altitude_angle(p) -> float:
-    """Altitude of p in [-pi/2, pi/2]; zero anywhere on the z = 0 plane except poles."""
-    p = np.asarray(p, dtype=FLOAT)
-    return float(np.arctan2(p[..., 2], np.hypot(p[..., 0], p[..., 1])))
-
-
-def view_rotation(p, mode: str) -> np.ndarray:
-    """Rotation applied to offsets at reference point p for the given mode."""
-    if mode == "one-dof":
-        return rotation_z(view_angle(p))
-    if mode == "two-dof":
-        return rotation_z(view_angle(p)) @ altitude_rotation(altitude_angle(p))
-    if mode == "ego":
-        return np.eye(3, dtype=FLOAT)
-    raise ContractViolation(f"unknown view-coordinate mode: {mode!r}")
-
-
 def view_rotations(points: np.ndarray, mode: str) -> np.ndarray:
-    """Batched view_rotation for points of shape (N, 3); returns (N, 3, 3)."""
+    """Rotations applied to offsets at reference points (N, 3) for the given
+    mode; returns (N, 3, 3)."""
     pts = np.asarray(points, dtype=FLOAT)
     n = pts.shape[0]
     if mode == "ego":
@@ -208,8 +178,9 @@ class CameraModel:
     @classmethod
     def from_json(cls, obj: dict) -> "CameraModel":
         k = obj["intrinsics"]
+        width, height = (count_field(n, "CameraModel.image_size") for n in obj["image_size"])
         return cls(fx=float(k["fx"]), fy=float(k["fy"]), cx=float(k["cx"]), cy=float(k["cy"]),
-                   width=int(obj["image_size"][0]), height=int(obj["image_size"][1]),
+                   width=width, height=height,
                    extrinsics=Pose.from_json(obj["extrinsics"]), name=obj.get("name", ""))
 
 

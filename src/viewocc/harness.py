@@ -26,8 +26,9 @@ from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, cla
 from .scene_sim import SceneSpec, observe, scene_ground_truth
 from .temporal_stream import MemoryQueue
 
-CSV_COLUMNS = ("epoch", "focal", "ce", "lovasz", "l1_flow", "total",
-               "miou", "iou_geo", "mave")
+# the loss terms as `total_loss` names its parts, then their sum
+LOSS_COLUMNS = ("focal", "ce", "lovasz", "l1_flow", "total")
+CSV_COLUMNS = ("epoch", *LOSS_COLUMNS, "miou", "iou_geo", "mave")
 
 
 def jsonable(value):
@@ -207,7 +208,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
     for epoch in range(settings.epochs):
         queue = MemoryQueue(config.queue_len)
         acc = MetricAccumulator(scene.class_ids, scene.foreground_class_ids)
-        sums = {"focal": 0.0, "ce": 0.0, "lovasz": 0.0, "l1_flow": 0.0, "total": 0.0}
+        sums = dict.fromkeys(LOSS_COLUMNS, 0.0)
         for fd in data:
             res = forward_frame(params, fd.features, rig, fd.pose, queue, keep_cache=True)
             value, parts, loss_grads = total_loss(res.pred, fd.truth, weights,
@@ -215,19 +216,15 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
             grads = backward_frame(params, res, fd.features, rig, loss_grads)
             opt.step(params, grads)
             queue.push(res.fused, fd.pose)
-            for k in ("focal", "ce", "lovasz", "l1_flow"):
-                sums[k] += parts[k]
-            sums["total"] += value
+            terms = dict(parts, total=value)
+            for k in LOSS_COLUMNS:
+                sums[k] += terms[k]
             occ, labels = decode_prediction(res.pred)
             acc.add_frame(labels, fd.truth.labels, occ, fd.truth.labels > 0,
                           res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)
-        n = len(data)
-        row = {"epoch": epoch}
-        row.update({k: sums[k] / n for k in ("focal", "ce", "lovasz", "l1_flow", "total")})
-        metrics = acc.result()
-        row.update({"miou": metrics["miou"], "iou_geo": metrics["iou_geo"],
-                    "mave": metrics["mave"]})
-        history.append(row)
+        row = {"epoch": epoch, **{k: sums[k] / len(data) for k in LOSS_COLUMNS},
+               **acc.result()}
+        history.append({k: row[k] for k in CSV_COLUMNS})
     if csv_path is not None:
         write_history_csv(csv_path, history)
     return params, history

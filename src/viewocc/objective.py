@@ -29,17 +29,16 @@ from .flow_annotation import BEVFlowField
 from .numerics import FLOAT, as_float_array, softmax_backward, softmax_norm
 
 LOG_EPS = 1e-12
+FOCAL_GAMMA = 2.0   # the focusing exponent of the training objective's focal term
 
 
 @dataclass
 class LossWeights:
     flow_weight: float = 1.0
-    focal_gamma: float = 2.0
     focal_alpha: float | None = 0.25
 
     def __post_init__(self):
         require(self.flow_weight >= 0.0, "flow_weight must be >= 0")
-        require(self.focal_gamma >= 0.0, "focal_gamma must be >= 0")
         if self.focal_alpha is not None:
             require(0.0 <= self.focal_alpha <= 1.0, "focal_alpha must lie in [0, 1]")
 
@@ -67,7 +66,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def focal_loss(logits: np.ndarray, labels: np.ndarray, gamma: float = 2.0,
+def focal_loss(logits: np.ndarray, labels: np.ndarray, gamma: float = FOCAL_GAMMA,
                alpha: float | None = 0.25, with_grad: bool = False):
     """Binary focal loss, mean over all elements.
 
@@ -200,12 +199,12 @@ def total_loss(pred: PredictionBundle, truth: FrameTruth, weights: LossWeights,
     occupied = truth.labels > 0
     occ_y = occupied.astype(FLOAT)
 
-    focal = focal_loss(pred.occ_logits, occ_y, weights.focal_gamma, weights.focal_alpha,
+    focal = focal_loss(pred.occ_logits, occ_y, FOCAL_GAMMA, weights.focal_alpha,
                        with_grad=with_grads)
     sem_rows = pred.sem_logits[occupied]
     sem_labels = truth.labels[occupied] - 1
     ce = cross_entropy(sem_rows, sem_labels, with_grad=with_grads)
-    probs = softmax_norm(sem_rows, axis=-1) if sem_rows.shape[0] else np.zeros_like(sem_rows)
+    probs = softmax_norm(sem_rows, axis=-1)
     ls = lovasz_softmax(probs, sem_labels, with_grad=with_grads)
     l1 = l1_flow(pred.bev_flow, truth.bev_flow, with_grad=with_grads)
 
@@ -214,10 +213,8 @@ def total_loss(pred: PredictionBundle, truth: FrameTruth, weights: LossWeights,
         ce, g_ce = ce
         ls, g_probs = ls
         l1, g_l1 = l1
-        g_sem_rows = g_ce + (softmax_backward(probs, g_probs, axis=-1)
-                             if sem_rows.shape[0] else 0.0)
         g_sem = np.zeros_like(pred.sem_logits)
-        g_sem[occupied] = g_sem_rows
+        g_sem[occupied] = g_ce + softmax_backward(probs, g_probs, axis=-1)
         grads = {"occ_logits": g_occ, "sem_logits": g_sem,
                  "bev_flow": weights.flow_weight * g_l1}
     parts = {"focal": focal, "ce": ce, "lovasz": ls, "l1_flow": l1}

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .blobio import count_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, rotation_z
@@ -151,17 +152,20 @@ class SceneSpec:
         try:
             return cls(
                 name=obj.get("name", "scene"),
-                seed=int(obj["seed"]),
-                feature_channels=int(obj["feature_channels"]),
-                classes=[SceneClass(int(c["id"]), c["name"], bool(c.get("foreground", False)))
+                seed=count_field(obj["seed"], "scene seed"),
+                feature_channels=count_field(obj["feature_channels"], "scene feature_channels"),
+                classes=[SceneClass(count_field(c["id"], "class id"), c["name"],
+                                    bool(c.get("foreground", False)))
                          for c in obj["classes"]],
                 grid=GridSpec.from_json(obj["grid"]),
                 cameras=[CameraModel.from_json(c) for c in obj["cameras"]],
                 ego_trajectory=[Pose.from_json(p) for p in obj["ego_trajectory"]],
                 frame_dt=float(obj["frame_dt"]),
-                statics=[StaticElement(int(s["category"]), s["size"], Pose.from_json(s["pose"]))
+                statics=[StaticElement(count_field(s["category"], "static category"), s["size"],
+                                       Pose.from_json(s["pose"]))
                          for s in obj.get("statics", [])],
-                boxes=[TrackedBox(int(b["track_id"]), int(b["category"]), b["size"],
+                boxes=[TrackedBox(count_field(b["track_id"], "box track_id"),
+                                  count_field(b["category"], "box category"), b["size"],
                                   {int(f): Pose.from_json(p) for f, p in b["poses"].items()})
                        for b in obj.get("boxes", [])],
                 feature_anchor=Pose.from_json(obj["feature_anchor"])
@@ -434,11 +438,9 @@ def _voxel_runs(cam: CameraModel, grid: GridSpec):
 def _feature_map(scene: SceneSpec, frame: int, cam: CameraModel, hit, hit_points,
                  class_idx) -> FeatureMap:
     data = np.zeros((cam.height * cam.width, scene.feature_channels), dtype=FLOAT)
-    if hit.any():
-        ego_pose = scene.ego_trajectory[frame]
-        world_pts = ego_pose.apply(hit_points[hit])
-        anchor_pts = scene.feature_anchor.inverse().apply(world_pts)
-        data[hit] = scene.basis().features(class_idx[hit], anchor_pts)
+    world_pts = scene.ego_trajectory[frame].apply(hit_points[hit])
+    anchor_pts = scene.feature_anchor.inverse().apply(world_pts)
+    data[hit] = scene.basis().features(class_idx[hit], anchor_pts)
     return FeatureMap(data.reshape(cam.height, cam.width, scene.feature_channels))
 
 

@@ -138,11 +138,9 @@ def init_proj_first_params(rng: np.random.Generator, channels: int, heads: int =
 
 @dataclass
 class TraceRecord:
-    """Where one query sampled: (head, point, camera) -> pixel, validity, weight."""
+    """Which (head, point, camera) samples of one query were valid."""
 
-    uv: np.ndarray        # (M, K, J, 2)
     in_view: np.ndarray   # (M, K, J) bool
-    weight: np.ndarray    # (M, K, J)
 
 
 def _feature_arrays(features, params):
@@ -363,24 +361,20 @@ def view_attn_forward(ctx: QueryContext, params: AttnParams, features, rig,
     """Single-query learning-first attention; returns (out, TraceRecord)."""
     out, cache = attn_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
                                     params, features, rig, mode, keep_cache=True)
-    trace = TraceRecord(uv=cache["uv"][0], in_view=cache["valid"][0],
-                        weight=(cache["attn"] * cache["valid"])[0])
-    return out[0], trace
+    return out[0], TraceRecord(in_view=cache["valid"][0])
 
 
 def view_attn_backward(ctx: QueryContext, params: AttnParams, features, rig,
-                       upstream: np.ndarray, mode: str = "one-dof",
-                       want_feature_grads: bool = True) -> dict:
+                       upstream: np.ndarray, mode: str = "one-dof") -> dict:
     """Gradients of sum(upstream * out) w.r.t. parameters, query, and features."""
     _, cache = attn_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
                                   params, features, rig, mode, keep_cache=True)
     grads, g_queries, feature_grads = attn_backward_batch(
         cache, params, features, rig, np.asarray(upstream, dtype=FLOAT)[None, :],
-        want_feature_grads=want_feature_grads)
+        want_feature_grads=True)
     grads["query"] = g_queries[0]
-    if want_feature_grads:
-        for ji, g in enumerate(feature_grads):
-            grads[f"features.{ji}"] = g
+    for ji, g in enumerate(feature_grads):
+        grads[f"features.{ji}"] = g
     return grads
 
 
@@ -445,17 +439,10 @@ def projection_first_forward(ctx: QueryContext, params: AttnParams, features, ri
     """Single-query projection-first baseline; returns (out, TraceRecord)."""
     out, cache = proj_first_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
                                           params, features, rig, keep_cache=True)
-    trace = TraceRecord(uv=cache["uv"][0], in_view=cache["valid"][0],
-                        weight=(cache["attn"] * cache["valid"])[0])
-    return out[0], trace
+    return out[0], TraceRecord(in_view=cache["valid"][0])
 
 
 def camera_coverage(p, rig) -> int:
     """Number of rig cameras in which point p is visible."""
     p = as_float_array(p, shape=(3,), name="p")
     return int(project_rig(rig, p)[2].sum())
-
-
-def batch_valid_camera_counts(cache: dict) -> np.ndarray:
-    """Per-query number of cameras holding at least one valid sample."""
-    return np.any(cache["valid"], axis=(1, 2)).sum(axis=1)

@@ -1,11 +1,12 @@
 """Shared test utilities: finite differences, tolerance helpers, the dense
-reference ray march and the single-camera and single-point references."""
+reference ray march, the single-point view rotation and the single-camera
+and single-point references."""
 
 import numpy as np
 
-from viewocc.errors import require
+from viewocc.errors import ContractViolation, require
 from viewocc.flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
-from viewocc.geometry import _DEPTH_EPS, CameraModel
+from viewocc.geometry import _DEPTH_EPS, CameraModel, rotation_z
 from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_many
 from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec
 
@@ -63,6 +64,39 @@ def check_grad_array(fn, arr: np.ndarray, grad: np.ndarray, rng: np.random.Gener
 # One camera or one point at a time, as the production code was first
 # written; the batched versions (geometry.project_rig, project_rig_jacobian,
 # numerics.bilinear_many, the render) must agree with them.
+
+
+def altitude_rotation(phi: float) -> np.ndarray:
+    """Rotation about y that lifts the x-axis toward +z by phi."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]], dtype=FLOAT)
+
+
+def view_angle(p) -> float:
+    """Azimuth of p in (-pi, pi]; the origin maps to 0."""
+    p = np.asarray(p, dtype=FLOAT)
+    theta = float(np.arctan2(p[..., 1], p[..., 0]))
+    if theta <= -np.pi:
+        theta = np.pi
+    return theta
+
+
+def altitude_angle(p) -> float:
+    """Altitude of p in [-pi/2, pi/2]; zero anywhere on the z = 0 plane except poles."""
+    p = np.asarray(p, dtype=FLOAT)
+    return float(np.arctan2(p[..., 2], np.hypot(p[..., 0], p[..., 1])))
+
+
+def view_rotation(p, mode: str) -> np.ndarray:
+    """Single-point reference for `geometry.view_rotations`: the rotation
+    applied to offsets at reference point p for the given mode."""
+    if mode == "one-dof":
+        return rotation_z(view_angle(p))
+    if mode == "two-dof":
+        return rotation_z(view_angle(p)) @ altitude_rotation(altitude_angle(p))
+    if mode == "ego":
+        return np.eye(3, dtype=FLOAT)
+    raise ContractViolation(f"unknown view-coordinate mode: {mode!r}")
 
 
 def project_points(cam: CameraModel, points: np.ndarray):

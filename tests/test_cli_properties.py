@@ -300,3 +300,54 @@ def test_every_call_rereads_its_scene_file(tmp_path):
     assert any(not np.array_equal(before[name], after[name]) for name in before)
     for j, fmap in enumerate(want):
         np.testing.assert_array_equal(after[f"cam.{j}"], fmap.data)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("grid", "shape", 0), 4.5, "GridSpec.shape"),
+    (("cameras", 0, "image_size", 0), 48.9, "CameraModel.image_size"),
+    (("seed",), 7.9, "seed"),
+    (("seed",), True, "seed"),
+    (("classes", 0, "id"), 1.5, "class id"),
+    (("feature_channels",), 16.5, "feature_channels"),
+    (("statics", 0, "category"), 1.5, "static category"),
+    (("boxes", 0, "track_id"), 0.5, "box track_id"),
+    (("boxes", 0, "category"), 3.5, "box category"),
+])
+def test_non_integer_count_in_a_scene_file_exits_2_naming_the_field(tmp_path, path, value,
+                                                                    field):
+    # int() would truncate each of these to a valid count
+    scene = preset_scene("stream").to_json()
+    *parents, key = path
+    node = scene
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for command in ("coverage", "gen-flow"):
+        code, err = _run([command, "--scene", tmp_path / "scene.json"])
+        assert code == 2, (command, err)
+        assert field in json.loads(err)["error"], (command, err)
+
+
+@pytest.mark.parametrize("field, value", [("heads", 2.5), ("layers", 1.9), ("points", True),
+                                          ("grid_shape", [3, 10.2, 10])])
+def test_non_integer_count_in_a_params_header_exits_2_naming_the_field(inputs, tmp_path,
+                                                                       field, value):
+    shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
+    header = json.loads((inputs / "model.json").read_text())
+    header["meta"]["config"][field] = value
+    (tmp_path / "model.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", tmp_path / "model",
+                      "--frames", "0"])
+    assert code == 2, err
+    assert field in json.loads(err)["error"], err
+
+
+def test_gen_flow_on_a_scene_without_boxes_reports_zero_speed(tmp_path, capsys):
+    scene = preset_scene("stream").to_json()
+    scene["boxes"] = []
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    assert cli_main(["gen-flow", "--scene", str(tmp_path / "scene.json"), "--frame", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["occupied_voxels"] == 0
+    assert float(report["max_speed"]) == 0.0

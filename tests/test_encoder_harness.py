@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from viewocc import harness
+from viewocc import cli, harness
 from viewocc.cli import main as cli_main
 from viewocc.encoder import (ModelConfig, MomentumSGD, _to_columns, _to_voxels, backward_frame,
                              forward_frame, init_model, load_params, save_params, zero_grads)
@@ -349,6 +349,21 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert cli_main(["coverage", "--scene", str(scene_path)]) == 0
     cov = json.loads(capsys.readouterr().out)
     assert 0.0 <= float(cov["fraction_multi"]) <= 1.0
+
+
+def test_cli_train_prepares_the_frames_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(scene, frames=None):
+        calls.append(frames)
+        return prepare_frames(scene, frames)
+
+    # counted wherever a preparation may start: the command and the harness
+    monkeypatch.setattr(cli, "prepare_frames", counted)
+    monkeypatch.setattr(harness, "prepare_frames", counted)
+    assert cli_main(["train", "--scene", "training", "--epochs", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["evaluation"]["frames"]) == 3
+    assert calls == [None]
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):

@@ -176,6 +176,20 @@ def test_total_loss_gradients_match_fd():
     check_grad_array(value, pred.bev_flow, grads["bev_flow"], rng, tol=1e-5)
 
 
+@pytest.mark.parametrize("with_grads", [False, True])
+def test_total_loss_without_an_occupied_voxel_has_no_semantic_terms(with_grads):
+    # the semantic terms then run over zero rows, with no float fault
+    pred, truth = _tiny_problem()
+    truth.labels[:] = 0
+    with np.errstate(all="raise"):
+        value, parts, *grads = total_loss(pred, truth, LossWeights(), with_grads=with_grads)
+    assert parts["ce"] == 0.0 and parts["lovasz"] == 0.0
+    assert value == parts["focal"] + parts["l1_flow"]
+    if with_grads:
+        g_sem = grads[0]["sem_logits"]
+        assert g_sem.shape == pred.sem_logits.shape and not g_sem.any()
+
+
 # --- metrics -----------------------------------------------------------------
 
 

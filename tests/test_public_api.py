@@ -7,7 +7,9 @@ from pathlib import Path
 import viewocc
 
 PACKAGE = Path(viewocc.__file__).resolve().parent
-SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SELFTEST = PERFBENCH / "selftest.py"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _reads(tree: ast.AST) -> set:
@@ -32,14 +34,28 @@ def _reads(tree: ast.AST) -> set:
     return found
 
 
+def _read_by(paths) -> set:
+    return set().union(*(_reads(ast.parse(path.read_text())) for path in paths))
+
+
 def test_every_export_has_a_caller_in_the_package():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = [alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    used = set().union(*(_reads(ast.parse(path.read_text()))
-                         for path in PACKAGE.glob("*.py") if path.name != "__init__.py"))
+    used = _read_by(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     unused = [name for name in exported if name not in used]
     assert not unused, f"exported from viewocc but never used inside it: {unused}"
+
+
+def test_every_top_level_definition_has_a_reader():
+    # a def or class must be read in the package outside its own body, or by
+    # the acceptance suite or the benchmark; test-only code lives in tests/
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = _read_by(modules) | _read_by([ACCEPTANCE]) | _read_by(PERFBENCH.glob("*.py"))
+    unread = [f"{path.stem}.{node.name}" for path in modules
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
+    assert not unread, f"defined in viewocc but read nowhere: {unread}"
 
 
 def test_benchmark_selftest_passes(tmp_path):

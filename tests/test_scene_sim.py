@@ -547,6 +547,19 @@ def _cube(center, edge=1.0):
     return StaticElement(2, (edge, edge, edge), Pose(np.eye(3), center))
 
 
+def test_observe_and_render_of_a_camera_that_hits_nothing():
+    mount = 0.75
+    scene = _small_scene(0.4, mount, 60.0, 9, 5, [_cube((-2.0, 0.0, mount))])
+    hit, _, _, _ = _march(scene, scene.elements_in_frame(0), *_ray_grid(scene.cameras[0]))
+    assert not hit.any()                                   # the one cube is behind it
+    with np.errstate(all="raise"):
+        (features,), seen = observe(scene, 0)
+        rendered, = render_all_cameras(scene, 0)
+    assert not features.data.any() and not rendered.data.any()
+    assert seen.any()                                      # its free steps still count
+    _assert_observe_matches_dense(scene, 0)
+
+
 def test_march_skips_an_element_behind_the_camera(monkeypatch):
     mount = 0.75
     scene = _small_scene(0.4, mount, 60.0, 9, 5,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewocc.errors import ContractViolation
-from viewocc.geometry import CameraModel, Pose, view_rotation
+from viewocc.geometry import CameraModel, Pose
 from viewocc.numerics import FeatureMap
 from viewocc.view_attention import (AttnParams, QueryContext, attn_backward_batch,
                                     attn_forward_batch, camera_coverage, init_proj_first_params,
@@ -10,7 +10,7 @@ from viewocc.view_attention import (AttnParams, QueryContext, attn_backward_batc
                                     proj_first_forward_batch, projection_first_forward,
                                     star_bias, view_attn_forward)
 
-from helpers import bilinear_sample, check_grad_array, pinhole_project
+from helpers import bilinear_sample, check_grad_array, pinhole_project, view_rotation
 
 AXES = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
