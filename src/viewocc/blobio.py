@@ -66,6 +66,28 @@ def count_field(value, name: str) -> int:
     return value
 
 
+def number_field(value, name: str) -> float:
+    """`value` as a float when it is a finite JSON number; otherwise a
+    ContractViolation naming the field, so a file's true or "0.5" is never
+    coerced to a number."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:           # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ContractViolation(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def flag_field(value, name: str) -> bool:
+    """`value` when it is a JSON boolean; otherwise a ContractViolation naming
+    the field, so a file's "no" is never read as true."""
+    if not isinstance(value, bool):
+        raise ContractViolation(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _read_array(raw: bytes, name: str, spec) -> np.ndarray:
     """One array of a blob, once its header entry is shown to fit the data."""
     spec = spec if isinstance(spec, dict) else {}
@@ -96,7 +118,9 @@ def read_blob(prefix):
         with open(json_path) as fh:
             header = json.load(fh)
         raw = bin_path.read_bytes()
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError also covers bytes that are not UTF-8 and integers too long
+    # to convert, which json raises outside JSONDecodeError
+    except (OSError, ValueError) as exc:
         raise ContractViolation(f"read_blob: cannot read {prefix}: {exc}") from exc
     specs = header.get("arrays") if isinstance(header, dict) else None
     if not isinstance(specs, dict):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blobio import count_field
+from .blobio import count_field, number_field
 from .errors import ContractViolation, require
 from .geometry import Pose, in_box
 from .numerics import FLOAT, as_float_array
@@ -62,7 +62,7 @@ class GridSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "GridSpec":
         return cls(tuple(count_field(n, "GridSpec.shape") for n in obj["shape"]),
-                   float(obj["pitch"]), obj["origin"])
+                   number_field(obj["pitch"], "GridSpec.pitch"), obj["origin"])
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blobio import count_field
+from .blobio import count_field, number_field
 from .errors import ContractViolation, require
 from .numerics import FLOAT, as_float_array, bilinear_valid
 
@@ -179,8 +179,8 @@ class CameraModel:
     def from_json(cls, obj: dict) -> "CameraModel":
         k = obj["intrinsics"]
         width, height = (count_field(n, "CameraModel.image_size") for n in obj["image_size"])
-        return cls(fx=float(k["fx"]), fy=float(k["fy"]), cx=float(k["cx"]), cy=float(k["cy"]),
-                   width=width, height=height,
+        fx, fy, cx, cy = (number_field(k[n], f"CameraModel.{n}") for n in ("fx", "fy", "cx", "cy"))
+        return cls(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
                    extrinsics=Pose.from_json(obj["extrinsics"]), name=obj.get("name", ""))
 
 

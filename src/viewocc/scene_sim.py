@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .blobio import count_field
+from .blobio import count_field, flag_field, number_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, rotation_z
@@ -155,17 +155,19 @@ class SceneSpec:
                 seed=count_field(obj["seed"], "scene seed"),
                 feature_channels=count_field(obj["feature_channels"], "scene feature_channels"),
                 classes=[SceneClass(count_field(c["id"], "class id"), c["name"],
-                                    bool(c.get("foreground", False)))
+                                    flag_field(c.get("foreground", False), "class foreground"))
                          for c in obj["classes"]],
                 grid=GridSpec.from_json(obj["grid"]),
                 cameras=[CameraModel.from_json(c) for c in obj["cameras"]],
                 ego_trajectory=[Pose.from_json(p) for p in obj["ego_trajectory"]],
-                frame_dt=float(obj["frame_dt"]),
-                statics=[StaticElement(count_field(s["category"], "static category"), s["size"],
+                frame_dt=number_field(obj["frame_dt"], "scene frame_dt"),
+                statics=[StaticElement(count_field(s["category"], "static category"),
+                                       [number_field(x, "static size") for x in s["size"]],
                                        Pose.from_json(s["pose"]))
                          for s in obj.get("statics", [])],
                 boxes=[TrackedBox(count_field(b["track_id"], "box track_id"),
-                                  count_field(b["category"], "box category"), b["size"],
+                                  count_field(b["category"], "box category"),
+                                  [number_field(x, "box size") for x in b["size"]],
                                   {int(f): Pose.from_json(p) for f, p in b["poses"].items()})
                        for b in obj.get("boxes", [])],
                 feature_anchor=Pose.from_json(obj["feature_anchor"])
@@ -192,7 +194,7 @@ def load_scene(path) -> SceneSpec:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:        # as in blobio.read_blob
         raise ContractViolation(f"cannot read scene file {path}: {exc}") from exc
     return SceneSpec.from_json(obj)
 
@@ -231,19 +233,20 @@ _TABLE_CACHE_SIZE = 32
 _tables: OrderedDict = OrderedDict()
 
 
-def _cached(key, build):
-    """The tuple of arrays cached under `key`, made read-only; `build()`
-    makes it on a miss."""
-    table = _tables.get(key)
+def _cached(key, build, store: OrderedDict = _tables, size: int = _TABLE_CACHE_SIZE):
+    """The tuple of arrays cached in `store` under `key`, made read-only;
+    `build()` makes it on a miss. `store` keeps the `size` most recently
+    used entries."""
+    table = store.get(key)
     if table is None:
         table = build()
         for arr in table:
             arr.flags.writeable = False
-        _tables[key] = table
-        if len(_tables) > _TABLE_CACHE_SIZE:
-            _tables.popitem(last=False)
+        store[key] = table
+        if len(store) > size:
+            store.popitem(last=False)
     else:
-        _tables.move_to_end(key)
+        store.move_to_end(key)
     return table
 
 

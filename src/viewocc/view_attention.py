@@ -19,14 +19,19 @@ view-frame rotation.
 
 Both strategies, and the temporal fusion in `temporal_stream`, differ only in
 where they sample and how they weight; the aggregation itself is one sparse,
-value-first core, `deform_aggregate`. It value-maps every source pixel once,
-then gathers only the valid (query, head, point, source) samples, so no
-per-sample feature array is ever built for the invalid majority.
+value-first core in two steps. The plan (`plan_samples`) fixes the valid
+(query, head, point, source) samples, their bilinear corners and weights;
+the read (`read_plan`) value-maps every source pixel once, then gathers only
+those samples, so no per-sample feature array is ever built for the invalid
+majority. The plan depends on the queries but not on the features, so a
+forward without a cache reuses it from a small cache keyed by value.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .errors import require
 from .geometry import project_rig, project_rig_jacobian, view_rotations
 from .numerics import (FLOAT, AffineMap, FeatureMap, as_float_array, bilinear_valid,
                        corner_indices, softmax_backward, softmax_norm)
+from .scene_sim import _cached, _camera_key
 
 
 @dataclass
@@ -164,7 +170,8 @@ def _stacked_maps(maps):
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, D) sums of the (E, D) rows by their target index (E,)."""
     d = rows.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    # in int64: an int32 index times D need not fit int32
+    flat = (np.multiply(index[:, None], d, dtype=np.int64) + np.arange(d)).reshape(-1)
     return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
 
 
@@ -173,37 +180,38 @@ def _pixel_table(maps) -> np.ndarray:
     return np.concatenate([f.reshape(-1, f.shape[2]) for f in maps])
 
 
-def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
-                     value_maps, output_maps):
-    """The deformable aggregation every attention layer shares.
+class SamplingPlan(NamedTuple):
+    """What a deformable aggregation fixes before it reads any feature: its E
+    valid (query, head, point, source) samples in flat order. Index arrays
+    are int32 where they fit."""
+
+    index: np.ndarray    # (E,) flat position in the (Q, M, K, J) samples
+    rows: np.ndarray     # (4, E) pixel-table rows of the bilinear corners
+    weights: np.ndarray  # (4, E) bilinear corner weights
+    fx: np.ndarray       # (E,) fractional position past the lower corner
+    fy: np.ndarray
+    attn: np.ndarray     # (E,) attention weight
+    group: np.ndarray    # (E,) output row: query * M + head
+    head: np.ndarray     # (E,)
+
+
+def plan_samples(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, shapes):
+    """The sampling plan of attention weights and pixel locations.
 
     attn, u, v: (Q, M, K, J) weight and pixel location of sample k of head m
     in source map j; mask broadcasts to them and marks the samples the caller
-    allows. maps: J arrays (H_j, W_j, C); value_maps (c_v x C) and output_maps
-    (C_out x c_v) hold one AffineMap per head. A sample is valid where the
-    mask allows it and (u, v) lies in its map; with s its bilinear read,
-
-        out[q] = sum_m [ W_m ( sum_{k,j valid} attn * (W'_m s + b'_m) ) + b_m ]
-
-    Invalid samples contribute nothing. Returns (out (Q, C_out), cache); the
-    cache holds the boolean (Q, M, K, J) "valid" mask and what the backward
-    pass needs.
+    allows; shapes: the J source maps' (H_j, W_j, ...) shapes. A sample is
+    valid where the mask allows it and (u, v) lies in its map. Returns
+    (plan, the boolean (Q, M, K, J) valid mask).
     """
-    heights = np.array([f.shape[0] for f in maps])
-    widths = np.array([f.shape[1] for f in maps])
+    heights = np.array([s[0] for s in shapes])
+    widths = np.array([s[1] for s in shapes])
     valid = mask & bilinear_valid(u, v, heights, widths)
-    nq, m, k, j = valid.shape
-    w_v, b_v = _stacked_maps(value_maps)
-    w_o, b_o = _stacked_maps(output_maps)
-    c_v = w_v.shape[1]
-    # The bilinear weights of a valid sample sum to 1, so value-mapping every
-    # pixel once and then sampling equals value-mapping every sample.
-    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T + b_v.reshape(-1)
-    table = table.reshape(-1, c_v)                 # row = pixel * M + head
-
+    _, m, k, j = valid.shape
+    fits = max(valid.size, int(heights @ widths) * m) < 2**31
+    itype = np.int32 if fits else np.int64
     idx = np.flatnonzero(valid)
     src = idx % j
-    head = idx // (k * j) % m
     x0, y0, x1, y1, fx, fy = corner_indices(u[valid], v[valid], heights[src], widths[src])
     base = np.concatenate(([0], np.cumsum(heights * widths)[:-1]))[src]
     width = widths[src]
@@ -211,16 +219,72 @@ def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
                             y1 * width + x0, y1 * width + x1])      # (4, E) pixels
     weights = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy])
-    corners = table[rows * m + head]                                 # (4, E, c_v)
-    samples = np.einsum("ce,cev->ev", weights, corners)
     group = idx // (k * j)                                           # q * M + m
-    head_out = _scatter_rows(group, attn[valid][:, None] * samples, nq * m)
+    plan = SamplingPlan(idx.astype(itype), rows.astype(itype), weights, fx, fy, attn[valid],
+                        group.astype(itype), (group % m).astype(itype))
+    return plan, valid
+
+
+def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
+    """Read the features through a plan of Q queries.
+
+    maps: J arrays (H_j, W_j, C); value_maps (c_v x C) and output_maps
+    (C_out x c_v) hold one AffineMap per head. With s the bilinear read of a
+    valid sample,
+
+        out[q] = sum_m [ W_m ( sum_{k,j valid} attn * (W'_m s + b'_m) ) + b_m ]
+
+    Returns (out (Q, C_out), the corners' value rows (4, E, c_v), the
+    per-head sums (Q, M, c_v)).
+    """
+    m = len(value_maps)
+    w_v, b_v = _stacked_maps(value_maps)
+    w_o, b_o = _stacked_maps(output_maps)
+    c_v = w_v.shape[1]
+    # The bilinear weights of a valid sample sum to 1, so value-mapping every
+    # pixel once and then sampling equals value-mapping every sample.
+    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T + b_v.reshape(-1)
+    table = table.reshape(-1, c_v)                 # row = pixel * M + head
+    corners = table[plan.rows * m + plan.head]                       # (4, E, c_v)
+    samples = np.einsum("ce,cev->ev", plan.weights, corners)
+    head_out = _scatter_rows(plan.group, plan.attn[:, None] * samples, nq * m)
     head_out = head_out.reshape(nq, m, c_v)
     out = np.einsum("qmv,mcv->qc", head_out, w_o, optimize=True) + b_o.sum(axis=0)
-    cache = {"attn": attn, "valid": valid, "head": head, "group": group, "rows": rows,
-             "weights": weights, "fx": fx, "fy": fy, "corners": corners,
+    return out, corners, head_out
+
+
+def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
+                     value_maps, output_maps):
+    """The deformable aggregation every attention layer shares: a fresh plan
+    (`plan_samples`), then its read (`read_plan`). Invalid samples contribute
+    nothing. Returns (out (Q, C_out), cache); the cache holds the plan, the
+    dense attention weights, the boolean (Q, M, K, J) "valid" mask and what
+    the backward pass needs.
+    """
+    plan, valid = plan_samples(attn, mask, u, v, [f.shape for f in maps])
+    out, corners, head_out = read_plan(plan, valid.shape[0], maps, value_maps, output_maps)
+    cache = {"plan": plan, "attn": attn, "valid": valid, "corners": corners,
              "head_out": head_out}
     return out, cache
+
+
+# At most this many sampling plans stay cached per process, apart from the
+# ray tables; the least recently used goes first. A model of up to this many
+# layers keeps its first layer's plan while deeper layers miss every frame.
+_PLAN_CACHE_SIZE = 4
+_plans: OrderedDict = OrderedDict()
+
+
+def _cached_plan(kind: tuple, queries, refs, params: AttnParams, rig, shapes, build):
+    """`build()`'s tuple of arrays, cached by the values it depends on: the
+    queries, refs, offset and logit heads, the rig and the feature-map
+    shapes. Value and output maps and feature values are not in the key."""
+    key = (kind, params.heads, params.points, queries.shape, queries.tobytes(), refs.shape,
+           refs.tobytes(), params.offset_head.weight.tobytes(),
+           params.offset_head.bias.tobytes(), params.logit_head.weight.tobytes(),
+           params.logit_head.bias.tobytes(), tuple(shapes),
+           tuple(_camera_key(cam) for cam in rig))
+    return _cached(key, build, _plans, _PLAN_CACHE_SIZE)
 
 
 def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
@@ -232,7 +296,8 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
     map gradients when asked for, else None.
     """
-    valid, head = cache["valid"], cache["head"]
+    plan, valid = cache["plan"], cache["valid"]
+    head = plan.head
     nq, m = valid.shape[:2]
     w_v, _ = _stacked_maps(value_maps)
     w_o, _ = _stacked_maps(output_maps)
@@ -240,13 +305,13 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     g_out = np.asarray(g_out, dtype=FLOAT)
 
     g_head = np.einsum("qc,mcv->qmv", g_out, w_o, optimize=True).reshape(nq * m, c_v)
-    g_head = g_head[cache["group"]]                                  # (E, c_v)
-    a = cache["attn"][valid]
+    g_head = g_head[plan.group]                                      # (E, c_v)
+    a = plan.attn
     dots = np.einsum("cev,ev->ce", cache["corners"], g_head)        # (4, E)
     d00, d10, d01, d11 = dots
-    fx, fy = cache["fx"], cache["fy"]
+    fx, fy = plan.fx, plan.fy
     per_sample = {
-        "attn": np.einsum("ce,ce->e", cache["weights"], dots),
+        "attn": np.einsum("ce,ce->e", plan.weights, dots),
         "u": a * ((1.0 - fy) * (d10 - d00) + fy * (d11 - d01)),
         "v": a * ((1.0 - fx) * (d01 - d00) + fx * (d11 - d10)),
     }
@@ -258,7 +323,7 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
 
     g_value = a[:, None] * g_head
     pixels = _pixel_table(maps)
-    raw = np.einsum("ce,cek->ek", cache["weights"], pixels[cache["rows"]])  # (E, C)
+    raw = np.einsum("ce,cek->ek", plan.weights, pixels[plan.rows])  # (E, C)
     by_head = [head == i for i in range(m)]
     grads["value_w"] = np.stack([g_value[h].T @ raw[h] for h in by_head])
     grads["value_b"] = np.stack([g_value[h].sum(axis=0) for h in by_head])
@@ -268,8 +333,8 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     if want_map_grads:
         # corner-weighted g_value scattered onto the (pixel, head) grid, then
         # through the value maps
-        weighted = cache["weights"][..., None] * g_value             # (4, E, c_v)
-        grid = _scatter_rows((cache["rows"] * m + head).reshape(-1),
+        weighted = plan.weights[..., None] * g_value                 # (4, E, c_v)
+        grid = _scatter_rows((plan.rows * m + head).reshape(-1),
                              weighted.reshape(-1, c_v), pixels.shape[0] * m)
         g_pixels = grid.reshape(-1, m * c_v) @ w_v.reshape(m * c_v, -1)
         ends = np.cumsum([f.shape[0] * f.shape[1] for f in maps])[:-1]
@@ -295,37 +360,50 @@ def _param_grads(params: AttnParams, queries: np.ndarray, g_off_flat: np.ndarray
     return grads, g_queries, g["maps"]
 
 
+def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig, mode: str):
+    """Learning-first attention weights (Q, M, K, J), view rotations (Q, 3, 3)
+    and `project_rig` of the sample points (uv, camera-frame points, in_view)."""
+    nq = queries.shape[0]
+    m, k, j = params.heads, params.points, params.cameras
+    off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
+    offsets = off_flat.reshape(nq, m, k, 3)
+    logit_flat = queries @ params.logit_head.weight.T + params.logit_head.bias
+    attn = softmax_norm(logit_flat.reshape(nq, m, k * j), axis=-1).reshape(nq, m, k, j)
+    rot = view_rotations(refs, mode)
+    sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets, optimize=True)
+    return attn, rot, project_rig(rig, sample_pts)                   # (Q, M, K, J, ...)
+
+
 def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
                        features, rig, mode: str = "one-dof", keep_cache: bool = False):
     """Vectorized learning-first forward over Q queries.
 
     Returns (out (Q, C), cache). The cache holds every intermediate needed by
-    attn_backward_batch and by trace extraction.
+    attn_backward_batch and by trace extraction. Without a cache the sampling
+    plan comes from the plan cache, so a stream of frames builds it once.
     """
     fdata = _feature_arrays(features, params)
     require(params.offset_dim == 3, "learning-first attention needs 3-d offsets")
     require(len(rig) == params.cameras, "rig size does not match params.cameras")
     queries = np.asarray(queries, dtype=FLOAT)
     refs = np.asarray(refs, dtype=FLOAT)
-    nq = queries.shape[0]
-    m, k, j = params.heads, params.points, params.cameras
+    shapes = [f.shape for f in fdata]
 
-    off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
-    offsets = off_flat.reshape(nq, m, k, 3)
-    logit_flat = queries @ params.logit_head.weight.T + params.logit_head.bias
-    attn = softmax_norm(logit_flat.reshape(nq, m, k * j), axis=-1).reshape(nq, m, k, j)
+    if not keep_cache:
+        def build():
+            attn, _, (uv, _, in_view) = _view_samples(queries, refs, params, rig, mode)
+            return plan_samples(attn, in_view, uv[..., 0], uv[..., 1], shapes)[0]
+        plan = _cached_plan(("view-attn", mode), queries, refs, params, rig, shapes, build)
+        out, _, _ = read_plan(plan, queries.shape[0], fdata, params.value_maps,
+                              params.output_maps)
+        return out, None
 
-    rot = view_rotations(refs, mode)
-    sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets, optimize=True)
-    uv, cam_pts, in_view = project_rig(rig, sample_pts)              # (Q, M, K, J, ...)
+    attn, rot, (uv, cam_pts, in_view) = _view_samples(queries, refs, params, rig, mode)
     # the Jacobian needs the camera-frame points of valid samples only, which
     # are in view: keep those, and not the dense array, through the aggregation
     cam_pts = cam_pts[in_view]
-
     out, cache = deform_aggregate(attn, in_view, uv[..., 0], uv[..., 1], fdata,
                                   params.value_maps, params.output_maps)
-    if not keep_cache:
-        return out, None
     cache.update(queries=queries, uv=uv, cam_pts=cam_pts[cache["valid"][in_view]], rot=rot)
     return out, cache
 
@@ -344,7 +422,7 @@ def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
     valid = cache["valid"]
     nq, m, k, j = valid.shape
 
-    idx = np.flatnonzero(valid)
+    idx = cache["plan"].index
     jac = project_rig_jacobian(rig, cache["cam_pts"], idx % j)       # (E, 2, 3)
     g_pts = _scatter_rows(idx // j, jac[:, 0, :] * g["u"][valid][:, None]
                           + jac[:, 1, :] * g["v"][valid][:, None], nq * m * k)
@@ -378,22 +456,12 @@ def view_attn_backward(ctx: QueryContext, params: AttnParams, features, rig,
     return grads
 
 
-def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
-                             features, rig, keep_cache: bool = False):
-    """Vectorized projection-first baseline forward.
-
-    The reference point is projected per camera; invisible cameras are skipped
-    entirely and the softmax runs over the (point, visible camera) set. A
-    query visible nowhere returns an exact zero vector.
-    """
-    fdata = _feature_arrays(features, params)
-    require(params.offset_dim == 2, "projection-first attention needs 2-d pixel offsets")
-    require(len(rig) == params.cameras, "rig size does not match params.cameras")
-    queries = np.asarray(queries, dtype=FLOAT)
-    refs = np.asarray(refs, dtype=FLOAT)
+def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig):
+    """Projection-first attention weights (Q, M, K, J), the visible-camera
+    mask they are taken over (Q, M, K, J), the pixel locations (Q, M, K, J, 2)
+    and whether each query is visible anywhere (Q,)."""
     nq = queries.shape[0]
     m, k, j = params.heads, params.points, params.cameras
-
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
     offsets = off_flat.reshape(nq, m, k, 2)
     logits = queries @ params.logit_head.weight.T + params.logit_head.bias
@@ -405,17 +473,43 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
     masked = np.where(mask, logits.reshape(nq, m, k, j), -np.inf)
     attn = softmax_norm(masked.reshape(nq, m, k * j)).reshape(nq, m, k, j)
 
-    # (Q, M, K, J, 2): reference pixel per camera plus the shared 2-d offset
+    # reference pixel per camera plus the shared 2-d offset
     uv = ref_uv[:, None, None, :, :] + offsets[:, :, :, None, :]
+    return attn, mask, uv, cam_vis.any(axis=1)
+
+
+def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
+                             features, rig, keep_cache: bool = False):
+    """Vectorized projection-first baseline forward.
+
+    The reference point is projected per camera; invisible cameras are skipped
+    entirely and the softmax runs over the (point, visible camera) set. A
+    query visible nowhere returns an exact zero vector. Without a cache the
+    sampling plan comes from the plan cache, as in `attn_forward_batch`.
+    """
+    fdata = _feature_arrays(features, params)
+    require(params.offset_dim == 2, "projection-first attention needs 2-d pixel offsets")
+    require(len(rig) == params.cameras, "rig size does not match params.cameras")
+    queries = np.asarray(queries, dtype=FLOAT)
+    refs = np.asarray(refs, dtype=FLOAT)
+    shapes = [f.shape for f in fdata]
+
+    if not keep_cache:
+        def build():
+            attn, mask, uv, any_vis = _proj_first_samples(queries, refs, params, rig)
+            return (*plan_samples(attn, mask, uv[..., 0], uv[..., 1], shapes)[0], any_vis)
+        *plan, any_vis = _cached_plan(("proj-first",), queries, refs, params, rig, shapes,
+                                      build)
+        out, _, _ = read_plan(SamplingPlan(*plan), queries.shape[0], fdata,
+                              params.value_maps, params.output_maps)
+        return np.where(any_vis[:, None], out, 0.0), None
+
+    attn, mask, uv, any_vis = _proj_first_samples(queries, refs, params, rig)
     out, cache = deform_aggregate(attn, mask, uv[..., 0], uv[..., 1], fdata,
                                   params.value_maps, params.output_maps)
-    any_vis = cam_vis.any(axis=1)
-    out = np.where(any_vis[:, None], out, 0.0)
-    if not keep_cache:
-        return out, None
     # "sample_ok" is the name the benchmark's tracer reads the valid mask by
     cache.update(queries=queries, uv=uv, sample_ok=cache["valid"], any_vis=any_vis)
-    return out, cache
+    return np.where(any_vis[:, None], out, 0.0), cache
 
 
 def proj_first_backward_batch(cache: dict, params: AttnParams, features, rig,

@@ -329,6 +329,56 @@ def test_non_integer_count_in_a_scene_file_exits_2_naming_the_field(tmp_path, pa
         assert field in json.loads(err)["error"], (command, err)
 
 
+NON_NUMBERS = [
+    (("frame_dt",), True, "frame_dt"),
+    (("frame_dt",), "0.5", "frame_dt"),
+    (("frame_dt",), 10**400, "frame_dt"),
+    (("grid", "pitch"), True, "GridSpec.pitch"),
+    (("grid", "pitch"), "0.4", "GridSpec.pitch"),
+    (("cameras", 0, "intrinsics", "fx"), True, "CameraModel.fx"),
+    (("cameras", 3, "intrinsics", "cy"), "17.5", "CameraModel.cy"),
+    (("statics", 0, "size"), [True, True, True], "static size"),
+    (("boxes", 0, "size", 1), "1.0", "box size"),
+    (("classes", 0, "foreground"), "no", "class foreground"),
+    (("classes", 2, "foreground"), 1, "class foreground"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", NON_NUMBERS,
+                         ids=[".".join(map(str, p)) + ("=10**400" if v == 10**400 else f"={v!r}")
+                              for p, v, _ in NON_NUMBERS])
+def test_non_number_in_a_scene_file_exits_2_naming_the_field(tmp_path, path, value, field):
+    # float() and bool() would coerce each of these to a valid value
+    scene = preset_scene("stream").to_json()
+    *parents, key = path
+    node = scene
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for argv in (["gen-flow", "--frame", "1"], ["coverage"]):
+        code, err = _run(argv + ["--scene", tmp_path / "scene.json"])
+        assert code == 2, (argv, err)
+        assert field in json.loads(err)["error"], (argv, err)
+
+
+@pytest.mark.parametrize("target", ["scene", "params header"])
+@pytest.mark.parametrize("fault", ["5000-digit integer", "bytes that are not UTF-8"])
+def test_unreadable_json_exits_2_with_one_json_error(inputs, tmp_path, target, fault):
+    # json raises both outside JSONDecodeError
+    shutil.copy(inputs / "scene.json", tmp_path / "scene.json")
+    shutil.copy(inputs / "model.json", tmp_path / "model.json")
+    shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
+    path = tmp_path / ("scene.json" if target == "scene" else "model.json")
+    body = path.read_bytes()[1:]        # both files are one JSON object
+    extra = b'"big": ' + b"1" * 5000 if fault == "5000-digit integer" else b'"bad": "\xff"'
+    path.write_bytes(b"{" + extra + b", " + body)
+    code, err = _run(["eval", "--scene", tmp_path / "scene.json", "--params", tmp_path / "model",
+                      "--frames", "0"])
+    assert code == 2, err
+    assert "cannot read" in json.loads(err)["error"], err
+
+
 @pytest.mark.parametrize("field, value", [("heads", 2.5), ("layers", 1.9), ("points", True),
                                           ("grid_shape", [3, 10.2, 10])])
 def test_non_integer_count_in_a_params_header_exits_2_naming_the_field(inputs, tmp_path,
