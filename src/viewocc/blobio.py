@@ -80,6 +80,17 @@ def number_field(value, name: str) -> float:
     return float(value)
 
 
+def number_entries(values, name: str):
+    """`values`, once each of its entries is a JSON number by `number_field`'s
+    rule: a boolean, a string or an integer beyond the float range is a
+    ContractViolation naming the field. A non-finite float passes, so that
+    the caller's array check reports it."""
+    for value in values:
+        if type(value) is not float:
+            number_field(value, name)
+    return values
+
+
 def flag_field(value, name: str) -> bool:
     """`value` when it is a JSON boolean; otherwise a ContractViolation naming
     the field, so a file's "no" is never read as true."""

@@ -162,6 +162,15 @@ def init_model(rng: np.random.Generator, config: ModelConfig, n_cameras: int) ->
                        occ_head, sem_head, flow_head)
 
 
+class _NoDraws:
+    """Stands in for a Generator where only the shapes of `init_model`'s
+    arrays matter: every draw is zeros."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 def save_params(prefix, params: ModelParams) -> None:
     blobio.write_blob(prefix, params.as_dict(), {"config": params.config.to_json()})
 
@@ -175,7 +184,7 @@ def load_params(prefix) -> ModelParams:
     require(logits is not None and logits.ndim == 2,
             "parameter blob is missing the 2-d array 'layers.0.logit_head.weight'")
     n_cameras = logits.shape[0] // (config.heads * config.points)
-    params = init_model(np.random.default_rng(0), config, n_cameras)
+    params = init_model(_NoDraws(), config, n_cameras)     # a template, overwritten below
     for name, target in params.arrays():
         if name not in arrays:
             raise ContractViolation(f"parameter blob is missing array {name!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blobio import count_field, number_field
+from .blobio import count_field, number_entries, number_field
 from .errors import ContractViolation, require
 from .geometry import Pose, in_box
 from .numerics import FLOAT, as_float_array
@@ -62,7 +62,8 @@ class GridSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "GridSpec":
         return cls(tuple(count_field(n, "GridSpec.shape") for n in obj["shape"]),
-                   number_field(obj["pitch"], "GridSpec.pitch"), obj["origin"])
+                   number_field(obj["pitch"], "GridSpec.pitch"),
+                   number_entries(obj["origin"], "GridSpec.origin"))
 
 
 @dataclass

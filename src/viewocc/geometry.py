@@ -23,23 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blobio import count_field, number_field
+from .blobio import count_field, number_entries, number_field
 from .errors import ContractViolation, require
 from .numerics import FLOAT, as_float_array, bilinear_valid
 
 ROTATION_TOL = 1e-9
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
-def _check_rotation(rot: np.ndarray) -> None:
-    err = np.abs(rot @ rot.T - np.eye(3)).max()
-    if err > ROTATION_TOL:
-        raise ContractViolation(f"rotation is not orthonormal (max deviation {err:.3e})")
-    # the determinant of an orthonormal matrix is +-1, so the cofactor
-    # expansion on Python floats has np.linalg.det's sign at a fraction of
-    # its call cost
-    (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
-    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
-        raise ContractViolation("rotation has negative determinant (reflection)")
+def _check_rotations(rots: np.ndarray) -> None:
+    """Raise for the first of the finite matrices rots (N, 3, 3) that is not
+    a rotation: not orthonormal within ROTATION_TOL, or a reflection."""
+    errs = np.abs(rots @ rots.transpose(0, 2, 1) - _IDENTITY).max(axis=(1, 2))
+    for err, ((a, b, c), (d, e, f), (g, h, i)) in zip(errs.tolist(), rots.tolist()):
+        if err > ROTATION_TOL:
+            raise ContractViolation(f"rotation is not orthonormal (max deviation {err:.3e})")
+        # the determinant of an orthonormal matrix is +-1, so the cofactor
+        # expansion on Python floats has np.linalg.det's sign at a fraction of
+        # its call cost
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
+            raise ContractViolation("rotation has negative determinant (reflection)")
 
 
 @dataclass
@@ -52,7 +56,14 @@ class Pose:
     def __post_init__(self):
         self.rotation = as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation")
         self.translation = as_float_array(self.translation, shape=(3,), name="Pose.translation")
-        _check_rotation(self.rotation)
+        _check_rotations(self.rotation[None])
+
+    @classmethod
+    def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """A pose of float arrays that have passed __post_init__'s checks."""
+        pose = object.__new__(cls)
+        pose.rotation, pose.translation = rotation, translation
+        return pose
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -84,12 +95,52 @@ class Pose:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pose":
-        # one conversion; __post_init__ checks it, and a rotation of the wrong
-        # size reports a non-finite entry before the failed reshape
-        rot = np.asarray(obj["rotation"], dtype=FLOAT)
-        if rot.size != 9:
-            as_float_array(rot, name="Pose.rotation")
-        return cls(rot.reshape(3, 3), obj["translation"])
+        """`poses_from_json` of one pose."""
+        return poses_from_json([obj])[0]
+
+
+def _pose_numbers(obj: dict):
+    """The rotation (9 entries) and translation (3) lists of one JSON pose,
+    checked in this order: the rotation's entries (`blobio.number_entries`);
+    its size, a non-finite entry reported first; the translation's entries;
+    finite rotation entries; the translation's size; finite translation
+    entries. `poses_from_json` then tests the rotations."""
+    rot = number_entries(obj["rotation"], "Pose.rotation")
+    if len(rot) != 9:
+        as_float_array(rot, name="Pose.rotation")
+        np.asarray(rot, dtype=FLOAT).reshape(3, 3)      # raises the size's ValueError
+    trans = number_entries(obj["translation"], "Pose.translation")
+    if not (all(map(math.isfinite, rot)) and len(trans) == 3
+            and all(map(math.isfinite, trans))):
+        as_float_array(rot, name="Pose.rotation")
+        as_float_array(trans, shape=(3,), name="Pose.translation")
+    return rot, trans
+
+
+def poses_from_json(objs) -> list:
+    """The `Pose`s of the JSON poses `objs`, checked in one pass.
+
+    Each pose's numbers are checked by `_pose_numbers`, and then one stacked
+    test finds the first rotation that is not orthonormal or is a reflection.
+    The error raised is the first fault of the first bad pose, the one that
+    building the poses one at a time raises. The poses are then built
+    without a second check.
+    """
+    rots, trans, fault = [], [], None
+    for obj in objs:
+        try:
+            rot, tr = _pose_numbers(obj)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            fault = exc                 # raised once the poses before it pass
+            break
+        rots.append(rot)
+        trans.append(tr)
+    rot = np.array(rots, dtype=FLOAT).reshape(-1, 3, 3)
+    _check_rotations(rot)
+    if fault is not None:
+        raise fault
+    tr = np.array(trans, dtype=FLOAT).reshape(-1, 3)
+    return [Pose._checked(r, t) for r, t in zip(rot, tr)]
 
 
 def in_box(pose: Pose, size: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .blobio import count_field, flag_field, number_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
-from .geometry import CameraModel, Pose, in_box, rotation_z
+from .geometry import CameraModel, Pose, in_box, poses_from_json, rotation_z
 from .numerics import FLOAT, FeatureMap, as_float_array
 
 RAY_STEP_FRACTION = 0.25  # step length as a fraction of the grid pitch
@@ -159,7 +159,7 @@ class SceneSpec:
                          for c in obj["classes"]],
                 grid=GridSpec.from_json(obj["grid"]),
                 cameras=[CameraModel.from_json(c) for c in obj["cameras"]],
-                ego_trajectory=[Pose.from_json(p) for p in obj["ego_trajectory"]],
+                ego_trajectory=poses_from_json(obj["ego_trajectory"]),
                 frame_dt=number_field(obj["frame_dt"], "scene frame_dt"),
                 statics=[StaticElement(count_field(s["category"], "static category"),
                                        [number_field(x, "static size") for x in s["size"]],
@@ -168,13 +168,24 @@ class SceneSpec:
                 boxes=[TrackedBox(count_field(b["track_id"], "box track_id"),
                                   count_field(b["category"], "box category"),
                                   [number_field(x, "box size") for x in b["size"]],
-                                  {int(f): Pose.from_json(p) for f, p in b["poses"].items()})
+                                  _box_poses(b["poses"]))
                        for b in obj.get("boxes", [])],
                 feature_anchor=Pose.from_json(obj["feature_anchor"])
                 if "feature_anchor" in obj else Pose.identity(),
             )
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed scene description: {exc}") from exc
+
+
+def _box_poses(obj: dict) -> dict:
+    """A box's {frame: Pose} from its JSON table. A key must name a frame
+    as `to_json` writes it, str(frame) with frame >= 0, so that "01" cannot
+    stand in for frame 1; the poses are read in one pass."""
+    for key in obj.keys():
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
+            raise ContractViolation("box frame key must be a non-negative integer without "
+                                    f"leading zeros, got {key!r}")
+    return dict(zip(map(int, obj.keys()), poses_from_json(obj.values())))
 
 
 def save_scene(path, scene: SceneSpec) -> None:
@@ -365,12 +376,17 @@ def _march(scene: SceneSpec, elements, origin, dirs):
     within its bounding sphere before the last step (`_rays_near`); an
     element behind the camera or beyond the march range keeps none and is
     skipped. A slab test in the element's local frame then bounds the steps
-    of the kept rays that can fall inside it; only those before the ray's
-    current first hit are built (origin + ts[i]*dirs[p]) and tested with the
-    element's own contains, so every output equals the march over all rays
-    and steps. The element that last lowers a ray's first hit owns it and
-    gives its class: an earlier element holding that point would have set
-    it already, as its window covered the step and the first hit only falls.
+    of the kept rays that can fall inside it, a window that ends at the ray's
+    current first hit. The window is walked from its start in chunks of 3,
+    6, 12, ... steps: each chunk's points (origin + ts[i]*dirs[p]) are built
+    and tested with the element's own contains, and a ray leaves the walk at
+    its first inside step or when its window runs out. A ray that enters the
+    element is inside within a step or two of its window's start, so most
+    rays leave after the first chunk. Steps are tested in ascending order, so
+    every output equals the march over all rays and steps. The element that
+    last lowers a ray's first hit owns it and gives its class: an earlier
+    element holding that point would have set it already, as its window
+    covered the step and the first hit only falls.
 
     Returns (hit (P,), first (P,), hit_points_ego (P, 3), hit_class_index (P,))
     where P = width*height in row-major pixel order, first is the hit's step
@@ -388,13 +404,22 @@ def _march(scene: SceneSpec, elements, origin, dirs):
             continue
         lo, hi = _slab_steps((origin - trans) @ rot, dirs[rays] @ rot, box.size / 2.0, step,
                              n_steps)
-        k, i = _window(lo, np.minimum(hi, first[rays]))
-        ray = rays[k]
-        inside = box.contains(origin + ts[i, None] * dirs[ray])
-        ray, i = ray[inside], i[inside]
-        lead = np.flatnonzero(np.diff(ray, prepend=-1))   # each ray's earliest step
-        first[ray[lead]] = i[lead]
-        class_idx[ray[lead]] = scene.class_ids.index(box.category)
+        hi = np.minimum(hi, first[rays])
+        cls = scene.class_ids.index(box.category)
+        chunk = 3
+        while rays.size:
+            end = np.minimum(lo + chunk, hi)
+            k, i = _window(lo, end)
+            ray = rays[k]
+            inside = box.contains(origin + ts[i, None] * dirs[ray])
+            ray, i = ray[inside], i[inside]
+            lead = np.flatnonzero(np.diff(ray, prepend=-1))   # each ray's earliest step
+            first[ray[lead]] = i[lead]
+            class_idx[ray[lead]] = cls
+            walking = end < hi
+            walking[k[inside]] = False
+            rays, lo, hi = rays[walking], end[walking], hi[walking]
+            chunk *= 2
 
     hit = first < n_steps
     hit_points = origin[None, :] + ts[np.minimum(first, n_steps - 1), None] * dirs

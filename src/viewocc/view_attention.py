@@ -234,7 +234,8 @@ def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
 
         out[q] = sum_m [ W_m ( sum_{k,j valid} attn * (W'_m s + b'_m) ) + b_m ]
 
-    Returns (out (Q, C_out), the corners' value rows (4, E, c_v), the
+    Returns (out (Q, C_out), the value-mapped pixel table (sum H*W * M, c_v)
+    whose row pixel * M + head holds a pixel's value under that head, the
     per-head sums (Q, M, c_v)).
     """
     m = len(value_maps)
@@ -250,7 +251,7 @@ def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
     head_out = _scatter_rows(plan.group, plan.attn[:, None] * samples, nq * m)
     head_out = head_out.reshape(nq, m, c_v)
     out = np.einsum("qmv,mcv->qc", head_out, w_o, optimize=True) + b_o.sum(axis=0)
-    return out, corners, head_out
+    return out, table, head_out
 
 
 def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
@@ -262,9 +263,8 @@ def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
     the backward pass needs.
     """
     plan, valid = plan_samples(attn, mask, u, v, [f.shape for f in maps])
-    out, corners, head_out = read_plan(plan, valid.shape[0], maps, value_maps, output_maps)
-    cache = {"plan": plan, "attn": attn, "valid": valid, "corners": corners,
-             "head_out": head_out}
+    out, table, head_out = read_plan(plan, valid.shape[0], maps, value_maps, output_maps)
+    cache = {"plan": plan, "attn": attn, "valid": valid, "table": table, "head_out": head_out}
     return out, cache
 
 
@@ -307,7 +307,8 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     g_head = np.einsum("qc,mcv->qmv", g_out, w_o, optimize=True).reshape(nq * m, c_v)
     g_head = g_head[plan.group]                                      # (E, c_v)
     a = plan.attn
-    dots = np.einsum("cev,ev->ce", cache["corners"], g_head)        # (4, E)
+    # each corner's value rows, gathered from the table again
+    dots = np.einsum("cev,ev->ce", cache["table"][plan.rows * m + head], g_head)   # (4, E)
     d00, d10, d01, d11 = dots
     fx, fy = plan.fx, plan.fy
     per_sample = {

@@ -1,12 +1,13 @@
 """Shared test utilities: finite differences, tolerance helpers, the dense
-reference ray march, the single-point view rotation and the single-camera
-and single-point references."""
+reference ray march, the one-pose-at-a-time pose reader, the single-point
+view rotation and the single-camera and single-point references."""
 
 import numpy as np
 
 from viewocc.errors import ContractViolation, require
 from viewocc.flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
-from viewocc.geometry import _DEPTH_EPS, CameraModel, rotation_z
+from viewocc.blobio import number_entries
+from viewocc.geometry import _DEPTH_EPS, CameraModel, Pose, rotation_z
 from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_many
 from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec
 
@@ -288,6 +289,20 @@ def dense_observe(scene, frame: int):
         idx = idx[ok]
         observed[idx[:, 2], idx[:, 1], idx[:, 0]] = True
     return features, observed
+
+
+# --- pose reader reference -----------------------------------------------------
+
+
+def pose_from_json_reference(obj: dict) -> Pose:
+    """geometry.Pose.from_json as first written, one pose at a time, with each
+    entry held to `blobio.number_entries` as it is looked up: the rotation
+    converted, a wrongly sized one checked for non-finite entries before its
+    reshape, then the translation, then `Pose`'s own checks."""
+    rot = np.asarray(number_entries(obj["rotation"], "Pose.rotation"), dtype=FLOAT)
+    if rot.size != 9:
+        as_float_array(rot, name="Pose.rotation")
+    return Pose(rot.reshape(3, 3), number_entries(obj["translation"], "Pose.translation"))
 
 
 # --- ground-truth reference ----------------------------------------------------

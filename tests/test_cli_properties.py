@@ -362,6 +362,66 @@ def test_non_number_in_a_scene_file_exits_2_naming_the_field(tmp_path, path, val
         assert field in json.loads(err)["error"], (argv, err)
 
 
+POSE_AND_ORIGIN_NON_NUMBERS = [
+    (("ego_trajectory", 3, "translation", 0), True, "Pose.translation"),
+    (("ego_trajectory", 0, "translation", 1), "1", "Pose.translation"),
+    (("ego_trajectory", 5, "rotation", 4), 10**400, "Pose.rotation"),
+    (("statics", 0, "pose", "translation", 0), True, "Pose.translation"),
+    (("statics", 2, "pose", "rotation", 8), "1", "Pose.rotation"),
+    (("boxes", 0, "poses", "1", "translation", 2), 10**400, "Pose.translation"),
+    (("boxes", 0, "poses", "0", "rotation", 0), True, "Pose.rotation"),
+    (("cameras", 2, "extrinsics", "translation", 1), 10**400, "Pose.translation"),
+    (("feature_anchor", "translation", 0), "0", "Pose.translation"),
+    (("grid", "origin", 0), True, "GridSpec.origin"),
+    (("grid", "origin", 2), "1", "GridSpec.origin"),
+    (("grid", "origin", 1), 10**400, "GridSpec.origin"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, field", POSE_AND_ORIGIN_NON_NUMBERS,
+    ids=[".".join(map(str, p)) + ("=10**400" if v == 10**400 else f"={v!r}")
+         for p, v, _ in POSE_AND_ORIGIN_NON_NUMBERS])
+def test_non_number_in_a_pose_or_the_grid_origin_exits_2_naming_the_field(tmp_path, path,
+                                                                          value, field):
+    # np.asarray would coerce true and "1" to 1.0, and overflow on 10**400
+    scene = preset_scene("stream").to_json()
+    *parents, key = path
+    node = scene
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    code, err = _run(["gen-flow", "--frame", "1", "--scene", tmp_path / "scene.json"])
+    assert code == 2, err
+    assert field in json.loads(err)["error"], err
+
+
+@pytest.mark.parametrize("key", ["01", "-3"])
+def test_box_frame_key_not_written_as_a_frame_number_exits_2(tmp_path, key):
+    # "01" used to replace frame 1's pose, and "-3" to load as frame -3
+    scene = preset_scene("stream").to_json()
+    poses = scene["boxes"][0]["poses"]
+    poses[key] = poses["4"]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    code, err = _run(["gen-flow", "--frame", "1", "--scene", tmp_path / "scene.json"])
+    assert code == 2, err
+    assert "box frame key" in json.loads(err)["error"], err
+
+
+@pytest.mark.parametrize("value", [True, "1", 10**400], ids=["true", "'1'", "10**400"])
+def test_non_number_in_a_queue_pose_exits_2_naming_the_field(inputs, tmp_path, value):
+    # 10**400 used to escape as an OverflowError traceback
+    shutil.copy(inputs / "queue.bin", tmp_path / "queue.bin")
+    header = json.loads((inputs / "queue.json").read_text())
+    header["meta"]["poses"][0]["translation"][0] = value
+    (tmp_path / "queue.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", inputs / "model",
+                      "--frames", "1", "--queue-in", tmp_path / "queue"])
+    assert code == 2, err
+    assert "Pose.translation" in json.loads(err)["error"], err
+
+
 @pytest.mark.parametrize("target", ["scene", "params header"])
 @pytest.mark.parametrize("fault", ["5000-digit integer", "bytes that are not UTF-8"])
 def test_unreadable_json_exits_2_with_one_json_error(inputs, tmp_path, target, fault):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from viewocc.scene_sim import (RAY_STEP_FRACTION, SceneClass, SceneSpec, StaticE
                                with_feature_channels, _grid_steps, _march, _ray_grid,
                                _ray_steps, _slab_steps, _voxel_runs)
 
-from helpers import (box_membership, dense_march, dense_observe, grid_points, project_points,
+from helpers import (box_membership, dense_march, dense_observe, grid_points,
+                     pose_from_json_reference, project_points,
                      ray_grid_reference, scene_ground_truth_reference, slab_steps_reference,
                      surface_feature)
 
@@ -663,3 +665,194 @@ def test_march_keeps_rays_that_graze_a_bounding_sphere_at_a_corner():
             exact = np.sqrt(to_center @ to_center - (np.linalg.norm(box.size) / 2.0) ** 2)
             unmargined_misses += bool(dirs[p] @ to_center < exact)
     assert graze_hits >= 10 and unmargined_misses >= 1, (graze_hits, unmargined_misses)
+
+
+# --- the march's chunked walk of each window ------------------------------------
+
+
+def _march_with_windows(monkeypatch, scene, widen: bool):
+    """`_march` of the scene's first camera at frame 0, its windows from the
+    slab test or, with `widen`, the whole march range of every kept ray:
+    the loosest window that holds every inside step."""
+    if widen:
+        def whole(origin, dirs, half, step, n_steps):
+            rays = dirs.shape[0]
+            return np.zeros(rays, dtype=np.int64), np.full(rays, n_steps, dtype=np.int64)
+        monkeypatch.setattr(scene_sim, "_slab_steps", whole)
+    out = _march(scene, scene.elements_in_frame(0), *_ray_grid(scene.cameras[0]))
+    monkeypatch.undo()
+    return out
+
+
+def _assert_equals_dense(scene, marched):
+    hit, first, hit_points, class_idx = marched
+    ref_hit, ref_points, ref_class, _, before_hit = dense_march(scene, 0, scene.cameras[0])
+    assert hit.tobytes() == ref_hit.tobytes()
+    assert first.tobytes() == before_hit.sum(axis=1).astype(np.int64).tobytes()
+    assert hit_points.tobytes() == ref_points.tobytes()
+    assert class_idx.tobytes() == ref_class.tobytes()
+
+
+def test_march_walks_past_the_first_chunk_to_a_shallow_hit_on_the_ground(monkeypatch):
+    # from step 0, the stream ground slab's shallow rays are first inside
+    # after the chunks of 3, 6 and 12 steps
+    scene = preset_scene("stream", seed=4)
+    marched = _march_with_windows(monkeypatch, scene, widen=True)
+    _assert_equals_dense(scene, marched)
+    hit, first, _, class_idx = marched
+    ground = scene.class_ids.index(1)
+    assert (first[hit & (class_idx == ground)] >= 3 + 6 + 12).any()
+    assert not hit.all()                # rays that walk the whole range and miss
+
+
+def test_march_on_windows_that_end_without_a_hit(monkeypatch):
+    # a plate thinner than a step with its faces between two step points: the
+    # forward ray's slab window is not empty, yet no step point is inside
+    mount, pitch = 0.75, 0.4
+    step = pitch * RAY_STEP_FRACTION
+    plate = StaticElement(2, (0.2 * step, 2.0, 2.0), Pose(np.eye(3), (10.5 * step, 0.0, mount)))
+    wall = StaticElement(2, (0.2, 4.0, 2.0), Pose(np.eye(3), (3.0, 0.0, mount)))
+    scene = _small_scene(pitch, mount, 60.0, 9, 5, [plate, wall])
+    origin, dirs = _ray_grid(scene.cameras[0])
+    centre = 2 * 9 + 4                                    # the forward ray
+    lo, hi = _slab_steps(origin - plate.pose.translation, dirs[centre:centre + 1],
+                         plate.size / 2.0, step, _ray_steps(scene.grid)[1].size)
+    assert hi[0] > lo[0]
+    for widen in (False, True):
+        marched = _march_with_windows(monkeypatch, scene, widen)
+        _assert_equals_dense(scene, marched)
+        hit, _, _, class_idx = marched
+        assert hit[centre] and class_idx[centre] == 1    # the wall behind the gap
+        assert not plate.contains(marched[2][centre][None, :])[0]
+
+
+def test_march_on_windows_capped_by_an_earlier_elements_hit(monkeypatch):
+    # a box on a ground slab: the box comes first, and the rays it stops
+    # would reach the ground behind it, past their cap
+    mount, pitch = 0.75, 0.4
+    ground = StaticElement(1, (8.0, 4.0, 0.2), Pose(np.eye(3), (4.0, 0.0, -0.1)))
+    box = TrackedBox(1, 3, (0.5, 0.5, 0.5), {0: Pose(np.eye(3), (2.0, 0.0, 0.25))})
+    scene = _small_scene(pitch, mount, 60.0, 9, 5, [ground], [box])
+    origin, dirs = _ray_grid(scene.cameras[0])
+    _, ts = _ray_steps(scene.grid)
+    for widen in (False, True):
+        marched = _march_with_windows(monkeypatch, scene, widen)
+        _assert_equals_dense(scene, marched)
+        hit, first, _, class_idx = marched
+        stopped = np.flatnonzero(hit & (class_idx == scene.class_ids.index(3)))
+        beyond = [ground.contains(origin + ts[first[p]:, None] * dirs[p]).any() for p in stopped]
+        assert any(beyond)
+
+
+# --- pose lists read in one pass ------------------------------------------------
+
+
+def _faulty(kind: str, pose: dict) -> dict:
+    rot, trans = list(pose["rotation"]), list(pose["translation"])
+    if kind == "nan":
+        rot[4] = float("nan")
+    elif kind == "nan-translation":
+        trans[2] = float("nan")
+    elif kind == "wrong-size":
+        rot = rot[:8]
+    elif kind == "short-translation":
+        trans = trans[:2]
+    elif kind == "non-orthonormal":
+        rot = [2.0 * x for x in rot]
+    elif kind == "reflection":
+        rot = rot[3:6] + rot[:3] + rot[6:]                # two rows swapped
+    elif kind == "true":
+        trans[0] = True
+    elif kind == "huge-integer":
+        rot[0] = 10**400
+    return {"rotation": rot, "translation": trans}
+
+
+POSE_FAULTS = ("nan", "nan-translation", "wrong-size", "short-translation", "non-orthonormal",
+               "reflection", "true", "huge-integer")
+
+
+def _pose_list(obj: dict, where: str) -> list:
+    """The JSON poses of the ego trajectory or of the stream box, in order."""
+    if where == "ego_trajectory":
+        return obj["ego_trajectory"]
+    return list(obj["boxes"][0]["poses"].values())
+
+
+def _with_poses(obj: dict, where: str, poses: list) -> dict:
+    obj = json.loads(json.dumps(obj))
+    if where == "ego_trajectory":
+        obj["ego_trajectory"] = poses
+    else:
+        table = obj["boxes"][0]["poses"]
+        obj["boxes"][0]["poses"] = dict(zip(table, poses))
+    return obj
+
+
+def _one_at_a_time_error(poses: list) -> str:
+    """The scene loader's message for the first pose that reading the poses
+    one at a time refuses."""
+    try:
+        for pose in poses:
+            pose_from_json_reference(pose)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        return f"malformed scene description: {exc}"
+    raise AssertionError("no pose is refused")
+
+
+def _load_error(obj: dict) -> str:
+    with pytest.raises(ContractViolation) as info:
+        SceneSpec.from_json(obj)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("where", ["ego_trajectory", "boxes"])
+def test_pose_lists_read_in_one_pass_equal_poses_read_one_at_a_time(where):
+    obj = preset_scene("stream", seed=4).to_json()
+    raw = _pose_list(obj, where)
+    scene = SceneSpec.from_json(obj)
+    got = scene.ego_trajectory if where == "ego_trajectory" else list(scene.boxes[0].poses.values())
+    assert len(got) == len(raw) == 12
+    for pose, want in zip(got, map(pose_from_json_reference, raw)):
+        assert pose.rotation.tobytes() == want.rotation.tobytes()
+        assert pose.translation.tobytes() == want.translation.tobytes()
+
+
+@pytest.mark.parametrize("where", ["ego_trajectory", "boxes"])
+@pytest.mark.parametrize("kind", POSE_FAULTS)
+def test_a_bad_pose_in_a_list_gives_the_one_at_a_time_message(where, kind):
+    obj = preset_scene("stream", seed=4).to_json()
+    raw = _pose_list(obj, where)
+    for k in (0, 5, len(raw) - 1):
+        poses = list(raw)
+        poses[k] = _faulty(kind, raw[k])
+        want = _one_at_a_time_error(poses)
+        if kind in ("true", "huge-integer"):        # refused, not coerced or overflowing
+            assert "must be a finite number" in want
+        assert _load_error(_with_poses(obj, where, poses)) == want, (k, want)
+
+
+@pytest.mark.parametrize("where", ["ego_trajectory", "boxes"])
+def test_the_first_of_two_bad_poses_gives_the_message(where):
+    # a fault found per pose (size, type, finiteness) and one found by the
+    # stacked rotation test, in either order
+    obj = preset_scene("stream", seed=4).to_json()
+    raw = _pose_list(obj, where)
+    for early in POSE_FAULTS:
+        for late in POSE_FAULTS:
+            poses = list(raw)
+            poses[2] = _faulty(early, raw[2])
+            poses[7] = _faulty(late, raw[7])
+            want = _one_at_a_time_error(poses)
+            assert want == _one_at_a_time_error(poses[:3])      # pose 2's fault
+            assert _load_error(_with_poses(obj, where, poses)) == want, (early, late)
+
+
+@pytest.mark.parametrize("key", ["01", "-3", "1.0", " 1", "x", "", "١"])
+def test_a_box_frame_key_must_be_written_as_to_json_writes_it(key):
+    obj = preset_scene("stream", seed=4).to_json()
+    table = obj["boxes"][0]["poses"]
+    table[key] = table["1"]
+    assert "box frame key" in _load_error(obj)
+    del table[key]
+    assert sorted(SceneSpec.from_json(obj).boxes[0].poses) == list(range(12))
