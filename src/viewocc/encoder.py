@@ -63,14 +63,6 @@ class ModelConfig:
     mode: str = "one-dof"
 
     def __post_init__(self):
-        try:
-            self.grid_shape = tuple(int(x) for x in self.grid_shape)
-            self.origin = tuple(float(x) for x in self.origin)
-            self.pitch = float(self.pitch)
-            for name in _COUNT_FIELDS:
-                setattr(self, name, int(getattr(self, name)))
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation(f"malformed model config: {exc}") from exc
         require(len(self.grid_shape) == 3 and min(self.grid_shape) >= 1 and len(self.origin) == 3,
                 "grid needs a 3-d shape of counts >= 1 and a 3-d origin")
         require(self.method in METHODS, f"method must be one of {METHODS}")
@@ -102,8 +94,12 @@ class ModelConfig:
             for name in _COUNT_FIELDS:
                 if name in kwargs:
                     blobio.count_field(kwargs[name], f"model config {name}")
-            for n in kwargs.get("grid_shape", ()):
-                blobio.count_field(n, "model config grid_shape")
+            if "pitch" in kwargs:
+                kwargs["pitch"] = blobio.number_field(kwargs["pitch"], "model config pitch")
+            for name, check in (("grid_shape", blobio.count_field),
+                                ("origin", blobio.number_field)):
+                if name in kwargs:
+                    kwargs[name] = tuple(check(x, f"model config {name}") for x in kwargs[name])
             return cls(**kwargs)
         except TypeError as exc:
             raise ContractViolation(f"malformed model config: {exc}") from exc

@@ -60,7 +60,7 @@ class Pose:
 
     @classmethod
     def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
-        """A pose of float arrays that have passed __post_init__'s checks."""
+        """A pose of checked arrays: read by poses_from_json, or derived by compose and inverse."""
         pose = object.__new__(cls)
         pose.rotation, pose.translation = rotation, translation
         return pose
@@ -80,12 +80,12 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """self after other: (self.compose(other)).apply(p) == self.apply(other.apply(p))."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
+        return Pose._checked(self.rotation @ other.rotation,
+                             self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "Pose":
         rot_t = self.rotation.T
-        return Pose(rot_t, -rot_t @ self.translation)
+        return Pose._checked(rot_t, -rot_t @ self.translation)
 
     def to_json(self) -> dict:
         return {

@@ -197,6 +197,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
     it; by default the frames are prepared here.
     """
     require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
+    require(settings.seed >= 0, f"seed must be >= 0, got {settings.seed}")
     _check_geometry(scene, config)
     if data is None:
         data = prepare_frames(scene)

@@ -102,14 +102,17 @@ def load_queue(prefix) -> MemoryQueue:
     require(isinstance(poses, list) and len(poses) == count,
             f"queue blob {prefix} needs a meta.poses list of {count!r} poses")
     layout = meta.get("layout")
-    require(count == 0 or isinstance(layout, dict),
-            f"queue blob {prefix} has no meta.layout table")
+    require(count == 0 or isinstance(layout, dict) and isinstance(layout.get("origin"), list),
+            f"queue blob {prefix} has no meta.layout table with an origin list")
     queue = MemoryQueue(capacity)
+    if count:       # an empty queue is saved without a layout
+        pitch = blobio.number_field(layout.get("pitch"), f"queue blob {prefix} layout pitch")
+        origin = blobio.number_entries(layout["origin"], f"queue blob {prefix} layout origin")
     for i in range(count):
         name = f"bev.{i:04d}"
         require(name in arrays, f"queue blob {prefix} is missing array {name!r}")
         try:
-            bev = BEVGrid(arrays[name], float(layout["pitch"]), layout["origin"])
+            bev = BEVGrid(arrays[name], pitch, origin)
             pose = Pose.from_json(poses[i])
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed queue entry {i} in {prefix}: {exc}") from exc

@@ -509,7 +509,7 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
     out, cache = deform_aggregate(attn, mask, uv[..., 0], uv[..., 1], fdata,
                                   params.value_maps, params.output_maps)
     # "sample_ok" is the name the benchmark's tracer reads the valid mask by
-    cache.update(queries=queries, uv=uv, sample_ok=cache["valid"], any_vis=any_vis)
+    cache.update(queries=queries, sample_ok=cache["valid"], any_vis=any_vis)
     return np.where(any_vis[:, None], out, 0.0), cache
 
 

@@ -394,6 +394,15 @@ def test_cli_rejects_zero_epochs(tmp_path, capsys, command):
     assert "epochs" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, command):
+    scene_path = tmp_path / "scene.json"
+    save_scene(scene_path, preset_scene("training"))
+    assert cli_main([command, "--scene", str(scene_path), "--preset", "small",
+                     "--epochs", "1", "--seed", "-1"]) == 2
+    assert "seed" in json.loads(capsys.readouterr().err)["error"]
+
+
 def _truncate_bin(prefix):
     path = prefix.with_name(prefix.name + ".bin")
     path.write_bytes(path.read_bytes()[:100])
@@ -431,6 +440,8 @@ _HEADER_FAULTS = {
     "no-logit-head": lambda h: h["arrays"].pop("layers.0.logit_head.weight"),
     "list-meta": lambda h: h.update(meta=[h["meta"]]),
     "zero-heads": lambda h: h["meta"]["config"].update(heads=0),
+    "string-pitch": lambda h: h["meta"]["config"].update(pitch="0.4"),
+    "string-origin-entry": lambda h: h["meta"]["config"]["origin"].__setitem__(0, "-4"),
 }
 
 
@@ -453,6 +464,8 @@ _QUEUE_FAULTS = {
     "no-poses": lambda h: h["meta"].pop("poses"),
     "no-layout": lambda h: h["meta"].pop("layout"),
     "missing-bev-array": lambda h: h["arrays"].pop("bev.0000"),
+    "string-pitch": lambda h: h["meta"]["layout"].update(pitch="0.4"),
+    "string-origin": lambda h: h["meta"]["layout"].update(origin=["-4", "-4"]),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewocc import geometry
 from viewocc.errors import ContractViolation
 from viewocc.geometry import (CameraModel, Pose, project_rig, project_rig_jacobian,
                               relative_pose, rotation_z, view_rotations)
@@ -60,6 +61,34 @@ def test_pose_from_json_reports_a_non_finite_rotation_before_its_size():
             Pose.from_json({"rotation": rotation, "translation": [0, 0, 0]})
     with pytest.raises(ValueError, match="reshape"):
         Pose.from_json({"rotation": [1.0] * 8, "translation": [0, 0, 0]})
+
+
+def test_compose_and_inverse_of_checked_poses_run_no_check(monkeypatch):
+    # each pose deviates 0.9e-9 from orthonormal, within ROTATION_TOL; the
+    # product of one with the other's inverse deviates 1.8e-9, past it
+    a = Pose(rotation_z(0.3) + 0.45e-9 * np.eye(3), (1.0, -2.0, 0.5))
+    b = Pose(rotation_z(-1.1) + 0.45e-9 * np.eye(3), (0.2, 0.4, -0.1))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_check_rotations", "as_float_array"):
+        monkeypatch.setattr(geometry, name, counted(getattr(geometry, name)))
+    for got, rot, trans in ((a.compose(b), a.rotation @ b.rotation,
+                             a.rotation @ b.translation + a.translation),
+                            (a.inverse(), a.rotation.T, -a.rotation.T @ a.translation),
+                            (a.inverse().compose(b), a.rotation.T @ b.rotation,
+                             a.rotation.T @ (b.translation - a.translation))):
+        assert isinstance(got, Pose)
+        np.testing.assert_allclose(got.rotation, rot, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.translation, trans, rtol=0, atol=1e-15)
+    assert calls == []
+    drift = a.inverse().compose(b).rotation
+    assert np.abs(drift @ drift.T - np.eye(3)).max() > geometry.ROTATION_TOL
 
 
 @given(st.floats(-np.pi, np.pi), finite_coord, finite_coord, finite_coord)

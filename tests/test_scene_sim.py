@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewocc import scene_sim
+from viewocc.cli import main as cli_main
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import GridSpec, TrackedBox
 from viewocc.geometry import Pose
@@ -245,6 +246,30 @@ def test_observe_is_byte_equal_to_dense_march(preset, seed):
                 assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
                 assert got.data.tobytes() == want.data.tobytes(), f"frame {frame} cam {j}"
         assert seen.tobytes() == ref_seen.tobytes(), f"frame {frame} visibility"
+
+
+def test_poses_within_tolerance_render_although_their_products_drift_past_it(tmp_path):
+    # 0.45e-9 * I added to a z-rotation deviates 0.9e-9 from orthonormal, so
+    # both poses load; ego^-1 o static in elements_in_frame deviates 1.8e-9
+    scene = preset_scene("stream", seed=7).to_json()
+    for pose in (scene["ego_trajectory"][1], scene["statics"][1]["pose"]):
+        for k in (0, 4, 8):
+            pose["rotation"][k] += 0.45e-9
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for argv in (["render", "--out", str(tmp_path / "r")], ["gen-flow"]):
+        assert cli_main(argv + ["--scene", str(tmp_path / "scene.json"), "--frame", "1"]) == 0
+    scene = load_scene(tmp_path / "scene.json")
+    features, seen = observe(scene, 1)
+    ref_features, ref_seen = dense_observe(scene, 1)
+    for got, want in zip(features, ref_features):
+        assert got.data.tobytes() == want.data.tobytes()
+    assert seen.tobytes() == ref_seen.tobytes()
+    for mode in ("occupancy-flow", "object-flow"):
+        labels, flow = scene_ground_truth(scene, 1, flow_mode=mode)
+        ref_labels, ref_flow = scene_ground_truth_reference(scene, 1, flow_mode=mode)
+        for got, want in ((labels, ref_labels), (flow.flow, ref_flow.flow),
+                          (flow.occupied, ref_flow.occupied)):
+            assert got.tobytes() == want.tobytes()
 
 
 def _rotation(q):
