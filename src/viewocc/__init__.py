@@ -12,7 +12,7 @@ from .geometry import (CameraModel, Pose, project_rig, project_rig_jacobian, rel
 from .harness import (PRESETS, MetricAccumulator, TrainSettings, compare_methods,
                       coverage_report, decode_prediction, evaluate_model, jsonable,
                       prepare_frames, resolve_preset, train_model)
-from .numerics import FLOAT, AffineMap, FeatureMap, bilinear_many, softmax_norm
+from .numerics import FLOAT, AffineMap, FeatureMap, softmax_norm
 from .objective import (FrameTruth, LossWeights, PredictionBundle, cross_entropy,
                         focal_loss, l1_flow, lovasz_softmax, total_loss)
 from .scene_sim import (SceneClass, SceneSpec, StaticElement, build_rig, load_scene, observe,

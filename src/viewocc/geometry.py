@@ -95,52 +95,33 @@ class Pose:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pose":
-        """`poses_from_json` of one pose."""
-        return poses_from_json([obj])[0]
-
-
-def _pose_numbers(obj: dict):
-    """The rotation (9 entries) and translation (3) lists of one JSON pose,
-    checked in this order: the rotation's entries (`blobio.number_entries`);
-    its size, a non-finite entry reported first; the translation's entries;
-    finite rotation entries; the translation's size; finite translation
-    entries. `poses_from_json` then tests the rotations."""
-    rot = number_entries(obj["rotation"], "Pose.rotation")
-    if len(rot) != 9:
-        as_float_array(rot, name="Pose.rotation")
-        np.asarray(rot, dtype=FLOAT).reshape(3, 3)      # raises the size's ValueError
-    trans = number_entries(obj["translation"], "Pose.translation")
-    if not (all(map(math.isfinite, rot)) and len(trans) == 3
-            and all(map(math.isfinite, trans))):
-        as_float_array(rot, name="Pose.rotation")
-        as_float_array(trans, shape=(3,), name="Pose.translation")
-    return rot, trans
+        """The pose of one JSON pose, checked in this order: the rotation's
+        entries (`blobio.number_entries`); a wrongly sized rotation's
+        non-finite entries, then its size; the translation's entries; then
+        `Pose`'s own checks."""
+        rot = np.asarray(number_entries(obj["rotation"], "Pose.rotation"), dtype=FLOAT)
+        if rot.size != 9:
+            as_float_array(rot, name="Pose.rotation")
+        return cls(rot.reshape(3, 3), number_entries(obj["translation"], "Pose.translation"))
 
 
 def poses_from_json(objs) -> list:
-    """The `Pose`s of the JSON poses `objs`, checked in one pass.
+    """The `Pose`s of the JSON poses `objs`, checked in one stacked pass.
 
-    Each pose's numbers are checked by `_pose_numbers`, and then one stacked
-    test finds the first rotation that is not orthonormal or is a reflection.
-    The error raised is the first fault of the first bad pose, the one that
-    building the poses one at a time raises. The poses are then built
-    without a second check.
+    A list that fails the pass is read again one pose at a time, so the
+    error raised is the one `Pose.from_json` raises for the first bad pose.
     """
-    rots, trans, fault = [], [], None
-    for obj in objs:
-        try:
-            rot, tr = _pose_numbers(obj)
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            fault = exc                 # raised once the poses before it pass
-            break
-        rots.append(rot)
-        trans.append(tr)
-    rot = np.array(rots, dtype=FLOAT).reshape(-1, 3, 3)
-    _check_rotations(rot)
-    if fault is not None:
-        raise fault
-    tr = np.array(trans, dtype=FLOAT).reshape(-1, 3)
-    return [Pose._checked(r, t) for r, t in zip(rot, tr)]
+    try:
+        rot = np.array([number_entries(o["rotation"], "Pose.rotation") for o in objs],
+                       dtype=FLOAT).reshape(len(objs), 3, 3)
+        tr = np.array([number_entries(o["translation"], "Pose.translation") for o in objs],
+                      dtype=FLOAT).reshape(len(objs), 3)
+        if np.isfinite(rot).all() and np.isfinite(tr).all():
+            _check_rotations(rot)
+            return [Pose._checked(r, t) for r, t in zip(rot, tr)]
+    except (AttributeError, LookupError, TypeError, ValueError):
+        pass
+    return [Pose.from_json(o) for o in objs]
 
 
 def in_box(pose: Pose, size: np.ndarray, points: np.ndarray) -> np.ndarray:

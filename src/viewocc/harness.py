@@ -184,6 +184,9 @@ def _check_geometry(scene: SceneSpec, config: ModelConfig) -> None:
             "model grid geometry must match the scene grid")
     require(scene.feature_channels == config.voxel_channels,
             "scene feature channels must match model voxel channels")
+    scene_ids, model_ids = sorted(scene.class_ids), list(range(1, config.n_classes + 1))
+    require(scene_ids == model_ids,
+            f"scene class ids {scene_ids} must be the model's class ids {model_ids}")
 
 
 def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
@@ -320,7 +323,8 @@ def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
 
 def coverage_report(scene: SceneSpec, frame: int = 0) -> dict:
     """How many cameras see each voxel center, plus gap statistics."""
-    require(0 <= frame < scene.num_frames, "frame out of range")
+    require(0 <= frame < scene.num_frames,
+            f"frame {frame} is outside the scene's {scene.num_frames} frames")
     centers = scene.grid.voxel_centers().reshape(-1, 3)
     counts = project_rig(scene.cameras, centers)[2].sum(axis=1)
     hist = {int(k): int((counts == k).sum()) for k in range(len(scene.cameras) + 1)}

@@ -126,30 +126,3 @@ def corner_indices(u: np.ndarray, v: np.ndarray, height, width):
 
 def bilinear_valid(u: np.ndarray, v: np.ndarray, height: int, width: int) -> np.ndarray:
     return (u >= 0.0) & (u <= width - 1.0) & (v >= 0.0) & (v <= height - 1.0)
-
-
-def bilinear_many(data: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Bilinear sample a (H, W, C) array at broadcast arrays of (u, v).
-
-    Returns (values, valid): values has shape u.shape + (C,), zeros where
-    invalid; valid is boolean with u's shape.
-    """
-    height, width = data.shape[0], data.shape[1]
-    u = np.asarray(u, dtype=FLOAT)
-    v = np.asarray(v, dtype=FLOAT)
-    valid = bilinear_valid(u, v, height, width)
-    uc = np.where(valid, u, 0.0)
-    vc = np.where(valid, v, 0.0)
-    x0, y0, x1, y1, fx, fy = corner_indices(uc, vc, height, width)
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w10 = fx * (1.0 - fy)
-    w01 = (1.0 - fx) * fy
-    w11 = fx * fy
-    vals = (
-        data[y0, x0] * w00[..., None]
-        + data[y0, x1] * w10[..., None]
-        + data[y1, x0] * w01[..., None]
-        + data[y1, x1] * w11[..., None]
-    )
-    vals = np.where(valid[..., None], vals, 0.0)
-    return vals, valid

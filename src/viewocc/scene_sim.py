@@ -120,7 +120,8 @@ class SceneSpec:
         order: the boxes present at the frame, then the statics. A point
         inside several elements takes the class of the earliest.
         """
-        require(0 <= frame < self.num_frames, f"frame {frame} out of range")
+        require(0 <= frame < self.num_frames,
+                f"frame {frame} is outside the scene's {self.num_frames} frames")
         inv = self.ego_trajectory[frame].inverse()
         return ([StaticElement(b.category, b.size, inv.compose(b.poses[frame]))
                  for b in self.boxes if frame in b.poses]

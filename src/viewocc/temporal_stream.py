@@ -24,9 +24,9 @@ import numpy as np
 from . import blobio
 from .errors import ContractViolation, require
 from .geometry import Pose, relative_pose
-from .numerics import (FLOAT, AffineMap, as_float_array, bilinear_many, softmax_backward,
-                       softmax_norm)
-from .view_attention import deform_aggregate, deform_aggregate_backward, star_bias
+from .numerics import FLOAT, AffineMap, as_float_array, softmax_backward, softmax_norm
+from .view_attention import (deform_aggregate, deform_aggregate_backward, gather_samples,
+                             plan_samples, star_bias)
 
 PLANAR_TOL = 1e-6
 
@@ -143,8 +143,13 @@ def warp_bev(bev: BEVGrid, rel: Pose) -> BEVGrid:
     src_y = inv.rotation[1, 0] * xg + inv.rotation[1, 1] * yg + inv.translation[1]
     iu = (src_x - bev.origin[0]) / bev.pitch - 0.5
     iv = (src_y - bev.origin[1]) / bev.pitch - 0.5
-    vals, _ = bilinear_many(bev.data, iu, iv)
-    return BEVGrid(vals, bev.pitch, bev.origin)
+    h, w, c = bev.data.shape
+    cells = (h * w, 1, 1, 1)        # one sample of weight 1 per cell, from one map
+    plan, _ = plan_samples(np.ones(cells), True, iu.reshape(cells), iv.reshape(cells),
+                           [bev.data.shape])
+    vals = np.zeros((h * w, c), dtype=FLOAT)
+    vals[plan.index] = gather_samples(plan, bev.data.reshape(-1, c))
+    return BEVGrid(vals.reshape(h, w, c), bev.pitch, bev.origin)
 
 
 @dataclass

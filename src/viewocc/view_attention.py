@@ -225,6 +225,12 @@ def plan_samples(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, shapes):
     return plan, valid
 
 
+def gather_samples(plan: SamplingPlan, pixels: np.ndarray) -> np.ndarray:
+    """The (E, C) bilinear reads of a plan's samples from the pixel table
+    (sum H*W, C) of its source maps, stacked as `_pixel_table` stacks them."""
+    return np.einsum("ce,cek->ek", plan.weights, pixels[plan.rows])
+
+
 def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
     """Read the features through a plan of Q queries.
 
@@ -324,7 +330,7 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
 
     g_value = a[:, None] * g_head
     pixels = _pixel_table(maps)
-    raw = np.einsum("ce,cek->ek", plan.weights, pixels[plan.rows])  # (E, C)
+    raw = gather_samples(plan, pixels)
     by_head = [head == i for i in range(m)]
     grads["value_w"] = np.stack([g_value[h].T @ raw[h] for h in by_head])
     grads["value_b"] = np.stack([g_value[h].sum(axis=0) for h in by_head])

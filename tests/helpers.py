@@ -8,7 +8,7 @@ from viewocc.errors import ContractViolation, require
 from viewocc.flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from viewocc.blobio import number_entries
 from viewocc.geometry import _DEPTH_EPS, CameraModel, Pose, rotation_z
-from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_many
+from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_valid, corner_indices
 from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec
 
 
@@ -64,7 +64,9 @@ def check_grad_array(fn, arr: np.ndarray, grad: np.ndarray, rng: np.random.Gener
 # --- single-camera and single-point references -------------------------------
 # One camera or one point at a time, as the production code was first
 # written; the batched versions (geometry.project_rig, project_rig_jacobian,
-# numerics.bilinear_many, the render) must agree with them.
+# the render) must agree with them. Reads through a sampling plan (the BEV
+# warp, the attention layers) must equal the reference sampler
+# `bilinear_many`.
 
 
 def altitude_rotation(phi: float) -> np.ndarray:
@@ -146,6 +148,33 @@ def pinhole_project(cam: CameraModel, p) -> tuple[np.ndarray, float, bool]:
     p = as_float_array(p, shape=(3,), name="p")
     uv, depth, in_view = project_points(cam, p)
     return uv, float(depth), bool(in_view)
+
+
+def bilinear_many(data: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Bilinear sample a (H, W, C) array at broadcast arrays of (u, v).
+
+    Returns (values, valid): values has shape u.shape + (C,), zeros where
+    invalid; valid is boolean with u's shape.
+    """
+    height, width = data.shape[0], data.shape[1]
+    u = np.asarray(u, dtype=FLOAT)
+    v = np.asarray(v, dtype=FLOAT)
+    valid = bilinear_valid(u, v, height, width)
+    uc = np.where(valid, u, 0.0)
+    vc = np.where(valid, v, 0.0)
+    x0, y0, x1, y1, fx, fy = corner_indices(uc, vc, height, width)
+    w00 = (1.0 - fx) * (1.0 - fy)
+    w10 = fx * (1.0 - fy)
+    w01 = (1.0 - fx) * fy
+    w11 = fx * fy
+    vals = (
+        data[y0, x0] * w00[..., None]
+        + data[y0, x1] * w10[..., None]
+        + data[y1, x0] * w01[..., None]
+        + data[y1, x1] * w11[..., None]
+    )
+    vals = np.where(valid[..., None], vals, 0.0)
+    return vals, valid
 
 
 def bilinear_sample(fmap: FeatureMap, uv) -> tuple[np.ndarray, bool]:

@@ -156,6 +156,57 @@ def test_camera_less_scene_exits_2_with_one_json_error(inputs, tmp_path, command
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("frame", [3, -1])
+@pytest.mark.parametrize("command", ["render", "coverage", "gen-flow"])
+def test_frame_outside_the_scene_exits_2_with_one_json_error(inputs, tmp_path, command, frame):
+    argv = [command, "--scene", inputs / "scene.json", "--frame", frame]
+    code, err = _run(argv + (["--out", tmp_path / "r"] if command == "render" else []))
+    assert code == 2
+    assert json.loads(err) == {"error": f"frame {frame} is outside the scene's 3 frames"}
+    assert not (tmp_path / "r.json").exists()
+
+
+def _with_class_table(scene: dict, fault: str) -> dict:
+    """The scene with its walls (class 2) renumbered to 5, moved to an added
+    class 4, or with the mover class and its boxes removed."""
+    if fault == "no mover class":
+        scene["classes"] = [c for c in scene["classes"] if c["id"] != 3]
+        scene["boxes"] = []
+        return scene
+    if fault == "wall renumbered 2 -> 5":
+        wall = 5
+        next(c for c in scene["classes"] if c["id"] == 2)["id"] = wall
+    else:
+        wall = 4
+        scene["classes"].append({"id": wall, "name": "far wall", "foreground": False})
+    for static in scene["statics"]:
+        if static["category"] == 2:
+            static["category"] = wall
+    return scene
+
+
+@pytest.mark.parametrize("fault, command, ids", [
+    ("wall renumbered 2 -> 5", "train", [1, 3, 5]),
+    ("wall renumbered 2 -> 5", "compare", [1, 3, 5]),
+    ("walls in an added class 4", "eval", [1, 2, 3, 4]),
+    ("no mover class", "eval", [1, 2]),
+])
+def test_class_ids_other_than_the_models_exit_2_naming_both_tables(inputs, tmp_path, fault,
+                                                                   command, ids):
+    scene = _with_class_table(json.loads((inputs / "scene.json").read_text()), fault)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    options = (["--params", inputs / "model", "--frames", "0"] if command == "eval"
+               else ["--epochs", "1"])
+    code, err = _run([command, "--scene", path, *options])
+    assert code == 2, err
+    assert json.loads(err) == {
+        "error": f"scene class ids {ids} must be the model's class ids [1, 2, 3]"}
+    # the scene itself is valid
+    assert _run(["render", "--scene", path, "--frame", "1", "--out", tmp_path / "r"])[0] == 0
+    assert _run(["gen-flow", "--scene", path, "--frame", "1"])[0] == 0
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "frame_dt"])
 def test_non_finite_intrinsics_or_frame_dt_exit_2_with_one_json_error(tmp_path, field, value):

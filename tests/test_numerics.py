@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewocc.errors import ContractViolation
-from viewocc.numerics import (FLOAT, AffineMap, FeatureMap, bilinear_many, softmax_backward,
-                              softmax_norm)
+from viewocc.numerics import FLOAT, AffineMap, FeatureMap, softmax_backward, softmax_norm
 from viewocc.view_attention import deform_aggregate, deform_aggregate_backward
 
-from helpers import bilinear_sample, central_diff, rel_err
+from helpers import bilinear_many, bilinear_sample, central_diff, rel_err
 
 
 # --- bilinear sampling -------------------------------------------------------

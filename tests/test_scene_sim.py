@@ -790,11 +790,17 @@ def _faulty(kind: str, pose: dict) -> dict:
         trans[0] = True
     elif kind == "huge-integer":
         rot[0] = 10**400
+    elif kind == "18-entries":
+        rot = rot + rot
+    elif kind == "12-entries":
+        rot = rot + rot[:3]
+    elif kind == "6-entries":
+        rot = rot[:6]
     return {"rotation": rot, "translation": trans}
 
 
 POSE_FAULTS = ("nan", "nan-translation", "wrong-size", "short-translation", "non-orthonormal",
-               "reflection", "true", "huge-integer")
+               "reflection", "true", "huge-integer", "18-entries", "12-entries", "6-entries")
 
 
 def _pose_list(obj: dict, where: str) -> list:
@@ -871,6 +877,24 @@ def test_the_first_of_two_bad_poses_gives_the_message(where):
             want = _one_at_a_time_error(poses)
             assert want == _one_at_a_time_error(poses[:3])      # pose 2's fault
             assert _load_error(_with_poses(obj, where, poses)) == want, (early, late)
+
+
+@pytest.mark.parametrize("where", ["ego_trajectory", "boxes"])
+def test_rotation_sizes_that_fill_a_stacked_reshape_give_the_one_at_a_time_message(where):
+    # every pose with 18 entries, or 12 and 6 entries in adjacent poses, hold
+    # as many numbers in all as a list of valid poses or twice as many
+    obj = preset_scene("stream", seed=4).to_json()
+    raw = _pose_list(obj, where)
+    lists = [[_faulty("18-entries", pose) for pose in raw]]
+    for k in (0, 5, len(raw) - 2):
+        for first, second in (("12-entries", "6-entries"), ("6-entries", "12-entries")):
+            poses = list(raw)
+            poses[k], poses[k + 1] = _faulty(first, raw[k]), _faulty(second, raw[k + 1])
+            lists.append(poses)
+    for poses in lists:
+        want = _one_at_a_time_error(poses)
+        assert "reshape" in want
+        assert _load_error(_with_poses(obj, where, poses)) == want
 
 
 @pytest.mark.parametrize("key", ["01", "-3", "1.0", " 1", "x", "", "١"])

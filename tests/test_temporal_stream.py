@@ -3,12 +3,11 @@ import pytest
 
 from viewocc.errors import ContractViolation
 from viewocc.geometry import Pose, relative_pose
-from viewocc.numerics import bilinear_many
 from viewocc.temporal_stream import (BEVGrid, MemoryQueue, check_planar, init_temporal_params,
                                      load_queue, save_queue, temporal_backward_arrays,
                                      temporal_forward_arrays, warp_bev, warp_queue)
 
-from helpers import check_grad_array
+from helpers import bilinear_many, check_grad_array
 
 
 def _softmax(z):
@@ -73,6 +72,48 @@ def test_warp_quarter_turn_permutes_cells():
     for i in range(6):
         for j in range(6):
             np.testing.assert_allclose(warped[i, j], prev[5 - j, i], atol=1e-12)
+
+
+def _warp_reference(bev: BEVGrid, rel: Pose):
+    """(warped data, iu, iv): each cell center pulled through rel's inverse
+    to (iu, iv) in the older grid, then `helpers.bilinear_many`."""
+    inv = rel.inverse()
+    xs, ys = bev.cell_centers()
+    xg, yg = np.meshgrid(xs, ys)
+    src_x = inv.rotation[0, 0] * xg + inv.rotation[0, 1] * yg + inv.translation[0]
+    src_y = inv.rotation[1, 0] * xg + inv.rotation[1, 1] * yg + inv.translation[1]
+    iu = (src_x - bev.origin[0]) / bev.pitch - 0.5
+    iv = (src_y - bev.origin[1]) / bev.pitch - 0.5
+    return bilinear_many(bev.data, iu, iv)[0], iu, iv
+
+
+def test_warp_equals_the_reference_sampler_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # on a 7 x 6 grid of unit pitch at the origin, a shift of -1 cell puts a
+    # column on u = W-1 (a row on v = H-1), a shift of one ulp of W-0.5 puts
+    # the last column one ulp beyond it, and a shift of 50 cells is far out
+    ulp = np.spacing(5.5)
+    edges = [(-1.0, 0.0), (0.0, -1.0), (-ulp, 0.0), (0.0, -np.spacing(6.5)), (-1.0, -1.0),
+             (50.0, -50.0), (-ulp, -1.0)]
+    cases = [(BEVGrid(rng.normal(size=(7, 6, 5)), 1.0, (0.0, 0.0)), Pose(np.eye(3), (x, y, 0.0)))
+             for x, y in edges]
+    for _ in range(20):
+        h, w = rng.integers(2, 12, size=2)
+        bev = BEVGrid(rng.normal(size=(h, w, rng.integers(1, 9))), rng.uniform(0.1, 1.0),
+                      rng.uniform(-3.0, 3.0, size=2))
+        t = (*rng.normal(0.0, 1.5, size=2), 0.0)
+        cases.append((bev, Pose.from_z_rotation(rng.uniform(-np.pi, np.pi), t)))
+    seen = set()
+    for bev, rel in cases:
+        want, iu, iv = _warp_reference(bev, rel)
+        assert warp_bev(bev, rel).data.tobytes() == want.tobytes()
+        h, w = bev.data.shape[:2]
+        seen.update(name for name, hit in [
+            ("u = W-1", iu == w - 1), ("v = H-1", iv == h - 1),
+            ("u one ulp beyond", iu == np.nextafter(w - 1.0, np.inf)),
+            ("v one ulp beyond", iv == np.nextafter(h - 1.0, np.inf)),
+            ("far outside", (iu > 2 * w) | (iv < -h))] if hit.any())
+    assert len(seen) == 5, seen
 
 
 def test_warp_rejects_non_planar_motion():

@@ -7,8 +7,10 @@
 on the `training` and `stream` presets in both trees: make-scene, coverage,
 render, gen-flow in both flow modes, train for both methods (params blob and
 curve), eval over the whole stream and split in two with a saved queue, and
-compare. Each command runs in a fresh interpreter with one BLAS thread,
-since trained bytes depend on the thread count.
+compare. Two runs per preset are meant to fail: gen-flow on faulty copies of
+the scene file (`write_faulty_scenes`), compared like the rest, exit status
+and error included. Each command runs in a fresh interpreter with one BLAS
+thread, since trained bytes depend on the thread count.
 
 Compared are each command's exit status, stdout, stderr and every file it
 wrote. JSON reports and headers are compared as parsed, without their
@@ -31,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("training", "stream")
 IGNORED_KEYS = ("wall_clock_s",)
+FAULTS = ("reflected-ego-pose", "string-box-translation")
 
 
 def commands(preset: str):
@@ -43,6 +46,8 @@ def commands(preset: str):
     for mode in ("occupancy-flow", "object-flow"):
         yield f"gen-flow-{mode}", ["gen-flow", *scene, "--frame", "1", "--flow-mode", mode,
                                    "--out", f"flow-{mode}"]
+    for fault in FAULTS:
+        yield f"gen-flow-{fault}", ["gen-flow", "--scene", f"scene-{fault}.json", "--frame", "1"]
     for method in ("view-attn", "proj-first"):
         yield f"train-{method}", ["train", *scene, "--method", method, "--epochs", "3",
                                   "--params", f"params-{method}", "--curve",
@@ -56,6 +61,21 @@ def commands(preset: str):
                         "--queue-out", "queue-rest", "--out", "eval-rest.json"]
     yield "compare", ["compare", *scene, "--epochs", "2", "--queue-lens", "1,4",
                       "--out", "compare.json"]
+
+
+def write_faulty_scenes(directory: Path) -> None:
+    """Next to `directory`'s scene.json, one copy per fault in FAULTS: ego
+    pose 5 (the last on a shorter scene) reflected by swapping two rotation
+    rows, and the first box's frame-1 pose with the translation entry "1"."""
+    for fault in FAULTS:
+        scene = json.loads((directory / "scene.json").read_text())
+        if fault == "reflected-ego-pose":
+            ego = scene["ego_trajectory"]
+            rot = ego[min(5, len(ego) - 1)]["rotation"]
+            rot[:6] = rot[3:6] + rot[:3]
+        else:
+            scene["boxes"][0]["poses"]["1"]["translation"][0] = "1"
+        (directory / f"scene-{fault}.json").write_text(json.dumps(scene))
 
 
 def run(tree: Path, cwd: Path, argv) -> dict:
@@ -113,6 +133,9 @@ def compare_trees(parent: Path, work: Path):
             got = {side: run(tree, dirs[side], cmd) for side, tree in sides.items()}
             results.append({"preset": preset, "what": name, "exit": got["change"]["exit"],
                             "differs": differences(got["change"], got["parent"])})
+            if name == "make-scene":
+                for d in dirs.values():
+                    write_faulty_scenes(d)
         results.append({"preset": preset, "what": "files written", "exit": None,
                         "differs": file_differences(dirs["change"], dirs["parent"])})
     return results
@@ -130,7 +153,7 @@ def main(argv=None) -> int:
     for r in results:
         status = "identical" if not r["differs"] else "DIFFERS: " + ", ".join(r["differs"])
         exit_status = "" if r["exit"] is None else f"exit {r['exit']}"
-        print(f"{r['preset']:9s} {r['what']:24s} {exit_status:7s} {status}")
+        print(f"{r['preset']:9s} {r['what']:32s} {exit_status:7s} {status}")
     differing = [r for r in results if r["differs"]]
     print(json.dumps({"identical": not differing, "checked": len(results),
                       "differing": differing}))
