@@ -5,7 +5,9 @@
 `out/frame.2` name different blobs. Arrays are stored little-endian, C-order,
 concatenated in sorted-name order, so identical inputs yield identical bytes.
 float64 arrays round-trip bit for bit. `read_blob` checks every header entry
-against the data file before reading it.
+against the data file before reading it, and accepts only the layout
+`write_blob` writes: each array right after the one before it, the last
+ending at the end of the data file.
 """
 
 from __future__ import annotations
@@ -54,15 +56,23 @@ def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
             fh.write(arr.data)
 
 
+# The largest count a file may hold: an int64, so that no count read from a
+# file overflows numpy's index or size arithmetic.
+MAX_COUNT = 2**63 - 1
+
+
 def is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
 def count_field(value, name: str) -> int:
     """`value` when `is_count` accepts it; otherwise a ContractViolation
-    naming the field, so a file's 2.5 or true is never truncated to a count."""
+    naming the field, so a file's 2.5 or true is never truncated to a count
+    and a file's 10**400 never reaches an allocation."""
     if not is_count(value):
-        raise ContractViolation(f"{name} must be a non-negative integer, got {value!r}")
+        shown = (f"an integer of {value.bit_length()} bits"
+                 if type(value) is int and value > MAX_COUNT else repr(value))
+        raise ContractViolation(f"{name} must be an integer from 0 to 2**63 - 1, got {shown}")
     return value
 
 
@@ -99,8 +109,9 @@ def flag_field(value, name: str) -> bool:
     return value
 
 
-def _read_array(raw: bytes, name: str, spec) -> np.ndarray:
-    """One array of a blob, once its header entry is shown to fit the data."""
+def _read_array(raw: bytes, name: str, spec, start: int) -> np.ndarray:
+    """One array of a blob, once its header entry is shown to fit the data
+    and to start at `start`, where `write_blob` puts it."""
     spec = spec if isinstance(spec, dict) else {}
     if not isinstance(spec.get("dtype"), str) or spec["dtype"] not in _DTYPES:
         raise ContractViolation(f"read_blob: array {name!r} has no dtype among {sorted(_DTYPES)}")
@@ -116,6 +127,9 @@ def _read_array(raw: bytes, name: str, spec) -> np.ndarray:
     if nbytes != need:
         raise ContractViolation(f"read_blob: array {name!r} has {nbytes} bytes, but shape "
                                 f"{shape} of {spec['dtype']} needs {need}")
+    if offset != start:
+        raise ContractViolation(f"read_blob: array {name!r} starts at byte {offset}, but the "
+                                f"arrays before it in name order end at byte {start}")
     if offset + nbytes > len(raw):
         raise ContractViolation(f"read_blob: array {name!r} ends at byte {offset + nbytes}, "
                                 f"past the {len(raw)}-byte data file")
@@ -136,5 +150,12 @@ def read_blob(prefix):
     specs = header.get("arrays") if isinstance(header, dict) else None
     if not isinstance(specs, dict):
         raise ContractViolation(f"read_blob: {json_path} has no 'arrays' table")
-    arrays = {name: _read_array(raw, name, spec) for name, spec in specs.items()}
+    arrays, end = {}, 0
+    for name in sorted(specs):
+        arrays[name] = _read_array(raw, name, specs[name], end)
+        end += arrays[name].nbytes
+    if end != len(raw):
+        last = f"array {name!r}" if specs else "an empty array table"
+        raise ContractViolation(f"read_blob: {last} ends at byte {end}, but the data file "
+                                f"has {len(raw)} bytes")
     return arrays, header.get("meta", {})

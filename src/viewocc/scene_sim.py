@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .blobio import count_field, flag_field, number_field
+from .blobio import MAX_COUNT, count_field, flag_field, number_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, poses_from_json, rotation_z
@@ -81,7 +81,7 @@ class SceneSpec:
     feature_anchor: Pose = dataclass_field(default_factory=Pose.identity)
 
     def __post_init__(self):
-        require(self.seed >= 0, "scene seed must be >= 0")
+        require(0 <= self.seed <= MAX_COUNT, "scene seed must be from 0 to 2**63 - 1")
         require(self.feature_channels >= max(1, len(self.classes)),
                 "feature_channels must cover the class table")
         require(self.frame_dt > 0, "frame_dt must be positive")

@@ -92,7 +92,10 @@ def save_queue(prefix, queue: MemoryQueue) -> None:
 
 
 def load_queue(prefix) -> MemoryQueue:
-    arrays, meta = blobio.read_blob(prefix)
+    try:
+        arrays, meta = blobio.read_blob(prefix)
+    except ContractViolation as exc:    # say which of eval's two blobs it was
+        raise ContractViolation(f"queue blob {prefix}: {exc}") from exc
     require(isinstance(meta, dict), f"queue blob {prefix} has no meta table")
     capacity, count, poses = meta.get("capacity"), meta.get("count"), meta.get("poses")
     require(blobio.is_count(capacity) and blobio.is_count(count) and 1 <= capacity

@@ -23,8 +23,11 @@ value-first core in two steps. The plan (`plan_samples`) fixes the valid
 (query, head, point, source) samples, their bilinear corners and weights;
 the read (`read_plan`) value-maps every source pixel once, then gathers only
 those samples, so no per-sample feature array is ever built for the invalid
-majority. The plan depends on the queries but not on the features, so a
-forward without a cache reuses it from a small cache keyed by value.
+majority. The read and the backward gather corner rows in blocks of whole
+output groups of at most `_BLOCK_BYTES`, so their working memory does not
+grow with the sample count; every sum keeps the order of one unblocked pass.
+The plan depends on the queries but not on the features, so a forward
+without a cache reuses it from a small cache keyed by value.
 """
 
 from __future__ import annotations
@@ -225,10 +228,47 @@ def plan_samples(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, shapes):
     return plan, valid
 
 
+# The four corner rows a blocked read gathers at once take at most this many
+# bytes, unless one output group alone needs more.
+_BLOCK_BYTES = 1 << 20
+
+
+def _corner_blocks(group: np.ndarray, table: np.ndarray, index: np.ndarray):
+    """(start, stop, corners) of consecutive blocks of samples, where corners
+    (4, stop - start, D) holds the rows of `table` (N, D) at the block's
+    `index` (4, E) in one reused buffer of at most `_BLOCK_BYTES`. Each cut is
+    moved back to the start of its output group (`group` is sorted), so a
+    group lies in one block; a group larger than a block is a block of its
+    own."""
+    width = table.shape[1]
+    size = max(1, _BLOCK_BYTES // (4 * width * table.itemsize))
+    start, n = 0, group.shape[0]
+    buf = np.empty(4 * min(size, n) * width, dtype=table.dtype)
+    while start < n:
+        stop = start + size
+        if stop < n:
+            stop = int(np.searchsorted(group, group[stop]))
+            if stop == start:
+                stop = int(np.searchsorted(group, group[start], side="right"))
+        stop = min(stop, n)
+        count = 4 * (stop - start) * width
+        if buf.size < count:                       # one group larger than a block
+            buf = np.empty(count, dtype=table.dtype)
+        corners = buf[:count].reshape(4, stop - start, width)
+        # every index is in range, so "clip" changes nothing; it lets take
+        # write straight into the buffer
+        np.take(table, index[:, start:stop], axis=0, out=corners, mode="clip")
+        yield start, stop, corners
+        start = stop
+
+
 def gather_samples(plan: SamplingPlan, pixels: np.ndarray) -> np.ndarray:
     """The (E, C) bilinear reads of a plan's samples from the pixel table
     (sum H*W, C) of its source maps, stacked as `_pixel_table` stacks them."""
-    return np.einsum("ce,cek->ek", plan.weights, pixels[plan.rows])
+    out = np.empty((plan.attn.shape[0], pixels.shape[1]), dtype=FLOAT)
+    for lo, hi, corners in _corner_blocks(plan.group, pixels, plan.rows):
+        np.einsum("ce,cek->ek", plan.weights[:, lo:hi], corners, out=out[lo:hi])
+    return out
 
 
 def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
@@ -250,11 +290,16 @@ def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
     c_v = w_v.shape[1]
     # The bilinear weights of a valid sample sum to 1, so value-mapping every
     # pixel once and then sampling equals value-mapping every sample.
-    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T + b_v.reshape(-1)
+    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T
+    table += b_v.reshape(-1)
     table = table.reshape(-1, c_v)                 # row = pixel * M + head
-    corners = table[plan.rows * m + plan.head]                       # (4, E, c_v)
-    samples = np.einsum("ce,cev->ev", plan.weights, corners)
-    head_out = _scatter_rows(plan.group, plan.attn[:, None] * samples, nq * m)
+    # each block holds whole groups, so a group's sum runs in sample order
+    head_out = np.zeros((nq * m, c_v), dtype=FLOAT)
+    for lo, hi, corners in _corner_blocks(plan.group, table, plan.rows * m + plan.head):
+        samples = np.einsum("ce,cev->ev", plan.weights[:, lo:hi], corners)
+        samples *= plan.attn[lo:hi, None]
+        first, last = plan.group[lo], plan.group[hi - 1] + 1
+        head_out[first:last] = _scatter_rows(plan.group[lo:hi] - first, samples, last - first)
     head_out = head_out.reshape(nq, m, c_v)
     out = np.einsum("qmv,mcv->qc", head_out, w_o, optimize=True) + b_o.sum(axis=0)
     return out, table, head_out
@@ -314,7 +359,9 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     g_head = g_head[plan.group]                                      # (E, c_v)
     a = plan.attn
     # each corner's value rows, gathered from the table again
-    dots = np.einsum("cev,ev->ce", cache["table"][plan.rows * m + head], g_head)   # (4, E)
+    dots = np.empty((4, a.shape[0]), dtype=FLOAT)
+    for lo, hi, corners in _corner_blocks(plan.group, cache["table"], plan.rows * m + head):
+        np.einsum("cev,ev->ce", corners, g_head[lo:hi], out=dots[:, lo:hi])
     d00, d10, d01, d11 = dots
     fx, fy = plan.fx, plan.fy
     per_sample = {

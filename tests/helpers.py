@@ -1,6 +1,7 @@
 """Shared test utilities: finite differences, tolerance helpers, the dense
 reference ray march, the one-pose-at-a-time pose reader, the single-point
-view rotation and the single-camera and single-point references."""
+view rotation, the single-camera and single-point references and the
+unblocked aggregation core."""
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from viewocc.blobio import number_entries
 from viewocc.geometry import _DEPTH_EPS, CameraModel, Pose, rotation_z
 from viewocc.numerics import FLOAT, FeatureMap, as_float_array, bilinear_valid, corner_indices
 from viewocc.scene_sim import _SLAB_SLACK, RAY_STEP_FRACTION, SceneSpec
+from viewocc.view_attention import SamplingPlan, _pixel_table, _scatter_rows, _stacked_maps
 
 
 def rel_err(analytic: float, numeric: float, floor: float = 1e-6) -> float:
@@ -365,3 +367,100 @@ def scene_ground_truth_reference(scene: SceneSpec, frame: int,
                          category=flow.category,
                          foreground_classes=tuple(scene.foreground_class_ids))
     return labels, flow
+
+
+# --- unblocked aggregation core -------------------------------------------------
+# view_attention.read_plan and deform_aggregate_backward as they were before
+# the reads went block by block: every corner row of all E samples gathered
+# at once. The blocked versions must equal them byte for byte.
+
+
+def gather_samples_reference(plan: SamplingPlan, pixels: np.ndarray) -> np.ndarray:
+    """The (E, C) bilinear reads of a plan's samples from the pixel table
+    (sum H*W, C) of its source maps, stacked as `_pixel_table` stacks them."""
+    return np.einsum("ce,cek->ek", plan.weights, pixels[plan.rows])
+
+
+def read_plan_reference(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
+    """Read the features through a plan of Q queries.
+
+    maps: J arrays (H_j, W_j, C); value_maps (c_v x C) and output_maps
+    (C_out x c_v) hold one AffineMap per head. With s the bilinear read of a
+    valid sample,
+
+        out[q] = sum_m [ W_m ( sum_{k,j valid} attn * (W'_m s + b'_m) ) + b_m ]
+
+    Returns (out (Q, C_out), the value-mapped pixel table (sum H*W * M, c_v)
+    whose row pixel * M + head holds a pixel's value under that head, the
+    per-head sums (Q, M, c_v)).
+    """
+    m = len(value_maps)
+    w_v, b_v = _stacked_maps(value_maps)
+    w_o, b_o = _stacked_maps(output_maps)
+    c_v = w_v.shape[1]
+    # The bilinear weights of a valid sample sum to 1, so value-mapping every
+    # pixel once and then sampling equals value-mapping every sample.
+    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T + b_v.reshape(-1)
+    table = table.reshape(-1, c_v)                 # row = pixel * M + head
+    corners = table[plan.rows * m + plan.head]                       # (4, E, c_v)
+    samples = np.einsum("ce,cev->ev", plan.weights, corners)
+    head_out = _scatter_rows(plan.group, plan.attn[:, None] * samples, nq * m)
+    head_out = head_out.reshape(nq, m, c_v)
+    out = np.einsum("qmv,mcv->qc", head_out, w_o, optimize=True) + b_o.sum(axis=0)
+    return out, table, head_out
+
+
+def deform_aggregate_backward_reference(cache: dict, maps, value_maps, output_maps,
+                                        g_out: np.ndarray, want_map_grads: bool = False) -> dict:
+    """Gradients of sum(g_out * out) for `deform_aggregate`.
+
+    Returns a dict with "attn", "u" and "v" (Q, M, K, J), zero at invalid
+    samples; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
+    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
+    map gradients when asked for, else None.
+    """
+    plan, valid = cache["plan"], cache["valid"]
+    head = plan.head
+    nq, m = valid.shape[:2]
+    w_v, _ = _stacked_maps(value_maps)
+    w_o, _ = _stacked_maps(output_maps)
+    c_v = w_v.shape[1]
+    g_out = np.asarray(g_out, dtype=FLOAT)
+
+    g_head = np.einsum("qc,mcv->qmv", g_out, w_o, optimize=True).reshape(nq * m, c_v)
+    g_head = g_head[plan.group]                                      # (E, c_v)
+    a = plan.attn
+    # each corner's value rows, gathered from the table again
+    dots = np.einsum("cev,ev->ce", cache["table"][plan.rows * m + head], g_head)   # (4, E)
+    d00, d10, d01, d11 = dots
+    fx, fy = plan.fx, plan.fy
+    per_sample = {
+        "attn": np.einsum("ce,ce->e", plan.weights, dots),
+        "u": a * ((1.0 - fy) * (d10 - d00) + fy * (d11 - d01)),
+        "v": a * ((1.0 - fx) * (d01 - d00) + fx * (d11 - d10)),
+    }
+    grads = {}
+    for name, values in per_sample.items():
+        dense = np.zeros(valid.shape, dtype=FLOAT)
+        dense[valid] = values
+        grads[name] = dense
+
+    g_value = a[:, None] * g_head
+    pixels = _pixel_table(maps)
+    raw = gather_samples_reference(plan, pixels)
+    by_head = [head == i for i in range(m)]
+    grads["value_w"] = np.stack([g_value[h].T @ raw[h] for h in by_head])
+    grads["value_b"] = np.stack([g_value[h].sum(axis=0) for h in by_head])
+    grads["out_w"] = np.einsum("qc,qmv->mcv", g_out, cache["head_out"], optimize=True)
+    grads["out_b"] = np.broadcast_to(g_out.sum(axis=0), (m, g_out.shape[1])).copy()
+    grads["maps"] = None
+    if want_map_grads:
+        # corner-weighted g_value scattered onto the (pixel, head) grid, then
+        # through the value maps
+        weighted = plan.weights[..., None] * g_value                 # (4, E, c_v)
+        grid = _scatter_rows((plan.rows * m + head).reshape(-1),
+                             weighted.reshape(-1, c_v), pixels.shape[0] * m)
+        g_pixels = grid.reshape(-1, m * c_v) @ w_v.reshape(m * c_v, -1)
+        ends = np.cumsum([f.shape[0] * f.shape[1] for f in maps])[:-1]
+        grads["maps"] = [g.reshape(f.shape) for g, f in zip(np.split(g_pixels, ends), maps)]
+    return grads

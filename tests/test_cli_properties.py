@@ -512,3 +512,93 @@ def test_gen_flow_on_a_scene_without_boxes_reports_zero_speed(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["occupied_voxels"] == 0
     assert float(report["max_speed"]) == 0.0
+
+
+def test_params_array_at_another_arrays_offset_exits_2_naming_it(inputs, tmp_path):
+    # with offset 0 this array used to be read from expand.bias's bytes
+    shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
+    header = json.loads((inputs / "model.json").read_text())
+    header["arrays"]["layers.0.value_maps.0.weight"]["offset"] = 0
+    (tmp_path / "model.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", tmp_path / "model",
+                      "--frames", "0:1"])
+    assert code == 2, err
+    assert "'layers.0.value_maps.0.weight'" in json.loads(err)["error"], err
+
+
+HUGE_SCENE_COUNTS = [
+    (("grid", "shape", 0), "GridSpec.shape"),
+    (("cameras", 0, "image_size", 1), "CameraModel.image_size"),
+    (("feature_channels",), "scene feature_channels"),
+]
+HUGE_CONFIG_COUNTS = [("grid_shape", "model config grid_shape"),
+                      ("bev_channels", "model config bev_channels"),
+                      ("voxel_channels", "model config voxel_channels"),
+                      ("n_classes", "model config n_classes"),
+                      ("points", "model config points"),
+                      ("queue_len", "model config queue_len")]
+
+
+@pytest.mark.parametrize("command", ["coverage", "render", "gen-flow"])
+@pytest.mark.parametrize("path, field", HUGE_SCENE_COUNTS,
+                         ids=[".".join(map(str, p)) for p, _ in HUGE_SCENE_COUNTS])
+def test_count_of_10_to_the_400_in_a_scene_file_exits_2_naming_the_field(tmp_path, path,
+                                                                         field, command):
+    # these raised "Maximum allowed size exceeded" or an OverflowError
+    scene = preset_scene("stream").to_json()
+    *parents, key = path
+    node = scene
+    for k in parents:
+        node = node[k]
+    node[key] = 10**400
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    code, err = _run([command, "--scene", tmp_path / "scene.json", "--frame", "1",
+                      "--out", tmp_path / "out"])
+    assert code == 2, err
+    assert field in json.loads(err)["error"], err
+    assert list(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
+@pytest.mark.parametrize("field, name", HUGE_CONFIG_COUNTS,
+                         ids=[f for f, _ in HUGE_CONFIG_COUNTS])
+def test_count_of_10_to_the_400_in_a_params_header_exits_2_naming_the_field(inputs, tmp_path,
+                                                                            field, name):
+    shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
+    header = json.loads((inputs / "model.json").read_text())
+    config = header["meta"]["config"]
+    if field == "grid_shape":
+        config[field][1] = 10**400
+    else:
+        config[field] = 10**400
+    (tmp_path / "model.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", tmp_path / "model",
+                      "--frames", "0"])
+    assert code == 2, err
+    assert name in json.loads(err)["error"], err
+
+
+def test_make_scene_writes_only_seeds_that_load_scene_reads(tmp_path):
+    largest = 2**63 - 1
+    code, err = _run(["make-scene", "--preset", "stream", "--seed", largest,
+                      "--out", tmp_path / "scene.json"])
+    assert code == 0, err
+    assert json.loads((tmp_path / "scene.json").read_text())["seed"] == largest
+    code, err = _run(["gen-flow", "--scene", tmp_path / "scene.json", "--frame", "1"])
+    assert code == 0, err
+    code, err = _run(["make-scene", "--preset", "stream", "--seed", largest + 1,
+                      "--out", tmp_path / "other.json"])
+    assert code == 2, err
+    assert "seed" in json.loads(err)["error"], err
+    assert not (tmp_path / "other.json").exists()
+
+
+def test_queue_capacity_of_10_to_the_400_exits_2(inputs, tmp_path):
+    # one bound for every count read from a file: this queue used to load
+    shutil.copy(inputs / "queue.bin", tmp_path / "queue.bin")
+    header = json.loads((inputs / "queue.json").read_text())
+    header["meta"]["capacity"] = 10**400
+    (tmp_path / "queue.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", inputs / "model",
+                      "--frames", "1", "--queue-in", tmp_path / "queue"])
+    assert code == 2, err
+    assert "meta.capacity" in json.loads(err)["error"], err
