@@ -61,6 +61,16 @@ def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
 MAX_COUNT = 2**63 - 1
 
 
+def _shown(value) -> str:
+    """repr(value), but with each integer beyond MAX_COUNT given as its bit
+    length, so that an error never holds a number of hundreds of digits."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    if type(value) is int and abs(value) > MAX_COUNT:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
@@ -70,9 +80,8 @@ def count_field(value, name: str) -> int:
     naming the field, so a file's 2.5 or true is never truncated to a count
     and a file's 10**400 never reaches an allocation."""
     if not is_count(value):
-        shown = (f"an integer of {value.bit_length()} bits"
-                 if type(value) is int and value > MAX_COUNT else repr(value))
-        raise ContractViolation(f"{name} must be an integer from 0 to 2**63 - 1, got {shown}")
+        raise ContractViolation(f"{name} must be an integer from 0 to 2**63 - 1, "
+                                f"got {_shown(value)}")
     return value
 
 
@@ -86,7 +95,7 @@ def number_field(value, name: str) -> float:
     except OverflowError:           # an integer beyond the float range
         ok = False
     if not ok:
-        raise ContractViolation(f"{name} must be a finite number, got {value!r}")
+        raise ContractViolation(f"{name} must be a finite number, got {_shown(value)}")
     return float(value)
 
 
@@ -105,7 +114,7 @@ def flag_field(value, name: str) -> bool:
     """`value` when it is a JSON boolean; otherwise a ContractViolation naming
     the field, so a file's "no" is never read as true."""
     if not isinstance(value, bool):
-        raise ContractViolation(f"{name} must be true or false, got {value!r}")
+        raise ContractViolation(f"{name} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -117,8 +126,8 @@ def _read_array(raw: bytes, name: str, spec, start: int) -> np.ndarray:
         raise ContractViolation(f"read_blob: array {name!r} has no dtype among {sorted(_DTYPES)}")
     shape, offset, nbytes = spec.get("shape"), spec.get("offset"), spec.get("nbytes")
     if not (isinstance(shape, list) and all(is_count(n) for n in shape)):
-        raise ContractViolation(f"read_blob: array {name!r} shape {shape!r} is not a list "
-                                "of non-negative integers")
+        raise ContractViolation(f"read_blob: array {name!r} shape {_shown(shape)} is not a "
+                                "list of non-negative integers")
     if not (is_count(offset) and is_count(nbytes)):
         raise ContractViolation(f"read_blob: array {name!r} offset and nbytes must be "
                                 "non-negative integers")

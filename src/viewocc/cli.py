@@ -25,7 +25,7 @@ from .encoder import METHODS, MODES, load_params, save_params
 from .errors import ContractViolation, open_output
 from .flow_annotation import FLOW_MODES, reduce_bev_flow
 from .harness import (compare_methods, coverage_report, evaluate_model, jsonable,
-                      prepare_frames, resolve_preset, train_model)
+                      prepare_frames, resolve_preset, train_model, write_history_csv)
 from .scene_sim import (SCENE_PRESETS, load_scene, preset_scene, render_all_cameras,
                         save_scene, scene_ground_truth, with_feature_channels)
 from .temporal_stream import load_queue, save_queue
@@ -118,7 +118,8 @@ def _cmd_gen_flow(args) -> int:
     _emit({
         "scene": scene.name, "frame": args.frame, "mode": args.flow_mode,
         "occupied_voxels": int(field.occupied.sum()),
-        "moving_voxels": int((np.linalg.norm(field.flow, axis=-1) > 1e-12).sum()),
+        # FlowField holds zero flow off the occupied voxels
+        "moving_voxels": int((speeds > 1e-12).sum()),
         "max_speed": float(speeds.max()) if speeds.size else 0.0,
         "bev_valid_cells": int(bev.valid.sum()),
         "blob": args.out,
@@ -133,7 +134,9 @@ def _cmd_train(args) -> int:
                                       mode=args.mode, queue_len=args.queue_len)
     settings = replace(settings, seed=args.seed, **_settings_override(args))
     data = prepare_frames(scene)
-    params, history = train_model(scene, config, settings, csv_path=args.curve, data=data)
+    params, history = train_model(scene, config, settings, data)
+    if args.curve is not None:
+        write_history_csv(args.curve, history)
     report, _ = evaluate_model(scene, params, data=data)
     if args.params:
         save_params(args.params, params)
@@ -180,13 +183,21 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line that argparse refuses is a contract violation, so that
+    `main` returns 2 with one JSON error; subparsers share this class."""
+
+    def error(self, message):
+        raise ContractViolation(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI grammar, built on first use and shared by every `main` call in
     the process: it depends on no input. Each handler reads module globals
     when it runs, so names patched on this module after the build still take
     effect."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="viewocc",
         description="multi-view occupancy perception on synthetic desk-scale scenes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -256,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # an overflow or invalid value anywhere means the inputs were out of range
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)

@@ -54,13 +54,13 @@ class ModelConfig:
     voxel_channels: int
     bev_channels: int
     n_classes: int
-    layers: int = 2
-    heads: int = 4
-    points: int = 4
-    queue_len: int = 4
-    temporal_points: int = 4
-    method: str = "view-attn"
-    mode: str = "one-dof"
+    layers: int
+    heads: int
+    points: int
+    queue_len: int
+    temporal_points: int
+    method: str
+    mode: str
 
     def __post_init__(self):
         require(len(self.grid_shape) == 3 and min(self.grid_shape) >= 1 and len(self.origin) == 3,
@@ -88,18 +88,19 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        """Unknown keys are ignored, so older headers that carry more load too."""
-        kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        """Every field is required; unknown keys are ignored, so older headers
+        that carry more load too."""
+        kwargs = {}
+        for f in fields(cls):
+            require(f.name in obj, f"model config is missing key {f.name!r}")
+            kwargs[f.name] = obj[f.name]
         try:
             for name in _COUNT_FIELDS:
-                if name in kwargs:
-                    blobio.count_field(kwargs[name], f"model config {name}")
-            if "pitch" in kwargs:
-                kwargs["pitch"] = blobio.number_field(kwargs["pitch"], "model config pitch")
+                blobio.count_field(kwargs[name], f"model config {name}")
+            kwargs["pitch"] = blobio.number_field(kwargs["pitch"], "model config pitch")
             for name, check in (("grid_shape", blobio.count_field),
                                 ("origin", blobio.number_field)):
-                if name in kwargs:
-                    kwargs[name] = tuple(check(x, f"model config {name}") for x in kwargs[name])
+                kwargs[name] = tuple(check(x, f"model config {name}") for x in kwargs[name])
             return cls(**kwargs)
         except TypeError as exc:
             raise ContractViolation(f"malformed model config: {exc}") from exc

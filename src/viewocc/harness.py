@@ -80,10 +80,9 @@ def prepare_frames(scene: SceneSpec, frames=None):
 
 
 def decode_prediction(pred: PredictionBundle):
-    """(occupied mask, semantic labels with 0 = free) from raw logits."""
-    occupied = pred.occ_logits > 0.0
+    """Semantic labels from raw logits; 0 = free, where the occupancy logit is <= 0."""
     sem = np.argmax(pred.sem_logits, axis=-1) + 1
-    return occupied, np.where(occupied, sem, 0)
+    return np.where(pred.occ_logits > 0.0, sem, 0)
 
 
 class MetricAccumulator:
@@ -99,14 +98,15 @@ class MetricAccumulator:
         self.ave_sum = {c: 0.0 for c in self.foreground_ids}
         self.ave_count = {c: 0 for c in self.foreground_ids}
 
-    def add_frame(self, pred_labels, gt_labels, pred_occ, gt_occ,
-                  pred_flow, bev_truth: BEVFlowField, mask=None) -> dict:
-        """Count one frame in; returns that frame's own miou, iou_geo and mave."""
+    def add_frame(self, pred_labels, gt_labels, pred_flow, bev_truth: BEVFlowField,
+                  mask=None) -> dict:
+        """Count one frame in (label 0 = free, for iou_geo too); returns that
+        frame's own miou, iou_geo and mave."""
         inter, union = iou_counts(pred_labels, gt_labels, self.class_ids, mask)
         for c in self.class_ids:
             self.inter[c] += inter[c]
             self.union[c] += union[c]
-        geo_inter, geo_union = geo_counts(pred_occ, gt_occ, mask)
+        geo_inter, geo_union = geo_counts(pred_labels > 0, gt_labels > 0, mask)
         self.geo_inter += geo_inter
         self.geo_union += geo_union
         sums, counts = ave_sums(pred_flow, bev_truth, self.foreground_ids)
@@ -189,21 +189,17 @@ def _check_geometry(scene: SceneSpec, config: ModelConfig) -> None:
             f"scene class ids {scene_ids} must be the model's class ids {model_ids}")
 
 
-def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
-                csv_path=None, data=None):
-    """Streamed training; returns (params, history).
+def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings, data):
+    """Streamed training on `data`, the scene's `prepare_frames` list; returns
+    (params, history).
 
     Every epoch replays the frame sequence with a fresh memory queue; each
     frame does one optimizer step. History rows carry the per-epoch mean loss
     terms plus metrics accumulated from the training predictions themselves.
-    `data` is the scene's `prepare_frames` list when the caller already has
-    it; by default the frames are prepared here.
     """
     require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
     require(settings.seed >= 0, f"seed must be >= 0, got {settings.seed}")
     _check_geometry(scene, config)
-    if data is None:
-        data = prepare_frames(scene)
     rig = scene.cameras
     params = init_model(np.random.default_rng(settings.seed), config, len(rig))
     opt = MomentumSGD(settings.lr)
@@ -223,14 +219,11 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings,
             terms = dict(parts, total=value)
             for k in LOSS_COLUMNS:
                 sums[k] += terms[k]
-            occ, labels = decode_prediction(res.pred)
-            acc.add_frame(labels, fd.truth.labels, occ, fd.truth.labels > 0,
-                          res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)
+            acc.add_frame(decode_prediction(res.pred), fd.truth.labels, res.pred.bev_flow,
+                          fd.truth.bev_flow, fd.visibility)
         row = {"epoch": epoch, **{k: sums[k] / len(data) for k in LOSS_COLUMNS},
                **acc.result()}
         history.append({k: row[k] for k in CSV_COLUMNS})
-    if csv_path is not None:
-        write_history_csv(csv_path, history)
     return params, history
 
 
@@ -263,8 +256,7 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
         res = forward_frame(params, fd.features, rig, fd.pose, queue)
         value, parts = total_loss(res.pred, fd.truth, weights)
         queue.push(res.fused, fd.pose)
-        occ, labels = decode_prediction(res.pred)
-        scores = acc.add_frame(labels, fd.truth.labels, occ, fd.truth.labels > 0,
+        scores = acc.add_frame(decode_prediction(res.pred), fd.truth.labels,
                                res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)
         per_frame.append({"frame": fd.index, "loss": value, **scores,
                           "queue_depth": len(queue)})

@@ -44,18 +44,6 @@ class FeatureMap:
             raise ContractViolation("FeatureMap: contains non-finite values")
         self.data = arr
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass
 class AffineMap:

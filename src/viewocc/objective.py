@@ -3,7 +3,7 @@
 The composite loss is
 
     total = focal(occupancy state) + ce(semantics) + lovasz(semantics)
-            + lambda * l1(BEV flow)
+            + l1(BEV flow)
 
 where focal runs over every voxel, the two semantic terms run over
 gt-occupied voxels only, and the flow term runs over valid BEV cells. All
@@ -34,11 +34,9 @@ FOCAL_GAMMA = 2.0   # the focusing exponent of the training objective's focal te
 
 @dataclass
 class LossWeights:
-    flow_weight: float = 1.0
     focal_alpha: float | None = 0.25
 
     def __post_init__(self):
-        require(self.flow_weight >= 0.0, "flow_weight must be >= 0")
         if self.focal_alpha is not None:
             require(0.0 <= self.focal_alpha <= 1.0, "focal_alpha must lie in [0, 1]")
 
@@ -215,10 +213,9 @@ def total_loss(pred: PredictionBundle, truth: FrameTruth, weights: LossWeights,
         l1, g_l1 = l1
         g_sem = np.zeros_like(pred.sem_logits)
         g_sem[occupied] = g_ce + softmax_backward(probs, g_probs, axis=-1)
-        grads = {"occ_logits": g_occ, "sem_logits": g_sem,
-                 "bev_flow": weights.flow_weight * g_l1}
+        grads = {"occ_logits": g_occ, "sem_logits": g_sem, "bev_flow": g_l1}
     parts = {"focal": focal, "ce": ce, "lovasz": ls, "l1_flow": l1}
-    value = focal + ce + ls + weights.flow_weight * l1
+    value = focal + ce + ls + l1
     if with_grads:
         return value, parts, grads
     return value, parts

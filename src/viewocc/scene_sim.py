@@ -223,7 +223,6 @@ class _FeatureBasis:
     POS_AMP = 0.8
 
     def __init__(self, seed: int, channels: int, n_classes: int):
-        require(channels >= n_classes, "feature_channels must be >= number of classes")
         rng = np.random.default_rng([int(seed), 0x5EED])
         gauss = rng.normal(size=(channels, channels))
         q, _ = np.linalg.qr(gauss)

@@ -97,13 +97,14 @@ def load_queue(prefix) -> MemoryQueue:
     except ContractViolation as exc:    # say which of eval's two blobs it was
         raise ContractViolation(f"queue blob {prefix}: {exc}") from exc
     require(isinstance(meta, dict), f"queue blob {prefix} has no meta table")
-    capacity, count, poses = meta.get("capacity"), meta.get("count"), meta.get("poses")
-    require(blobio.is_count(capacity) and blobio.is_count(count) and 1 <= capacity
-            and count <= capacity,
-            f"queue blob {prefix} needs integers meta.capacity >= 1 and meta.count <= "
-            f"capacity; got capacity {capacity!r}, count {count!r}")
+    capacity = blobio.count_field(meta.get("capacity"), f"queue blob {prefix} meta.capacity")
+    count = blobio.count_field(meta.get("count"), f"queue blob {prefix} meta.count")
+    require(1 <= capacity and count <= capacity,
+            f"queue blob {prefix} needs meta.capacity >= 1 and meta.count <= capacity; "
+            f"got capacity {capacity}, count {count}")
+    poses = meta.get("poses")
     require(isinstance(poses, list) and len(poses) == count,
-            f"queue blob {prefix} needs a meta.poses list of {count!r} poses")
+            f"queue blob {prefix} needs a meta.poses list of {count} poses")
     layout = meta.get("layout")
     require(count == 0 or isinstance(layout, dict) and isinstance(layout.get("origin"), list),
             f"queue blob {prefix} has no meta.layout table with an origin list")
@@ -236,14 +237,13 @@ def temporal_forward_arrays(current: np.ndarray, warped: np.ndarray,
 
     if not keep_cache:
         return out.reshape(h, w, c), None
-    cache.update(cells=cells, warped=warped, u=u, v=v, pre=pre, levels=levels, shape=(h, w, c))
+    cache.update(cells=cells, warped=warped, u=u, v=v, pre=pre)
     return out.reshape(h, w, c), cache
 
 
 def temporal_backward_arrays(cache: dict, params: TemporalParams, g_out: np.ndarray):
     """Gradients of sum(g_out * out) w.r.t. parameters and the current frame."""
-    h, w, c = cache["shape"]
-    levels = cache["levels"]
+    levels, h, w, c = cache["warped"].shape
     p, n = params.points, params.levels
     g_out = np.asarray(g_out, dtype=FLOAT).reshape(h * w, c)
     cells = cache["cells"]

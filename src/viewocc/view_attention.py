@@ -488,11 +488,10 @@ def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
                         g_logits.reshape(nq, m * k * j), g)
 
 
-def view_attn_forward(ctx: QueryContext, params: AttnParams, features, rig,
-                      mode: str = "one-dof"):
-    """Single-query learning-first attention; returns (out, TraceRecord)."""
+def view_attn_forward(ctx: QueryContext, params: AttnParams, features, rig):
+    """Single-query one-dof learning-first attention; returns (out, TraceRecord)."""
     out, cache = attn_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
-                                    params, features, rig, mode, keep_cache=True)
+                                    params, features, rig, keep_cache=True)
     return out[0], TraceRecord(in_view=cache["valid"][0])
 
 

@@ -309,10 +309,7 @@ def _session(work: Path, inputs: Path, fresh_parser: bool) -> dict:
                 cli.build_parser.cache_clear()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:    # argparse's usage error
-                    code = exc.code
+                code = cli.main(argv)
             report = out.getvalue()
             if argv[0] == "eval":
                 report = json.loads(report)
@@ -602,3 +599,68 @@ def test_queue_capacity_of_10_to_the_400_exits_2(inputs, tmp_path):
                       "--frames", "1", "--queue-in", tmp_path / "queue"])
     assert code == 2, err
     assert "meta.capacity" in json.loads(err)["error"], err
+
+
+@pytest.mark.parametrize("field", ["capacity", "count"])
+def test_queue_count_of_10_to_the_400_exits_2_with_a_short_error(inputs, tmp_path, field):
+    # the error used to hold the 401-digit integer
+    shutil.copy(inputs / "queue.bin", tmp_path / "queue.bin")
+    header = json.loads((inputs / "queue.json").read_text())
+    header["meta"][field] = 10**400
+    (tmp_path / "queue.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", inputs / "model",
+                      "--frames", "1", "--queue-in", tmp_path / "queue"])
+    assert code == 2, err
+    error = json.loads(err)["error"]
+    assert f"meta.{field}" in error and len(error) < 200, error
+
+
+@pytest.mark.parametrize("key", ["layers", "heads", "points", "queue_len", "temporal_points",
+                                 "method", "mode"])
+def test_params_header_without_a_config_key_exits_2_naming_it(inputs, tmp_path, key):
+    # these keys used to fall back to a default: without `mode` a two-dof
+    # model was evaluated as one-dof
+    shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
+    header = json.loads((inputs / "model.json").read_text())
+    del header["meta"]["config"][key]
+    (tmp_path / "model.json").write_text(json.dumps(header))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", tmp_path / "model",
+                      "--frames", "0"])
+    assert code == 2, err
+    assert repr(key) in json.loads(err)["error"], err
+
+
+BAD_COMMAND_LINES = {
+    "non-integer-epochs": ["train", "--scene", "training", "--epochs", "abc"],
+    "non-integer-frame": ["coverage", "--scene", "training", "--frame", "x"],
+    "missing-params": ["eval", "--scene", "training"],
+    "unknown-subcommand": ["no-such-command"],
+    "unknown-flow-mode": ["gen-flow", "--scene", "training", "--flow-mode", "bogus"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMMAND_LINES))
+def test_bad_command_line_returns_2_with_one_json_error(case):
+    # argparse used to print its usage text and raise SystemExit(2)
+    code, err = _run(BAD_COMMAND_LINES[case])
+    assert code == 2, err
+    assert json.loads(err)["error"], err
+
+
+def test_bad_command_line_exits_2_with_one_json_error_as_a_program():
+    package_root = str(Path(viewocc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "viewocc.cli",
+                             *BAD_COMMAND_LINES["non-integer-epochs"]],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "--epochs" in json.loads(result.stderr)["error"]
+    assert result.stdout == ""
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--epochs" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from viewocc.flow_annotation import BEVFlowField
 from viewocc.geometry import Pose
 from viewocc.harness import (CSV_COLUMNS, MetricAccumulator, TrainSettings, compare_methods,
                              evaluate_model, jsonable, prepare_frames, resolve_preset,
-                             train_model)
+                             train_model, write_history_csv)
 from viewocc.numerics import AffineMap, FeatureMap
 from viewocc.objective import FrameTruth, LossWeights, iou_geo, mave, miou, total_loss
 from viewocc.scene_sim import build_rig, preset_scene, save_scene
@@ -122,7 +122,7 @@ def test_full_model_gradients_match_fd(method):
     rng, rig, features, pose, truth = _tiny_inputs()
     params = init_model(rng, config, len(rig))
     queue = MemoryQueue(config.queue_len)
-    weights = LossWeights(flow_weight=1.3)
+    weights = LossWeights()
 
     def loss_value():
         res = forward_frame(params, features, rig, pose, queue)
@@ -172,7 +172,7 @@ def _in_view_problem(method, mode, layers, seed=3):
 @pytest.mark.parametrize("method", ["view-attn", "proj-first"])
 def test_in_view_model_gradients_match_fd_through_every_layer(method, mode, layers):
     params, rig, features, pose, queue, truth = _in_view_problem(method, mode, layers)
-    weights = LossWeights(flow_weight=1.3)
+    weights = LossWeights()
 
     def loss_value():
         res = forward_frame(params, features, rig, pose, queue)
@@ -258,7 +258,8 @@ def test_two_epoch_training_writes_history(tmp_path):
     config, settings = resolve_preset("small", scene)
     settings.epochs = 2
     csv_path = tmp_path / "curve.csv"
-    params, history = train_model(scene, config, settings, csv_path=csv_path)
+    params, history = train_model(scene, config, settings, data=prepare_frames(scene))
+    write_history_csv(csv_path, history)
     assert len(history) == 2
     for row in history:
         assert np.isfinite(row["total"])
@@ -298,7 +299,7 @@ def test_compare_prepares_once_and_trains_through_the_module_attribute(monkeypat
     for method, run in zip(methods, report["runs"]):
         config, settings = resolve_preset("small", scene, method=method)
         settings.epochs, settings.seed = 2, 5
-        params, history = train_model(scene, config, settings)
+        params, history = train_model(scene, config, settings, data=prepare_frames(scene))
         alone, _ = evaluate_model(scene, params)
         assert jsonable([run["initial_loss"], run["final_loss"]]) == jsonable(
             [history[0]["total"], history[-1]["total"]])
@@ -499,7 +500,7 @@ def test_metric_accumulator_frame_scores_and_totals_match_the_metrics():
         flow = rng.normal(size=(4, 5, 2))
         truth = BEVFlowField(rng.normal(size=(4, 5, 2)), rng.random((4, 5)) > 0.2,
                              rng.integers(0, 4, size=(4, 5)), 0.5, (0.0, 0.0))
-        scores = acc.add_frame(pred, gt, pred > 0, gt > 0, flow, truth, mask)
+        scores = acc.add_frame(pred, gt, flow, truth, mask)
         assert scores == {"miou": miou(pred, gt, classes, mask)[0],
                           "iou_geo": iou_geo(pred > 0, gt > 0, mask),
                           "mave": mave(flow, truth, foreground)[0]}

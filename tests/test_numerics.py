@@ -161,7 +161,7 @@ def test_affine_shape_validation():
 
 def test_feature_map_contract():
     fm = FeatureMap(np.zeros((4, 6, 3)))
-    assert (fm.height, fm.width, fm.channels) == (4, 6, 3)
+    assert fm.data.shape == (4, 6, 3)
     with pytest.raises(ContractViolation):
         FeatureMap(np.zeros((4, 6)))
     with pytest.raises(ContractViolation):

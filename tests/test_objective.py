@@ -152,9 +152,9 @@ def _tiny_problem(seed=27):
 
 def test_total_loss_is_sum_of_parts():
     pred, truth = _tiny_problem()
-    weights = LossWeights(flow_weight=2.0)
+    weights = LossWeights()
     value, parts = total_loss(pred, truth, weights)
-    expect = parts["focal"] + parts["ce"] + parts["lovasz"] + 2.0 * parts["l1_flow"]
+    expect = parts["focal"] + parts["ce"] + parts["lovasz"] + parts["l1_flow"]
     assert abs(value - expect) < 1e-12
     occupied = truth.labels > 0
     ce_direct = cross_entropy(pred.sem_logits[occupied], truth.labels[occupied] - 1)
@@ -163,7 +163,7 @@ def test_total_loss_is_sum_of_parts():
 
 def test_total_loss_gradients_match_fd():
     pred, truth = _tiny_problem()
-    weights = LossWeights(flow_weight=1.7)
+    weights = LossWeights()
     rng = np.random.default_rng(28)
     _, _, grads = total_loss(pred, truth, weights, with_grads=True)
 
