@@ -61,13 +61,21 @@ def write_blob(prefix, arrays: dict, meta: dict | None = None) -> None:
 MAX_COUNT = 2**63 - 1
 
 
+# The longest string an error echoes in full.
+_SHOWN_CHARS = 40
+
+
 def _shown(value) -> str:
     """repr(value), but with each integer beyond MAX_COUNT given as its bit
-    length, so that an error never holds a number of hundreds of digits."""
+    length and each string longer than _SHOWN_CHARS as its length and first
+    characters, so that an error never holds a number of hundreds of digits
+    or a whole long string."""
     if isinstance(value, list):
         return "[" + ", ".join(map(_shown, value)) + "]"
     if type(value) is int and abs(value) > MAX_COUNT:
         return f"an integer of {value.bit_length()} bits"
+    if isinstance(value, str) and len(value) > _SHOWN_CHARS:
+        return f"a string of {len(value)} characters starting {value[:20]!r}"
     return repr(value)
 
 
@@ -110,6 +118,15 @@ def number_entries(values, name: str):
     return values
 
 
+def name_field(value, name: str) -> str:
+    """`value` when it is a JSON string; otherwise a ContractViolation naming
+    the field, so a file's 10**400 or {"a": [1]} is never copied into a
+    report as a name."""
+    if not isinstance(value, str):
+        raise ContractViolation(f"{name} must be a string, got {_shown(value)}")
+    return value
+
+
 def flag_field(value, name: str) -> bool:
     """`value` when it is a JSON boolean; otherwise a ContractViolation naming
     the field, so a file's "no" is never read as true."""
@@ -146,19 +163,33 @@ def _read_array(raw: bytes, name: str, spec, start: int) -> np.ndarray:
     return arr.reshape(shape).astype(spec["dtype"], copy=False)
 
 
-def read_blob(prefix):
+def read_blob_files(prefix) -> tuple[str, object, bytes]:
+    """The blob's header text, that text parsed as JSON, and its data bytes,
+    as read from the files with no further check."""
     json_path, bin_path = _paths(prefix)
     try:
         with open(json_path) as fh:
-            header = json.load(fh)
+            text = fh.read()
+        header = json.loads(text)
         raw = bin_path.read_bytes()
     # ValueError also covers bytes that are not UTF-8 and integers too long
     # to convert, which json raises outside JSONDecodeError
     except (OSError, ValueError) as exc:
         raise ContractViolation(f"read_blob: cannot read {prefix}: {exc}") from exc
+    return text, header, raw
+
+
+def read_blob(prefix):
+    _, header, raw = read_blob_files(prefix)
+    return blob_arrays(prefix, header, raw)
+
+
+def blob_arrays(prefix, header, raw: bytes):
+    """(arrays, meta) of a blob's parsed header and data bytes, once every
+    header entry is shown to fit the data."""
     specs = header.get("arrays") if isinstance(header, dict) else None
     if not isinstance(specs, dict):
-        raise ContractViolation(f"read_blob: {json_path} has no 'arrays' table")
+        raise ContractViolation(f"read_blob: {_paths(prefix)[0]} has no 'arrays' table")
     arrays, end = {}, 0
     for name in sorted(specs):
         arrays[name] = _read_array(raw, name, specs[name], end)

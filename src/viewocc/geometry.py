@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blobio import count_field, number_entries, number_field
+from .blobio import count_field, name_field, number_entries, number_field
 from .errors import ContractViolation, require
 from .numerics import FLOAT, as_float_array, bilinear_valid
 
@@ -213,7 +213,8 @@ class CameraModel:
         width, height = (count_field(n, "CameraModel.image_size") for n in obj["image_size"])
         fx, fy, cx, cy = (number_field(k[n], f"CameraModel.{n}") for n in ("fx", "fy", "cx", "cy"))
         return cls(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
-                   extrinsics=Pose.from_json(obj["extrinsics"]), name=obj.get("name", ""))
+                   extrinsics=Pose.from_json(obj["extrinsics"]),
+                   name=name_field(obj.get("name", ""), "CameraModel.name"))
 
 
 _DEPTH_EPS = 1e-12

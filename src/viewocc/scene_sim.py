@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .blobio import MAX_COUNT, count_field, flag_field, number_field
+from .blobio import MAX_COUNT, count_field, flag_field, name_field, number_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, poses_from_json, rotation_z
@@ -152,10 +152,11 @@ class SceneSpec:
     def from_json(cls, obj: dict) -> "SceneSpec":
         try:
             return cls(
-                name=obj.get("name", "scene"),
+                name=name_field(obj.get("name", "scene"), "scene name"),
                 seed=count_field(obj["seed"], "scene seed"),
                 feature_channels=count_field(obj["feature_channels"], "scene feature_channels"),
-                classes=[SceneClass(count_field(c["id"], "class id"), c["name"],
+                classes=[SceneClass(count_field(c["id"], "class id"),
+                                    name_field(c["name"], "class name"),
                                     flag_field(c.get("foreground", False), "class foreground"))
                          for c in obj["classes"]],
                 grid=GridSpec.from_json(obj["grid"]),
@@ -202,15 +203,6 @@ def with_feature_channels(scene: SceneSpec, channels: int) -> SceneSpec:
     return SceneSpec.from_json(obj)
 
 
-def load_scene(path) -> SceneSpec:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError) as exc:        # as in blobio.read_blob
-        raise ContractViolation(f"cannot read scene file {path}: {exc}") from exc
-    return SceneSpec.from_json(obj)
-
-
 class _FeatureBasis:
     """Deterministic surface-feature generator shared by all cameras.
 
@@ -244,21 +236,60 @@ _TABLE_CACHE_SIZE = 32
 _tables: OrderedDict = OrderedDict()
 
 
+def _read_only(value) -> None:
+    """Make every array in `value` read-only: the arrays of its tuples,
+    lists, dicts and object attributes, at any depth."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, dict):
+        _read_only(list(value.values()))
+    elif hasattr(value, "__dict__"):
+        _read_only(list(vars(value).values()))
+
+
 def _cached(key, build, store: OrderedDict = _tables, size: int = _TABLE_CACHE_SIZE):
-    """The tuple of arrays cached in `store` under `key`, made read-only;
-    `build()` makes it on a miss. `store` keeps the `size` most recently
-    used entries."""
-    table = store.get(key)
-    if table is None:
-        table = build()
-        for arr in table:
-            arr.flags.writeable = False
-        store[key] = table
+    """The value cached in `store` under `key`, its arrays made read-only;
+    `build()` makes it on a miss, and nothing is cached when it raises.
+    `store` keeps the `size` most recently used entries."""
+    value = store.get(key)
+    if value is None:
+        value = build()
+        _read_only(value)
+        store[key] = value
         if len(store) > size:
             store.popitem(last=False)
     else:
         store.move_to_end(key)
-    return table
+    return value
+
+
+# At most this many checked scenes stay cached per process, keyed by their
+# files' text; the least recently used goes first.
+_SCENE_CACHE_SIZE = 4
+_scenes: OrderedDict = OrderedDict()
+
+
+def load_scene(path) -> SceneSpec:
+    """The scene in the JSON file at `path`, which is read on every call. A
+    text parsed and checked before in this process gives the same SceneSpec,
+    shared with every earlier load and made read-only by `_cached`; a file
+    that fails a check is never cached."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:        # as in blobio.read_blob
+        raise ContractViolation(f"cannot read scene file {path}: {exc}") from exc
+
+    def parse():
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise ContractViolation(f"cannot read scene file {path}: {exc}") from exc
+        return SceneSpec.from_json(obj)
+    return _cached(text, parse, _scenes, _SCENE_CACHE_SIZE)
 
 
 def _camera_key(cam: CameraModel):

@@ -48,3 +48,12 @@ def test_ab_fails_on_a_read_one_ulp_off(tmp_path):
     assert not summary["identical"]
     assert summary["differing"] == ["proj-first", "temporal-2", "temporal-4", "view-attn"]
     assert summary["cases"] == {}
+
+
+@pytest.mark.parametrize("layer", ["load_scene", "load_params", "write_blob"])
+def test_ab_file_layers_against_this_checkout_are_identical(layer):
+    code, summary, done = _ab(ROOT, layer)
+    assert code == 0, done.stdout + done.stderr
+    assert summary["identical"] and list(summary["cases"]) == [layer]
+    case = summary["cases"][layer]
+    assert case["pairs"] == 3 and case["q1"] <= case["median_ratio"] <= case["q3"]

@@ -664,3 +664,38 @@ def test_help_still_prints_and_exits_0(capsys):
         cli_main(["train", "--help"])
     assert exc.value.code == 0
     assert "--epochs" in capsys.readouterr().out
+
+
+NAME_FIELDS = [(("name",), "scene name"), (("classes", 0, "name"), "class name"),
+               (("cameras", 0, "name"), "CameraModel.name")]
+
+
+@pytest.mark.parametrize("command", ["coverage", "render"])
+@pytest.mark.parametrize("value", [None, True, 10**400, {"a": [1]}],
+                         ids=["null", "true", "10**400", "object"])
+@pytest.mark.parametrize("path, field", NAME_FIELDS, ids=[f for _, f in NAME_FIELDS])
+def test_name_that_is_not_a_string_exits_2_naming_the_field(tmp_path, path, field, value,
+                                                            command):
+    # a name was copied into the report or the render blob's meta unchecked
+    scene = preset_scene("training").to_json()
+    *parents, key = path
+    node = scene
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    code, err = _run([command, "--scene", tmp_path / "scene.json", "--out", tmp_path / "out"])
+    assert code == 2, err
+    error = json.loads(err)["error"]
+    assert field in error and len(error) < 200, err
+    assert list(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
+def test_absent_scene_and_camera_names_keep_their_defaults(tmp_path):
+    scene = preset_scene("training").to_json()
+    del scene["name"]
+    del scene["cameras"][0]["name"]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    assert _run(["render", "--scene", tmp_path / "scene.json", "--out", tmp_path / "r"]) == (0, "")
+    meta = json.loads((tmp_path / "r.json").read_text())["meta"]
+    assert meta["scene"] == "scene" and meta["cameras"][0] == ""

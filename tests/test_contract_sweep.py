@@ -28,7 +28,8 @@ from viewocc.encoder import init_model, save_params
 from viewocc.harness import resolve_preset
 from viewocc.scene_sim import preset_scene, save_scene
 
-BAD_VALUES = (None, "x", True, [], {}, -1, 0, 2.5, 1e308, -1e308, 10**400, [[1]])
+BAD_VALUES = (None, "x", True, [], {}, -1, 0, 2.5, 1e308, -1e308, 10**400, [[1]],
+              "x" * 100_000)
 ERROR_CHARS = 300
 DELETE = object()
 

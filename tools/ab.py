@@ -1,21 +1,31 @@
 """Time one layer of this tree against another tree's, in one process.
 
-    python3 tools/ab.py --parent <tree> --layer read_plan|aggregate_backward|warp_bev
+    python3 tools/ab.py --parent <tree> --layer <layer>
 
 `<tree>` is another checkout of the repository, typically the parent commit
 (made with `git archive`). Its `src/viewocc` is loaded under another module
 name beside this tree's, and each tree builds the same training-size inputs
 with its own code:
 
-- `view-attn`, `proj-first`: the `small` preset's attention layer (16
-  channels, 2 heads x 4 points x 6 cameras, offset and logit heads seeded
-  at scales 0.15 and 0.5) over the 1600 voxel queries of the `training`
-  scene's frame 0;
-- `temporal-2`, `temporal-4`: the preset's temporal fusion (28 channels,
-  4 points) on the 20 x 20 BEV grid with 2 and 4 memory levels;
+- `read_plan`, `aggregate_backward`: cases `view-attn` and `proj-first`, the
+  `small` preset's attention layer (16 channels, 2 heads x 4 points x 6
+  cameras, offset and logit heads seeded at scales 0.15 and 0.5) over the
+  1600 voxel queries of the `training` scene's frame 0; and `temporal-2`,
+  `temporal-4`, the preset's temporal fusion (28 channels, 4 points) on the
+  20 x 20 BEV grid with 2 and 4 memory levels;
 - `warp_bev` warps that BEV grid by a planar ego motion.
 
-Every case's outputs must be byte-identical between the trees; any
+The file layers run on files each tree writes with its own code, in a
+temporary directory of its own:
+
+- `load_scene` loads the `stream` scene file again and again;
+- `load_params` loads the `small` preset's params for the `stream` scene
+  (33 arrays, 280 KB), attention heads seeded as above;
+- `write_blob` rewrites the six feature maps of a `stream` render (1.3 MB)
+  over the prefix it wrote before.
+
+Every case's outputs must be byte-identical between the trees (for the file
+layers: the scene's `to_json`, the params arrays, the written files); any
 difference is reported and the exit status is 1. Then each pair of timings
 runs both trees, in an order that alternates from pair to pair, and takes
 the ratio of this tree's time to the other's. Printed per case: the median
@@ -31,6 +41,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from math import comb
 from pathlib import Path
@@ -38,7 +49,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("read_plan", "aggregate_backward", "warp_bev")
+LAYERS = ("read_plan", "aggregate_backward", "warp_bev", "load_scene", "load_params",
+          "write_blob")
 HEAD_SCALE = {"offset_head": 0.15, "logit_head": 0.5}
 SEED = 7
 
@@ -97,8 +109,36 @@ def _bev_case(vo):
     return bev, rel
 
 
-def cases(vo, layer: str):
-    """{case name: a call of the layer on that case's inputs}."""
+def _file_case(vo, layer: str, work: Path):
+    """A call of a file layer on files this tree writes under `work`."""
+    work.mkdir(parents=True)
+    scene = vo.scene_sim.preset_scene("stream", seed=SEED)
+    if layer == "load_scene":
+        vo.scene_sim.save_scene(work / "scene.json", scene)
+        return lambda: vo.scene_sim.load_scene(work / "scene.json")
+    if layer == "load_params":
+        config, _ = vo.harness.resolve_preset("small", scene)
+        rng = np.random.default_rng([SEED, 0xB0])
+        params = vo.encoder.init_model(rng, config, len(scene.cameras))
+        for layer_params in params.layers:
+            _seed_heads(layer_params, rng)
+        vo.encoder.save_params(work / "params", params)
+        return lambda: vo.encoder.load_params(work / "params")
+    arrays = {f"cam.{j}": f.data for j, f in enumerate(vo.scene_sim.render_all_cameras(scene, 0))}
+    prefix = work / "render"
+
+    def write():
+        vo.blobio.write_blob(prefix, arrays, {"scene": scene.name, "frame": 0})
+        return [Path(f"{prefix}.json"), Path(f"{prefix}.bin")]
+    write()
+    return write
+
+
+def cases(vo, layer: str, work: Path):
+    """{case name: a call of the layer on that case's inputs}; file layers
+    write their files under `work`."""
+    if layer in ("load_scene", "load_params", "write_blob"):
+        return {layer: _file_case(vo, layer, work)}
     if layer == "warp_bev":
         bev, rel = _bev_case(vo)
         return {"warp_bev": lambda: vo.temporal_stream.warp_bev(bev, rel).data}
@@ -119,11 +159,19 @@ def cases(vo, layer: str):
 
 
 def _arrays(result):
-    """The arrays of a layer's result, in a fixed order."""
+    """The arrays of a layer's result, in a fixed order: a scene as its
+    `to_json` text, params as their arrays, a path as the file's bytes."""
     if isinstance(result, dict):
         return [a for key in sorted(result) for a in _arrays(result[key])]
     if isinstance(result, (tuple, list)):
         return [a for item in result for a in _arrays(item)]
+    if isinstance(result, Path):
+        return [np.frombuffer(result.read_bytes(), dtype=np.uint8)]
+    if hasattr(result, "to_json"):
+        text = json.dumps(result.to_json(), sort_keys=True)
+        return [np.frombuffer(text.encode(), dtype=np.uint8)]
+    if hasattr(result, "arrays"):
+        return [a for _, a in result.arrays()]
     return [] if result is None else [np.asarray(result)]
 
 
@@ -187,10 +235,12 @@ def main(argv=None) -> int:
         parser.error(f"{args.parent} has no src/viewocc")
     if args.pairs < 1 or args.repeat < 1:
         parser.error("--pairs and --repeat must be at least 1")
-    ours = cases(load_tree(ROOT, "viewocc_change"), args.layer)
-    theirs = cases(load_tree(args.parent.resolve(), "viewocc_parent"), args.layer)
-    differing = byte_differences(ours, theirs)
-    report = {} if differing else measure(ours, theirs, args.pairs, args.repeat)
+    with tempfile.TemporaryDirectory() as work:
+        ours = cases(load_tree(ROOT, "viewocc_change"), args.layer, Path(work) / "change")
+        theirs = cases(load_tree(args.parent.resolve(), "viewocc_parent"), args.layer,
+                       Path(work) / "parent")
+        differing = byte_differences(ours, theirs)
+        report = {} if differing else measure(ours, theirs, args.pairs, args.repeat)
     for name, r in report.items():
         print(f"{args.layer} {name:11s} median {r['median_ratio']:.3f} "
               f"[{r['q1']:.3f}, {r['q3']:.3f}]  wins {r['wins']}/{r['pairs']}  "
