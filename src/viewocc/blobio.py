@@ -163,33 +163,19 @@ def _read_array(raw: bytes, name: str, spec, start: int) -> np.ndarray:
     return arr.reshape(shape).astype(spec["dtype"], copy=False)
 
 
-def read_blob_files(prefix) -> tuple[str, object, bytes]:
-    """The blob's header text, that text parsed as JSON, and its data bytes,
-    as read from the files with no further check."""
+def read_blob(prefix):
     json_path, bin_path = _paths(prefix)
     try:
         with open(json_path) as fh:
-            text = fh.read()
-        header = json.loads(text)
+            header = json.load(fh)
         raw = bin_path.read_bytes()
     # ValueError also covers bytes that are not UTF-8 and integers too long
     # to convert, which json raises outside JSONDecodeError
     except (OSError, ValueError) as exc:
         raise ContractViolation(f"read_blob: cannot read {prefix}: {exc}") from exc
-    return text, header, raw
-
-
-def read_blob(prefix):
-    _, header, raw = read_blob_files(prefix)
-    return blob_arrays(prefix, header, raw)
-
-
-def blob_arrays(prefix, header, raw: bytes):
-    """(arrays, meta) of a blob's parsed header and data bytes, once every
-    header entry is shown to fit the data."""
     specs = header.get("arrays") if isinstance(header, dict) else None
     if not isinstance(specs, dict):
-        raise ContractViolation(f"read_blob: {_paths(prefix)[0]} has no 'arrays' table")
+        raise ContractViolation(f"read_blob: {json_path} has no 'arrays' table")
     arrays, end = {}, 0
     for name in sorted(specs):
         arrays[name] = _read_array(raw, name, specs[name], end)

@@ -21,8 +21,6 @@ serializer, and the finite-difference checks all share one view of it.
 
 from __future__ import annotations
 
-import copy
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,7 +31,6 @@ from .flow_annotation import GridSpec
 from .geometry import Pose
 from .numerics import FLOAT, AffineMap
 from .objective import PredictionBundle
-from .scene_sim import _cached
 from .temporal_stream import (BEVGrid, MemoryQueue, TemporalParams, init_temporal_params,
                               temporal_backward_arrays, temporal_forward_arrays, warp_queue)
 from .view_attention import (attn_backward_batch, attn_forward_batch, init_proj_first_params,
@@ -72,6 +69,9 @@ class ModelConfig:
         require(self.mode in MODES, f"mode must be one of {MODES}")
         for name in _COUNT_FIELDS:
             require(getattr(self, name) >= 1, f"{name} must be >= 1")
+            # a count beyond the int64 range never reaches an allocation
+            require(blobio.is_count(getattr(self, name)),
+                    f"{name} must be an integer from 1 to 2**63 - 1")
         require(self.voxel_channels % self.heads == 0,
                 "voxel_channels must be divisible by heads")
 
@@ -175,23 +175,8 @@ def save_params(prefix, params: ModelParams) -> None:
     blobio.write_blob(prefix, params.as_dict(), {"config": params.config.to_json()})
 
 
-# At most this many checked parameter blobs stay cached per process, keyed
-# by their files' contents; the least recently used goes first.
-_PARAMS_CACHE_SIZE = 2
-_params: OrderedDict = OrderedDict()
-
-
 def load_params(prefix) -> ModelParams:
-    """The parameters in the blob at `prefix`, whose files are read on every
-    call. Contents checked before in this process are not checked again;
-    each call returns its own writable copy."""
-    text, header, raw = blobio.read_blob_files(prefix)
-    return copy.deepcopy(_cached((text, raw), lambda: _checked_params(prefix, header, raw),
-                                 _params, _PARAMS_CACHE_SIZE))
-
-
-def _checked_params(prefix, header, raw: bytes) -> ModelParams:
-    arrays, meta = blobio.blob_arrays(prefix, header, raw)
+    arrays, meta = blobio.read_blob(prefix)
     require(isinstance(meta, dict) and isinstance(meta.get("config"), dict),
             f"parameter blob {prefix} has no meta.config table")
     config = ModelConfig.from_json(meta["config"])

@@ -60,7 +60,7 @@ class Pose:
 
     @classmethod
     def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
-        """A pose of checked arrays: read by poses_from_json, or derived by compose and inverse."""
+        """A pose of arrays derived from checked poses, by compose and inverse."""
         pose = object.__new__(cls)
         pose.rotation, pose.translation = rotation, translation
         return pose
@@ -103,25 +103,6 @@ class Pose:
         if rot.size != 9:
             as_float_array(rot, name="Pose.rotation")
         return cls(rot.reshape(3, 3), number_entries(obj["translation"], "Pose.translation"))
-
-
-def poses_from_json(objs) -> list:
-    """The `Pose`s of the JSON poses `objs`, checked in one stacked pass.
-
-    A list that fails the pass is read again one pose at a time, so the
-    error raised is the one `Pose.from_json` raises for the first bad pose.
-    """
-    try:
-        rot = np.array([number_entries(o["rotation"], "Pose.rotation") for o in objs],
-                       dtype=FLOAT).reshape(len(objs), 3, 3)
-        tr = np.array([number_entries(o["translation"], "Pose.translation") for o in objs],
-                      dtype=FLOAT).reshape(len(objs), 3)
-        if np.isfinite(rot).all() and np.isfinite(tr).all():
-            _check_rotations(rot)
-            return [Pose._checked(r, t) for r, t in zip(rot, tr)]
-    except (AttributeError, LookupError, TypeError, ValueError):
-        pass
-    return [Pose.from_json(o) for o in objs]
 
 
 def in_box(pose: Pose, size: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .blobio import MAX_COUNT, count_field, flag_field, name_field, number_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
-from .geometry import CameraModel, Pose, in_box, poses_from_json, rotation_z
+from .geometry import CameraModel, Pose, in_box, rotation_z
 from .numerics import FLOAT, FeatureMap, as_float_array
 
 RAY_STEP_FRACTION = 0.25  # step length as a fraction of the grid pitch
@@ -161,7 +161,7 @@ class SceneSpec:
                          for c in obj["classes"]],
                 grid=GridSpec.from_json(obj["grid"]),
                 cameras=[CameraModel.from_json(c) for c in obj["cameras"]],
-                ego_trajectory=poses_from_json(obj["ego_trajectory"]),
+                ego_trajectory=[Pose.from_json(p) for p in obj["ego_trajectory"]],
                 frame_dt=number_field(obj["frame_dt"], "scene frame_dt"),
                 statics=[StaticElement(count_field(s["category"], "static category"),
                                        [number_field(x, "static size") for x in s["size"]],
@@ -182,12 +182,13 @@ class SceneSpec:
 def _box_poses(obj: dict) -> dict:
     """A box's {frame: Pose} from its JSON table. A key must name a frame
     as `to_json` writes it, str(frame) with frame >= 0, so that "01" cannot
-    stand in for frame 1; the poses are read in one pass."""
+    stand in for frame 1. Every key is checked before the first pose is read,
+    and the poses are read one at a time by `Pose.from_json`."""
     for key in obj.keys():
         if not (key.isascii() and key.isdigit() and key == str(int(key))):
             raise ContractViolation("box frame key must be a non-negative integer without "
                                     f"leading zeros, got {key!r}")
-    return dict(zip(map(int, obj.keys()), poses_from_json(obj.values())))
+    return {int(k): Pose.from_json(v) for k, v in obj.items()}
 
 
 def save_scene(path, scene: SceneSpec) -> None:
@@ -275,8 +276,9 @@ _scenes: OrderedDict = OrderedDict()
 def load_scene(path) -> SceneSpec:
     """The scene in the JSON file at `path`, which is read on every call. A
     text parsed and checked before in this process gives the same SceneSpec,
-    shared with every earlier load and made read-only by `_cached`; a file
-    that fails a check is never cached."""
+    shared with every earlier load, so callers must not change it: `_cached`
+    makes its arrays read-only, but its lists and fields stay writable. A
+    file that fails a check is never cached."""
     try:
         with open(path) as fh:
             text = fh.read()

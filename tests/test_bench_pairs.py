@@ -85,3 +85,38 @@ def test_traced_table_pairs_the_sides():
     runs = [_run("change", 4, 70.0, 14.0), _run("parent", 4, 40.0, 25.0)]
     table = bench_pairs.traced_table(runs)
     assert table["items_per_s"] == {"flowocc-annotate": [40.0, 70.0]}
+
+
+def _pairs_of(parent, change):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change), start=201):
+        runs += [_run("parent", seed, p, 20.0), _run("change", seed, c, 20.0)]
+    return bench_pairs.summarize(runs, METRICS)["flowocc-annotate"]["metrics"]
+
+
+def test_no_regression_verdicts():
+    # the parent's items_per_s: median 45, quartile spread 4, bound 0.25 * 45
+    parent = [40.0, 50.0, 44.0, 46.0]
+    assert _pairs_of(parent, [70.0, 76.0, 49.0, 80.0])["items_per_s"]["no_regression"] == "held"
+    # a median 12% lower stays within the bound
+    assert _pairs_of(parent, [38.0, 41.0, 40.0, 39.0])["items_per_s"]["no_regression"] == "held"
+    # median 31.5 is more than 11.25 below 45
+    assert _pairs_of(parent, [30.0, 32.0, 31.0, 33.0])["items_per_s"]["no_regression"] == "worse"
+    # equal runs hold
+    canned = _pairs_of(parent, parent)
+    assert canned["op_ms_p50"]["no_regression"] == "held"
+    assert canned["peak_rss_mb"]["no_regression"] == "held"
+    # a wide parent: median 55, quartile spread 22.5 beyond the bound 13.75
+    wide = [20.0, 50.0, 80.0, 60.0]
+    assert _pairs_of(wide, [50.0, 52.0, 54.0, 56.0])["items_per_s"]["no_regression"] \
+        == "unresolved"
+    # ... unless every change run beats every parent run
+    assert _pairs_of(wide, [90.0, 95.0, 100.0, 85.0])["items_per_s"]["no_regression"] == "held"
+    # a worse median is worse however wide the parent
+    assert _pairs_of(wide, [20.0, 30.0, 35.0, 40.0])["items_per_s"]["no_regression"] == "worse"
+
+
+def test_no_regression_for_lower_is_better():
+    spec = {"name": "op_ms_p50", "better": "lower", "bound": 0.25}
+    assert bench_pairs.verdict(spec, [(20.0, 26.0), (20.0, 26.0), (20.0, 26.0)]) == "worse"
+    assert bench_pairs.verdict(spec, [(20.0, 24.0), (20.0, 24.0), (20.0, 24.0)]) == "held"

@@ -574,6 +574,28 @@ def test_count_of_10_to_the_400_in_a_params_header_exits_2_naming_the_field(inpu
     assert name in json.loads(err)["error"], err
 
 
+HUGE_QUEUE_LENS = {"train": ["train", "--scene", "training", "--epochs", "1",
+                             "--queue-len", str(10**20)],
+                   "compare": ["compare", "--scene", "training", "--epochs", "1",
+                               "--queue-lens", str(10**20)]}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_QUEUE_LENS))
+def test_queue_length_beyond_2_to_the_63_on_the_command_line_exits_2_naming_it(command):
+    # these raised "Maximum allowed dimension exceeded" when the queue was built
+    code, err = _run(HUGE_QUEUE_LENS[command])
+    assert code == 2, err
+    assert "queue_len" in json.loads(err)["error"], err
+    package_root = str(Path(viewocc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "viewocc.cli", *HUGE_QUEUE_LENS[command]],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "queue_len" in json.loads(result.stderr)["error"], result.stderr
+    assert result.stdout == ""
+
+
 def test_make_scene_writes_only_seeds_that_load_scene_reads(tmp_path):
     largest = 2**63 - 1
     code, err = _run(["make-scene", "--preset", "stream", "--seed", largest,

@@ -1,9 +1,10 @@
-"""Repeated in-process calls: each checked scene or params content is parsed
-once per process, and outputs are rewritten in place.
+"""Repeated in-process calls: each checked scene content is parsed once per
+process, and outputs are rewritten in place.
 
-`scene_sim.load_scene` and `encoder.load_params` read their files on every
-call and key a small store by the contents, so an edited file is a miss. A
-stored scene is shared, with read-only arrays; params are copied per call.
+`scene_sim.load_scene` reads its file on every call and keys a small store
+by the text, so an edited file is a miss. A stored scene is shared, with
+read-only arrays, and no command changes it. `encoder.load_params` reads and
+checks its blob on every call, so each load is a writable copy of its own.
 `errors.open_output` opens without truncating and cuts a regular file to
 what was written when the block ends.
 """
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import viewocc
-from viewocc import blobio, encoder, scene_sim
+from viewocc import blobio, scene_sim
 from viewocc.cli import main as cli_main
 from viewocc.encoder import init_model, load_params, save_params
 from viewocc.errors import open_output
@@ -68,13 +69,22 @@ def test_the_stores_stay_within_their_bounds(tmp_path):
         save_scene(tmp_path / "scene.json", preset_scene("training", seed=500 + seed))
         load_scene(tmp_path / "scene.json")
         assert len(scene_sim._scenes) <= scene_sim._SCENE_CACHE_SIZE
-    scene = preset_scene("training")
-    config, _ = resolve_preset("small", scene)
-    for seed in range(encoder._PARAMS_CACHE_SIZE + 2):
-        save_params(tmp_path / "model",
-                    init_model(np.random.default_rng(seed), config, len(scene.cameras)))
-        load_params(tmp_path / "model")
-        assert len(encoder._params) <= encoder._PARAMS_CACHE_SIZE
+
+
+def test_no_command_changes_the_stored_scene(tmp_path):
+    # a seed no other test writes, so every command below shares one stored scene
+    scene = tmp_path / "scene.json"
+    save_scene(scene, preset_scene("training", seed=424243))
+    stored = load_scene(scene)
+    for argv in (["coverage", "--out", tmp_path / "c.json"],
+                 ["render", "--frame", 1, "--out", tmp_path / "r"],
+                 ["gen-flow", "--frame", 1, "--out", tmp_path / "f"],
+                 ["train", "--epochs", 1, "--params", tmp_path / "model",
+                  "--out", tmp_path / "t.json"],
+                 ["eval", "--params", tmp_path / "model", "--out", tmp_path / "e.json"]):
+        assert _quiet([argv[0], "--scene", scene, *argv[1:]]) == 0, argv[0]
+    assert load_scene(scene) is stored
+    assert stored.to_json() == SceneSpec.from_json(json.loads(scene.read_text())).to_json()
 
 
 def _scene_arrays(scene):

@@ -14,9 +14,10 @@ interleaved seed by seed. Every run lasts `BENCHMARK.json`'s `run_seconds`.
 The output file holds, per workload and per end-to-end metric of
 `BENCHMARK.json`, both sides' quartiles and medians, the change's median over
 the parent's, the parent's quartile spread over its median, the median
-difference over that spread and how many pairs the change won; every run's
-exit status and result line; and `src_lines` of both trees. `--traced-seed`
-adds one traced run per workload and side (`traced_seed_<N>`: per metric and
+difference over that spread, how many pairs the change won and the
+`no_regression` verdict (see `verdict`), also gathered in one table; every
+run's exit status and result line; and `src_lines` of both trees.
+`--traced-seed` adds one traced run per workload and side (`traced_seed_<N>`: per metric and
 workload, the parent's and the change's value), `--ab-layer` the summary of
 `tools/ab.py` for each layer named (AB_PAIRS pairs), and `--claim` whether the named metric's
 gain is resolved: the change wins at least 9 pairs in 10 and the median
@@ -64,6 +65,25 @@ def quartiles(values: list) -> dict:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def verdict(spec: dict, pairs: list) -> str:
+    """Whether the change held a metric within its `bound` (a share of the
+    parent's median, from BENCHMARK.json's `end_to_end` entry `spec`), over
+    (parent, change) value pairs: "worse" when the change's median is worse
+    than the parent's by more than the bound; "unresolved" when the parent's
+    quartile spread exceeds the bound, unless every change run beats every
+    parent run; "held" otherwise."""
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    sign = 1.0 if spec["better"] == "higher" else -1.0
+    bound = spec["bound"] * abs(parent["median"])
+    if sign * (change["median"] - parent["median"]) < -bound:
+        return "worse"
+    if (parent["q3"] - parent["q1"] > bound
+            and not all(sign * (c - p) > 0 for _, c in pairs for p, _ in pairs)):
+        return "unresolved"
+    return "held"
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -114,6 +134,7 @@ def summarize(runs: list, metrics: list) -> dict:
                 "parent_iqr_over_median": iqr / parent["median"] if parent["median"] else None,
                 "median_difference_over_parent_iqr": diff / iqr if iqr else None,
                 "change_wins": f"{wins}/{len(pairs)}",
+                "no_regression": verdict(spec, pairs),
             }
         out[workload] = summary
     return out
@@ -217,6 +238,8 @@ def main(argv=None) -> int:
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,
     })
+    doc["no_regression"] = {w: {m: e["no_regression"] for m, e in s["metrics"].items()}
+                            for w, s in doc["summary"].items()}
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         doc["claim"] = claim(doc["summary"], workload, metric)
@@ -236,7 +259,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps({"summary": {w: {m: e["change_wins"] for m, e in s["metrics"].items()}
                                   for w, s in doc["summary"].items()},
-                      "claim": doc.get("claim")}))
+                      "no_regression": doc["no_regression"], "claim": doc.get("claim")}))
     return 0
 
 
