@@ -156,8 +156,8 @@ def _cmd_eval(args) -> int:
     scene = _resolve_scene(args.scene)
     params = load_params(args.params)
     queue = load_queue(args.queue_in) if args.queue_in else None
-    frames = _parse_frames(args.frames, scene.num_frames)
-    report, queue = evaluate_model(scene, params, frames=frames, queue=queue)
+    data = prepare_frames(scene, _parse_frames(args.frames, scene.num_frames))
+    report, queue = evaluate_model(scene, params, data=data, queue=queue)
     if args.queue_out:
         save_queue(args.queue_out, queue)
     report["queue_in"] = args.queue_in

@@ -262,23 +262,18 @@ def forward_frame(params: ModelParams, features, rig, pose: Pose, queue: MemoryQ
     return FrameResult(pred, fused, feats, caches)
 
 
-def zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays()}
-
-
 def backward_frame(params: ModelParams, result: FrameResult, features, rig,
                    loss_grads: dict) -> dict:
     """Backpropagate loss gradients through one cached frame.
 
     loss_grads carries occ_logits (Z,H,W), sem_logits (Z,H,W,n_classes), and
-    bev_flow (H,W,2). Returns a complete gradient dict over params.arrays();
-    entries untouched by this frame (an empty memory queue leaves the temporal
-    block unused) stay zero.
+    bev_flow (H,W,2). Returns the gradient dict it builds, one entry per name
+    of params.arrays() with that array's shape; the temporal entries are zeros
+    when an empty memory queue left the temporal block unused.
     """
     require(result.caches is not None, "backward_frame needs a forward run with keep_cache")
     cfg = params.config
     _, h, w = cfg.grid_shape
-    grads = zero_grads(params)
     caches = result.caches
     feats, fused = result.voxel_features, result.fused
 
@@ -286,12 +281,14 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
     g_sem = np.asarray(loss_grads["sem_logits"], dtype=FLOAT)
     g_flow = np.asarray(loss_grads["bev_flow"], dtype=FLOAT)
 
-    grads["occ_head.weight"][0] = np.einsum("zhw,zhwc->c", g_occ, feats)
-    grads["occ_head.bias"][0] = g_occ.sum()
-    grads["sem_head.weight"][:] = np.einsum("zhwk,zhwc->kc", g_sem, feats)
-    grads["sem_head.bias"][:] = g_sem.sum(axis=(0, 1, 2))
-    grads["flow_head.weight"][:] = np.einsum("hwf,hwc->fc", g_flow, fused.data)
-    grads["flow_head.bias"][:] = g_flow.sum(axis=(0, 1))
+    grads = {
+        "occ_head.weight": np.einsum("zhw,zhwc->c", g_occ, feats)[None],
+        "occ_head.bias": g_occ.sum().reshape(1),
+        "sem_head.weight": np.einsum("zhwk,zhwc->kc", g_sem, feats),
+        "sem_head.bias": g_sem.sum(axis=(0, 1, 2)),
+        "flow_head.weight": np.einsum("hwf,hwc->fc", g_flow, fused.data),
+        "flow_head.bias": g_flow.sum(axis=(0, 1)),
+    }
 
     g_feats = (g_occ[..., None] * params.occ_head.weight[0]
                + np.einsum("zhwk,kc->zhwc", g_sem, params.sem_head.weight))
@@ -300,21 +297,21 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
     # expand: the cell columns of feats are fused (H,W,Cb) @ W.T + b
     g_expand_out = _to_columns(g_feats)
     fused_flat = fused.data.reshape(h * w, cfg.bev_channels)
-    grads["expand.weight"][:] = g_expand_out.T @ fused_flat
-    grads["expand.bias"][:] = g_expand_out.sum(axis=0)
+    grads["expand.weight"] = g_expand_out.T @ fused_flat
+    grads["expand.bias"] = g_expand_out.sum(axis=0)
     g_fused = g_fused + (g_expand_out @ params.expand.weight).reshape(h, w, cfg.bev_channels)
 
     if caches["temporal"] is not None:
         t_grads, g_bev = temporal_backward_arrays(caches["temporal"], params.temporal, g_fused)
-        for name, arr in t_grads.items():
-            grads[f"temporal.{name}"][:] = arr
     else:
+        t_grads = {name: np.zeros_like(arr) for name, arr in params.temporal.arrays()}
         g_bev = g_fused
+    grads.update((f"temporal.{name}", arr) for name, arr in t_grads.items())
 
     # squeeze: bev (H,W,Cb) is the cell columns (H,W,Z*C) @ W.T + b
     g_bev_flat = g_bev.reshape(h * w, cfg.bev_channels)
-    grads["squeeze.weight"][:] = g_bev_flat.T @ caches["squeeze_columns"]
-    grads["squeeze.bias"][:] = g_bev_flat.sum(axis=0)
+    grads["squeeze.weight"] = g_bev_flat.T @ caches["squeeze_columns"]
+    grads["squeeze.bias"] = g_bev_flat.sum(axis=0)
     g_v = _to_voxels(g_bev_flat @ params.squeeze.weight, cfg.grid_shape)
     g_v = g_v.reshape(-1, cfg.voxel_channels)
 
@@ -322,11 +319,10 @@ def backward_frame(params: ModelParams, result: FrameResult, features, rig,
     for i in reversed(range(len(params.layers))):
         layer_grads, g_queries, _ = backward(caches["layers"][i], params.layers[i],
                                              features, rig, g_v)
-        for name, arr in layer_grads.items():
-            grads[f"layers.{i}.{name}"][:] = arr
+        grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads.items())
         g_v = g_v + g_queries
 
-    grads["query_table"][:] = g_v
+    grads["query_table"] = g_v
     return grads
 
 

@@ -235,26 +235,29 @@ def write_history_csv(path, history) -> None:
             writer.writerow([row["epoch"]] + [f"{row[k]:.17g}" for k in CSV_COLUMNS[1:]])
 
 
-def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
-                   queue: MemoryQueue | None = None, data=None):
-    """Streamed evaluation; returns (report, queue after the last frame).
+def evaluate_model(scene: SceneSpec, params: ModelParams, data=None,
+                   queue: MemoryQueue | None = None):
+    """Streamed evaluation of `data`, a `prepare_frames` list (every frame of
+    the scene by default); returns (report, queue after the last frame).
 
     Passing a queue resumes a stream mid-sequence; the default starts cold.
-    `data` is `prepare_frames(scene, frames)` when the caller already has it;
-    by default the frames are prepared here.
+    The queue's capacity must be the model's queue_len.
     """
+    queue_len = params.config.queue_len
     _check_geometry(scene, params.config)
-    if data is None:
-        data = prepare_frames(scene, frames)
-    rig = scene.cameras
     if queue is None:
-        queue = MemoryQueue(params.config.queue_len)
+        queue = MemoryQueue(queue_len)
+    require(queue.capacity == queue_len,
+            f"memory queue capacity {queue.capacity} must be the model's queue_len {queue_len}")
+    if data is None:
+        data = prepare_frames(scene)
+    rig = scene.cameras
     acc = MetricAccumulator(scene.class_ids, scene.foreground_class_ids)
     weights = LossWeights()
     per_frame = []
     for fd in data:
         res = forward_frame(params, fd.features, rig, fd.pose, queue)
-        value, parts = total_loss(res.pred, fd.truth, weights)
+        value, _ = total_loss(res.pred, fd.truth, weights)
         queue.push(res.fused, fd.pose)
         scores = acc.add_frame(decode_prediction(res.pred), fd.truth.labels,
                                res.pred.bev_flow, fd.truth.bev_flow, fd.visibility)
@@ -266,7 +269,7 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, frames=None,
         "aggregate": acc.result(),
         "method": params.config.method,
         "mode": params.config.mode,
-        "queue_len": params.config.queue_len,
+        "queue_len": queue_len,
     }
     return report, queue
 

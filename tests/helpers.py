@@ -1,7 +1,7 @@
-"""Shared test utilities: finite differences, tolerance helpers, the dense
-reference ray march, the one-pose-at-a-time pose reader, the single-point
-view rotation, the single-camera and single-point references and the
-unblocked aggregation core."""
+"""Shared test utilities: finite differences, tolerance helpers, a zero
+gradient dict, the dense reference ray march, the one-pose-at-a-time pose
+reader, the single-point view rotation, the single-camera and single-point
+references and the unblocked aggregation core."""
 
 import numpy as np
 
@@ -61,6 +61,11 @@ def check_grad_array(fn, arr: np.ndarray, grad: np.ndarray, rng: np.random.Gener
         assert err < tol, (f"gradient mismatch at {idx}: analytic {grad[idx]:.9g}, "
                            f"numeric {fd:.9g}, rel err {err:.3e}")
     return worst
+
+
+def zero_grads(params) -> dict:
+    """A gradient dict of zeros over every array of `params`."""
+    return {name: np.zeros_like(arr) for name, arr in params.arrays()}
 
 
 # --- single-camera and single-point references -------------------------------

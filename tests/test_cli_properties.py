@@ -511,6 +511,25 @@ def test_gen_flow_on_a_scene_without_boxes_reports_zero_speed(tmp_path, capsys):
     assert float(report["max_speed"]) == 0.0
 
 
+def test_training_scene_without_boxes_trains_evaluates_and_annotates(tmp_path, capsys):
+    # no box leaves no valid flow cell, so l1_flow runs over no cell
+    scene = preset_scene("training").to_json()
+    scene["boxes"] = []
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, err = _run(["train", "--scene", path, "--epochs", "2", "--params", tmp_path / "model",
+                      "--out", tmp_path / "train.json"])
+    assert code == 0, err
+    code, err = _run(["eval", "--scene", path, "--params", tmp_path / "model",
+                      "--out", tmp_path / "eval.json"])
+    assert code == 0, err
+    train = json.loads((tmp_path / "train.json").read_text())
+    assert float(train["evaluation"]["aggregate"]["mave"]) == 0.0
+    assert float(json.loads((tmp_path / "eval.json").read_text())["aggregate"]["mave"]) == 0.0
+    assert cli_main(["gen-flow", "--scene", str(path), "--frame", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["bev_valid_cells"] == 0
+
+
 def test_params_array_at_another_arrays_offset_exits_2_naming_it(inputs, tmp_path):
     # with offset 0 this array used to be read from expand.bias's bytes
     shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
@@ -621,6 +640,35 @@ def test_queue_capacity_of_10_to_the_400_exits_2(inputs, tmp_path):
                       "--frames", "1", "--queue-in", tmp_path / "queue"])
     assert code == 2, err
     assert "meta.capacity" in json.loads(err)["error"], err
+
+
+@pytest.mark.parametrize("model_len, queue_len", [(4, 2), (2, 4)])
+def test_queue_of_another_depth_than_the_models_exits_2_naming_both(inputs, tmp_path,
+                                                                    model_len, queue_len):
+    # a queue_len-4 model resumed from a capacity-2 queue used to run at depth 2
+    scene = preset_scene("training")
+    for qlen in (model_len, queue_len):
+        config, _ = resolve_preset("small", scene, queue_len=qlen)
+        save_params(tmp_path / f"model{qlen}",
+                    init_model(np.random.default_rng(0), config, len(scene.cameras)))
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params",
+                      tmp_path / f"model{queue_len}", "--frames", "0",
+                      "--queue-out", tmp_path / "queue"])
+    assert code == 0, err
+    argv = ["eval", "--scene", inputs / "scene.json", "--params", tmp_path / f"model{model_len}",
+            "--frames", "1", "--queue-in", tmp_path / "queue", "--out", tmp_path / "eval.json"]
+    code, err = _run(argv)
+    assert code == 2, err
+    named = f"capacity {queue_len} must be the model's queue_len {model_len}"
+    assert named in json.loads(err)["error"], err
+    package_root = str(Path(viewocc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "viewocc.cli", *map(str, argv)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert named in json.loads(result.stderr)["error"], result.stderr
+    assert result.stdout == "" and not (tmp_path / "eval.json").exists()
 
 
 @pytest.mark.parametrize("field", ["capacity", "count"])

@@ -7,7 +7,7 @@ import pytest
 from viewocc import cli, harness
 from viewocc.cli import main as cli_main
 from viewocc.encoder import (ModelConfig, MomentumSGD, _to_columns, _to_voxels, backward_frame,
-                             forward_frame, init_model, load_params, save_params, zero_grads)
+                             forward_frame, init_model, load_params, save_params)
 from viewocc.errors import ContractViolation
 from viewocc.flow_annotation import BEVFlowField
 from viewocc.geometry import Pose
@@ -19,7 +19,7 @@ from viewocc.objective import FrameTruth, LossWeights, iou_geo, mave, miou, tota
 from viewocc.scene_sim import build_rig, preset_scene, save_scene
 from viewocc.temporal_stream import BEVGrid, MemoryQueue
 
-from helpers import check_grad_array
+from helpers import check_grad_array, zero_grads
 
 
 def _tiny_config(method="view-attn", mode="one-dof") -> ModelConfig:
@@ -114,6 +114,28 @@ def test_zero_grads_covers_every_array():
         assert g.shape == arrays[name].shape
         assert not g.any()
     assert params.n_parameters() == sum(a.size for a in arrays.values())
+
+
+@pytest.mark.parametrize("levels", [0, 2], ids=["empty-queue", "full-queue"])
+def test_backward_frame_returns_one_gradient_per_array(levels):
+    # an empty queue leaves the temporal block unused: its gradients are zeros
+    config = _tiny_config()
+    rng, rig, features, pose, truth = _tiny_inputs()
+    params = init_model(rng, config, len(rig))
+    queue = MemoryQueue(config.queue_len)
+    for _ in range(levels):
+        queue.push(BEVGrid(rng.normal(size=(4, 4, config.bev_channels)), 0.5, (-1.0, -1.0)),
+                   Pose.from_z_rotation(0.05, (0.02, 0.0, 0.0)))
+    res = forward_frame(params, features, rig, pose, queue, keep_cache=True)
+    _, _, loss_grads = total_loss(res.pred, truth, LossWeights(), with_grads=True)
+    grads = backward_frame(params, res, features, rig, loss_grads)
+    arrays = params.as_dict()
+    assert sorted(grads) == sorted(arrays)
+    for name, arr in arrays.items():
+        assert (grads[name].shape, grads[name].dtype) == (arr.shape, arr.dtype), name
+        assert not np.shares_memory(grads[name], arr), name
+    temporal = [grads[name].any() for name in arrays if name.startswith("temporal.")]
+    assert len(temporal) == 10 and any(temporal) == (levels > 0)
 
 
 @pytest.mark.parametrize("method", ["view-attn", "proj-first"])
@@ -317,9 +339,9 @@ def test_evaluation_stream_resumes_exactly():
     scene = preset_scene("stream")
     config, _ = resolve_preset("small", scene)
     params = init_model(np.random.default_rng(6), config, len(scene.cameras))
-    full, _ = evaluate_model(scene, params, frames=range(4))
-    head, queue = evaluate_model(scene, params, frames=range(2))
-    tail, _ = evaluate_model(scene, params, frames=range(2, 4), queue=queue)
+    full, _ = evaluate_model(scene, params, data=prepare_frames(scene, range(4)))
+    head, queue = evaluate_model(scene, params, data=prepare_frames(scene, range(2)))
+    tail, _ = evaluate_model(scene, params, data=prepare_frames(scene, range(2, 4)), queue=queue)
     assert jsonable(full["frames"][:2]) == jsonable(head["frames"])
     assert jsonable(full["frames"][2:]) == jsonable(tail["frames"])
 

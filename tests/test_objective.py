@@ -134,6 +134,21 @@ def test_l1_flow_gradient_matches_fd():
     check_grad_array(lambda: float(l1_flow(pred, gt)), pred, grad, rng, tol=1e-5)
 
 
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_focal_and_l1_flow_over_no_elements_are_zero(with_grad):
+    # focal over an empty logit array, L1 over a flow field with no valid cell
+    logits, pred = np.zeros((0, 3)), np.ones((2, 3, 2))
+    gt = _bev_truth(np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=bool), np.zeros((2, 3)))
+    focal = focal_loss(logits, np.zeros((0, 3)), with_grad=with_grad)
+    l1 = l1_flow(pred, gt, with_grad=with_grad)
+    if not with_grad:
+        assert focal == 0.0 and l1 == 0.0
+    else:
+        for (value, grad), x in ((focal, logits), (l1, pred)):
+            assert value == 0.0
+            assert grad.shape == x.shape and not grad.any()
+
+
 # --- composite loss ----------------------------------------------------------
 
 
