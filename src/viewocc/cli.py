@@ -24,7 +24,7 @@ from . import blobio
 from .encoder import METHODS, MODES, load_params, save_params
 from .errors import ContractViolation, open_output
 from .flow_annotation import FLOW_MODES, reduce_bev_flow
-from .harness import (compare_methods, coverage_report, evaluate_model, jsonable,
+from .harness import (check_fit, compare_methods, coverage_report, evaluate_model, jsonable,
                       prepare_frames, resolve_preset, train_model, write_history_csv)
 from .scene_sim import (SCENE_PRESETS, load_scene, preset_scene, render_all_cameras,
                         save_scene, scene_ground_truth, with_feature_channels)
@@ -133,6 +133,7 @@ def _cmd_train(args) -> int:
     config, settings = resolve_preset(args.preset, scene, method=args.method,
                                       mode=args.mode, queue_len=args.queue_len)
     settings = replace(settings, seed=args.seed, **_settings_override(args))
+    check_fit(scene, config)
     data = prepare_frames(scene)
     params, history = train_model(scene, config, settings, data)
     if args.curve is not None:
@@ -156,7 +157,9 @@ def _cmd_eval(args) -> int:
     scene = _resolve_scene(args.scene)
     params = load_params(args.params)
     queue = load_queue(args.queue_in) if args.queue_in else None
-    data = prepare_frames(scene, _parse_frames(args.frames, scene.num_frames))
+    frames = _parse_frames(args.frames, scene.num_frames)
+    check_fit(scene, params.config, queue)
+    data = prepare_frames(scene, frames)
     report, queue = evaluate_model(scene, params, data=data, queue=queue)
     if args.queue_out:
         save_queue(args.queue_out, queue)

@@ -201,25 +201,29 @@ class CameraModel:
 _DEPTH_EPS = 1e-12
 
 
+def _rig_frames(rig, points: np.ndarray):
+    """Ego-frame points (..., 3) in every camera frame of a rig (..., J, 3), by one
+    (N, 3) @ (3, 3J) product, and the rig's fx, fy, cx, cy, widths, heights (J,)."""
+    pts = np.asarray(points, dtype=FLOAT)
+    rot = np.concatenate([cam.extrinsics.rotation for cam in rig])          # (3J, 3)
+    trans = np.concatenate([cam.extrinsics.translation for cam in rig])
+    # in place: these are the largest arrays of a training step, and a
+    # second copy raises its peak memory
+    q = pts.reshape(-1, 3) @ rot.T
+    q += trans
+    intrinsics = np.array([(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig],
+                          dtype=FLOAT).T
+    return q.reshape(pts.shape[:-1] + (len(rig), 3)), intrinsics
+
+
 def project_rig(rig, points: np.ndarray):
     """Project ego-frame points (..., 3) through all J cameras of a rig at once.
 
     Returns (uv (..., J, 2), camera-frame points (..., J, 3), in_view
-    (..., J)). One (N, 3) @ (3, 3J) product takes every point into every
-    camera frame. Points at depth <= 1e-12 are behind the camera: out of
-    view, with uv pinned to zero. Camera j's depth is the camera-frame z.
+    (..., J)). Points at depth <= 1e-12 are behind the camera: out of view,
+    with uv pinned to zero. Camera j's depth is the camera-frame z.
     """
-    pts = np.asarray(points, dtype=FLOAT)
-    shape = pts.shape[:-1] + (len(rig), 3)
-    rot = np.concatenate([cam.extrinsics.rotation for cam in rig])          # (3J, 3)
-    trans = np.concatenate([cam.extrinsics.translation for cam in rig])
-    # in place here and below: these are the largest arrays of a training
-    # step, and a second copy of each raises its peak memory
-    q = pts.reshape(-1, 3) @ rot.T
-    q += trans
-    q = q.reshape(shape)
-    fx, fy, cx, cy, widths, heights = np.array(
-        [(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig], dtype=FLOAT).T
+    q, (fx, fy, cx, cy, widths, heights) = _rig_frames(rig, points)
     depth = q[..., 2]
     safe = depth > _DEPTH_EPS
     zdiv = np.where(safe, depth, 1.0)
@@ -229,6 +233,33 @@ def project_rig(rig, points: np.ndarray):
     u[~safe] = 0.0
     v[~safe] = 0.0
     return np.stack([u, v], axis=-1), q, in_view
+
+
+def project_rig_sparse(rig, points: np.ndarray, shapes):
+    """`project_rig`'s samples of ego-frame points (..., 3) that are in view
+    and inside the (H_j, W_j, ...) shapes of J feature maps: (index (E,),
+    their ascending flat positions in the (..., J) samples; camera-frame
+    points (E, 3); u (E,); v (E,)), bit for bit. Only the samples inside a
+    conservative frustum bound are divided: in view, |u - cx| <=
+    max(|cx|, |W - 1 - cx|), so |x| * fx / (that + 1 pixel) <= z; same for v.
+    """
+    q, (fx, fy, cx, cy, widths, heights) = _rig_frames(rig, points)
+    # the relative 2**-40 keeps the bound conservative where rounding
+    # outgrows the pixel, for a principal point beyond 2**50 pixels
+    reach_u = (np.maximum(np.abs(cx), np.abs(widths - 1.0 - cx)) + 1.0) * (1.0 + 2.0**-40)
+    reach_v = (np.maximum(np.abs(cy), np.abs(heights - 1.0 - cy)) + 1.0) * (1.0 + 2.0**-40)
+    near = q[..., 2] > _DEPTH_EPS
+    near &= np.abs(q[..., 0]) * (fx / reach_u) <= q[..., 2]
+    near &= np.abs(q[..., 1]) * (fy / reach_v) <= q[..., 2]
+    index = np.flatnonzero(near)
+    cams = index % len(rig)
+    cam_pts = q.reshape(-1, 3)[index]
+    x, y, z = cam_pts.T
+    u = fx[cams] * x / z + cx[cams]
+    v = fy[cams] * y / z + cy[cams]
+    map_h, map_w = np.array([s[:2] for s in shapes]).T
+    ok = bilinear_valid(u, v, np.minimum(heights, map_h)[cams], np.minimum(widths, map_w)[cams])
+    return index[ok], cam_pts[ok], u[ok], v[ok]
 
 
 def project_rig_jacobian(rig, cam_points: np.ndarray, cams: np.ndarray) -> np.ndarray:

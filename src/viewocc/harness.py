@@ -176,7 +176,9 @@ def resolve_preset(name: str, scene: SceneSpec, method: str = "view-attn",
     return config, TrainSettings(**train_kwargs)
 
 
-def _check_geometry(scene: SceneSpec, config: ModelConfig) -> None:
+def check_fit(scene: SceneSpec, config: ModelConfig, queue: MemoryQueue | None = None) -> None:
+    """Refuse a model whose grid, channels or class ids are not the scene's, or
+    a queue whose capacity is not its queue_len; callers check before rendering."""
     g = scene.grid
     require(tuple(g.shape) == tuple(config.grid_shape)
             and abs(g.pitch - config.pitch) < 1e-12
@@ -187,6 +189,9 @@ def _check_geometry(scene: SceneSpec, config: ModelConfig) -> None:
     scene_ids, model_ids = sorted(scene.class_ids), list(range(1, config.n_classes + 1))
     require(scene_ids == model_ids,
             f"scene class ids {scene_ids} must be the model's class ids {model_ids}")
+    if queue is not None:
+        require(queue.capacity == config.queue_len, f"memory queue capacity {queue.capacity} "
+                f"must be the model's queue_len {config.queue_len}")
 
 
 def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings, data):
@@ -199,7 +204,7 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings, 
     """
     require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
     require(settings.seed >= 0, f"seed must be >= 0, got {settings.seed}")
-    _check_geometry(scene, config)
+    check_fit(scene, config)
     rig = scene.cameras
     params = init_model(np.random.default_rng(settings.seed), config, len(rig))
     opt = MomentumSGD(settings.lr)
@@ -244,11 +249,9 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, data=None,
     The queue's capacity must be the model's queue_len.
     """
     queue_len = params.config.queue_len
-    _check_geometry(scene, params.config)
     if queue is None:
         queue = MemoryQueue(queue_len)
-    require(queue.capacity == queue_len,
-            f"memory queue capacity {queue.capacity} must be the model's queue_len {queue_len}")
+    check_fit(scene, params.config, queue)
     if data is None:
         data = prepare_frames(scene)
     rig = scene.cameras
@@ -294,6 +297,8 @@ def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
             if seed is not None:
                 settings.seed = seed
             combos.append((method, qlen, config, settings))
+    for _, _, config, _ in combos:
+        check_fit(scene, config)
     data = prepare_frames(scene)
     runs = []
     for method, qlen, config, settings in combos:

@@ -26,7 +26,7 @@ from .errors import ContractViolation, require
 from .geometry import Pose, relative_pose
 from .numerics import FLOAT, AffineMap, as_float_array, softmax_backward, softmax_norm
 from .view_attention import (deform_aggregate, deform_aggregate_backward, gather_samples,
-                             plan_samples, star_bias)
+                             plan_dense, star_bias)
 
 PLANAR_TOL = 1e-6
 
@@ -149,8 +149,8 @@ def warp_bev(bev: BEVGrid, rel: Pose) -> BEVGrid:
     iv = (src_y - bev.origin[1]) / bev.pitch - 0.5
     h, w, c = bev.data.shape
     cells = (h * w, 1, 1, 1)        # one sample of weight 1 per cell, from one map
-    plan, _ = plan_samples(np.ones(cells), True, iu.reshape(cells), iv.reshape(cells),
-                           [bev.data.shape])
+    plan = plan_dense(np.ones(cells), True, iu.reshape(cells), iv.reshape(cells),
+                      [bev.data.shape])
     vals = np.zeros((h * w, c), dtype=FLOAT)
     vals[plan.index] = gather_samples(plan, bev.data.reshape(-1, c))
     return BEVGrid(vals.reshape(h, w, c), bev.pitch, bev.origin)

@@ -1,9 +1,10 @@
 """Deformable attention over multi-camera features, two sampling strategies.
 
 The learning-first strategy (`view_attn_*`) generates 3-d offsets around the
-query's reference point inside its view-coordinate frame, then projects every
-sample point onto every camera: out-of-view samples contribute nothing, and
-attention weights are never renormalized. The projection-first baseline
+query's reference point inside its view-coordinate frame, then takes every
+sample point into every camera frame and projects only the samples inside a
+conservative frustum bound (`geometry.project_rig_sparse`): out-of-view
+samples contribute nothing, and attention weights are never renormalized. The projection-first baseline
 (`projection_first_*`) projects the bare reference point, drops cameras where
 it is not visible, and runs planar 2-d deformable attention around the
 surviving pixel locations with the softmax taken over the visible set only.
@@ -19,11 +20,15 @@ view-frame rotation.
 
 Both strategies, and the temporal fusion in `temporal_stream`, differ only in
 where they sample and how they weight; the aggregation itself is one sparse,
-value-first core in two steps. The plan (`plan_samples`) fixes the valid
-(query, head, point, source) samples, their bilinear corners and weights;
-the read (`read_plan`) value-maps every source pixel once, then gathers only
-those samples, so no per-sample feature array is ever built for the invalid
-majority. The read and the backward gather corner rows in blocks of whole
+value-first core in two steps. The plan (`plan_samples`) takes the valid
+(query, head, point, source) samples by flat index and pixel location and
+fixes their bilinear corners and weights; the attention layers build it from
+their in-view samples alone, the temporal fusion and the BEV warp through
+the dense adapter `plan_dense`. The read (`read_plan`) value-maps every
+source pixel once, then gathers only those samples, so no per-sample array
+is ever built for the invalid majority. The attention backwards keep the
+position gradients per sample; only the attention-weight gradient, which
+feeds the dense softmax, is scattered to (Q, M, K, J). The read and the backward gather corner rows in blocks of whole
 output groups of at most `_BLOCK_BYTES`, so their working memory does not
 grow with the sample count; every sum keeps the order of one unblocked pass.
 The plan depends on the queries but not on the features, so a forward
@@ -39,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .geometry import project_rig, project_rig_jacobian, view_rotations
+from .geometry import project_rig, project_rig_jacobian, project_rig_sparse, view_rotations
 from .numerics import (FLOAT, AffineMap, FeatureMap, as_float_array, bilinear_valid,
                        corner_indices, softmax_backward, softmax_norm)
 from .scene_sim import _cached, _camera_key
@@ -198,34 +203,38 @@ class SamplingPlan(NamedTuple):
     head: np.ndarray     # (E,)
 
 
-def plan_samples(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, shapes):
-    """The sampling plan of attention weights and pixel locations.
+def plan_samples(index: np.ndarray, u: np.ndarray, v: np.ndarray, attn: np.ndarray, shapes):
+    """The sampling plan of E valid samples.
 
-    attn, u, v: (Q, M, K, J) weight and pixel location of sample k of head m
-    in source map j; mask broadcasts to them and marks the samples the caller
-    allows; shapes: the J source maps' (H_j, W_j, ...) shapes. A sample is
-    valid where the mask allows it and (u, v) lies in its map. Returns
-    (plan, the boolean (Q, M, K, J) valid mask).
+    index (E,): their ascending flat positions in the (Q, M, K, J) samples,
+    sample k of head m in source map j; u, v (E,): their pixel locations,
+    each inside its map; attn (Q, M, K, J): the weight of every sample;
+    shapes: the J source maps' (H_j, W_j, ...) shapes.
     """
-    heights = np.array([s[0] for s in shapes])
-    widths = np.array([s[1] for s in shapes])
-    valid = mask & bilinear_valid(u, v, heights, widths)
-    _, m, k, j = valid.shape
-    fits = max(valid.size, int(heights @ widths) * m) < 2**31
+    heights, widths = np.array([s[:2] for s in shapes]).T
+    _, m, k, j = attn.shape
+    fits = max(attn.size, int(heights @ widths) * m) < 2**31
     itype = np.int32 if fits else np.int64
-    idx = np.flatnonzero(valid)
-    src = idx % j
-    x0, y0, x1, y1, fx, fy = corner_indices(u[valid], v[valid], heights[src], widths[src])
+    src = index % j
+    x0, y0, x1, y1, fx, fy = corner_indices(u, v, heights[src], widths[src])
     base = np.concatenate(([0], np.cumsum(heights * widths)[:-1]))[src]
     width = widths[src]
     rows = base + np.stack([y0 * width + x0, y0 * width + x1,
                             y1 * width + x0, y1 * width + x1])      # (4, E) pixels
     weights = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
                         (1.0 - fx) * fy, fx * fy])
-    group = idx // (k * j)                                           # q * M + m
-    plan = SamplingPlan(idx.astype(itype), rows.astype(itype), weights, fx, fy, attn[valid],
-                        group.astype(itype), (group % m).astype(itype))
-    return plan, valid
+    group = index // (k * j)                                         # q * M + m
+    return SamplingPlan(index.astype(itype), rows.astype(itype), weights, fx, fy,
+                        attn.reshape(-1)[index], group.astype(itype), (group % m).astype(itype))
+
+
+def plan_dense(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, shapes):
+    """`plan_samples` of dense samples: attn, u, v (Q, M, K, J), valid where
+    the mask (broadcasting to them) allows a sample and (u, v) lies in its
+    map."""
+    heights, widths = np.array([s[:2] for s in shapes]).T
+    valid = mask & bilinear_valid(u, v, heights, widths)
+    return plan_samples(np.flatnonzero(valid), u[valid], v[valid], attn, shapes)
 
 
 # The four corner rows a blocked read gathers at once take at most this many
@@ -305,18 +314,24 @@ def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
     return out, table, head_out
 
 
+def _aggregate(plan: SamplingPlan, attn: np.ndarray, maps, value_maps, output_maps):
+    """(out, cache) of a plan's read; the cache holds the plan, attn, its
+    boolean (Q, M, K, J) "valid" mask and what the backward pass needs."""
+    valid = np.zeros(attn.shape, dtype=bool)
+    valid.flat[plan.index] = True
+    out, table, head_out = read_plan(plan, attn.shape[0], maps, value_maps, output_maps)
+    return out, {"plan": plan, "attn": attn, "valid": valid, "table": table,
+                 "head_out": head_out}
+
+
 def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
                      value_maps, output_maps):
-    """The deformable aggregation every attention layer shares: a fresh plan
-    (`plan_samples`), then its read (`read_plan`). Invalid samples contribute
-    nothing. Returns (out (Q, C_out), cache); the cache holds the plan, the
-    dense attention weights, the boolean (Q, M, K, J) "valid" mask and what
-    the backward pass needs.
+    """The deformable aggregation of dense (Q, M, K, J) samples, as the
+    temporal fusion reads it: `plan_dense`, then `_aggregate`. Invalid
+    samples contribute nothing. Returns (out (Q, C_out), cache).
     """
-    plan, valid = plan_samples(attn, mask, u, v, [f.shape for f in maps])
-    out, table, head_out = read_plan(plan, valid.shape[0], maps, value_maps, output_maps)
-    cache = {"plan": plan, "attn": attn, "valid": valid, "table": table, "head_out": head_out}
-    return out, cache
+    plan = plan_dense(attn, mask, u, v, [f.shape for f in maps])
+    return _aggregate(plan, attn, maps, value_maps, output_maps)
 
 
 # At most this many sampling plans stay cached per process, apart from the
@@ -338,22 +353,17 @@ def _cached_plan(kind: tuple, queries, refs, params: AttnParams, rig, shapes, bu
     return _cached(key, build, _plans, _PLAN_CACHE_SIZE)
 
 
-def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
-                              g_out: np.ndarray, want_map_grads: bool = False) -> dict:
-    """Gradients of sum(g_out * out) for `deform_aggregate`.
-
-    Returns a dict with "attn", "u" and "v" (Q, M, K, J), zero at invalid
-    samples; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
-    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
-    map gradients when asked for, else None.
-    """
-    plan, valid = cache["plan"], cache["valid"]
+def _sample_grads(cache: dict, maps, value_maps, output_maps, g_out: np.ndarray,
+                  want_map_grads: bool = False) -> dict:
+    """`deform_aggregate_backward`'s gradients, with "attn", "u" and "v" per
+    valid sample (E,), in plan order."""
+    plan = cache["plan"]
     head = plan.head
-    nq, m = valid.shape[:2]
     w_v, _ = _stacked_maps(value_maps)
     w_o, _ = _stacked_maps(output_maps)
-    c_v = w_v.shape[1]
+    m, c_v = w_v.shape[:2]
     g_out = np.asarray(g_out, dtype=FLOAT)
+    nq = g_out.shape[0]
 
     g_head = np.einsum("qc,mcv->qmv", g_out, w_o, optimize=True).reshape(nq * m, c_v)
     g_head = g_head[plan.group]                                      # (E, c_v)
@@ -364,17 +374,11 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
         np.einsum("cev,ev->ce", corners, g_head[lo:hi], out=dots[:, lo:hi])
     d00, d10, d01, d11 = dots
     fx, fy = plan.fx, plan.fy
-    per_sample = {
+    grads = {
         "attn": np.einsum("ce,ce->e", plan.weights, dots),
         "u": a * ((1.0 - fy) * (d10 - d00) + fy * (d11 - d01)),
         "v": a * ((1.0 - fx) * (d01 - d00) + fx * (d11 - d10)),
     }
-    grads = {}
-    for name, values in per_sample.items():
-        dense = np.zeros(valid.shape, dtype=FLOAT)
-        dense[valid] = values
-        grads[name] = dense
-
     g_value = a[:, None] * g_head
     pixels = _pixel_table(maps)
     raw = gather_samples(plan, pixels)
@@ -396,6 +400,28 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     return grads
 
 
+def _dense(valid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values (E,) at the True entries of valid, zero elsewhere."""
+    out = np.zeros(valid.shape, dtype=FLOAT)
+    out[valid] = values
+    return out
+
+
+def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
+                              g_out: np.ndarray, want_map_grads: bool = False) -> dict:
+    """Gradients of sum(g_out * out) for `deform_aggregate`.
+
+    Returns a dict with "attn", "u" and "v" (Q, M, K, J), zero at invalid
+    samples; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
+    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
+    map gradients when asked for, else None.
+    """
+    grads = _sample_grads(cache, maps, value_maps, output_maps, g_out, want_map_grads)
+    for name in ("attn", "u", "v"):
+        grads[name] = _dense(cache["valid"], grads[name])
+    return grads
+
+
 def _param_grads(params: AttnParams, queries: np.ndarray, g_off_flat: np.ndarray,
                  g_logits: np.ndarray, g: dict):
     """(grads by params.arrays() name, g_queries, feature grads) of one layer."""
@@ -414,9 +440,11 @@ def _param_grads(params: AttnParams, queries: np.ndarray, g_off_flat: np.ndarray
     return grads, g_queries, g["maps"]
 
 
-def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig, mode: str):
-    """Learning-first attention weights (Q, M, K, J), view rotations (Q, 3, 3)
-    and `project_rig` of the sample points (uv, camera-frame points, in_view)."""
+def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig, mode: str,
+                  shapes):
+    """The learning-first sampling plan, attention weights (Q, M, K, J), view
+    rotations (Q, 3, 3), sample points (Q, M, K, 3) and the valid samples'
+    camera-frame points (E, 3)."""
     nq = queries.shape[0]
     m, k, j = params.heads, params.points, params.cameras
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
@@ -425,7 +453,8 @@ def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig
     attn = softmax_norm(logit_flat.reshape(nq, m, k * j), axis=-1).reshape(nq, m, k, j)
     rot = view_rotations(refs, mode)
     sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets, optimize=True)
-    return attn, rot, project_rig(rig, sample_pts)                   # (Q, M, K, J, ...)
+    index, cam_pts, u, v = project_rig_sparse(rig, sample_pts, shapes)
+    return plan_samples(index, u, v, attn, shapes), attn, rot, sample_pts, cam_pts
 
 
 def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
@@ -444,21 +473,16 @@ def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams
     shapes = [f.shape for f in fdata]
 
     if not keep_cache:
-        def build():
-            attn, _, (uv, _, in_view) = _view_samples(queries, refs, params, rig, mode)
-            return plan_samples(attn, in_view, uv[..., 0], uv[..., 1], shapes)[0]
-        plan = _cached_plan(("view-attn", mode), queries, refs, params, rig, shapes, build)
+        plan = _cached_plan(("view-attn", mode), queries, refs, params, rig, shapes,
+                            lambda: _view_samples(queries, refs, params, rig, mode, shapes)[0])
         out, _, _ = read_plan(plan, queries.shape[0], fdata, params.value_maps,
                               params.output_maps)
         return out, None
 
-    attn, rot, (uv, cam_pts, in_view) = _view_samples(queries, refs, params, rig, mode)
-    # the Jacobian needs the camera-frame points of valid samples only, which
-    # are in view: keep those, and not the dense array, through the aggregation
-    cam_pts = cam_pts[in_view]
-    out, cache = deform_aggregate(attn, in_view, uv[..., 0], uv[..., 1], fdata,
-                                  params.value_maps, params.output_maps)
-    cache.update(queries=queries, uv=uv, cam_pts=cam_pts[cache["valid"][in_view]], rot=rot)
+    plan, attn, rot, points, cam_pts = _view_samples(queries, refs, params, rig, mode, shapes)
+    out, cache = _aggregate(plan, attn, fdata, params.value_maps, params.output_maps)
+    # the Jacobian needs the camera-frame points of the valid samples only
+    cache.update(queries=queries, points=points, cam_pts=cam_pts, rot=rot)
     return out, cache
 
 
@@ -471,19 +495,19 @@ def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
     per-camera arrays or None.
     """
     fdata = _feature_arrays(features, params)
-    g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps,
-                                  g_out, want_feature_grads)
+    g = _sample_grads(cache, fdata, params.value_maps, params.output_maps, g_out,
+                      want_feature_grads)
     valid = cache["valid"]
     nq, m, k, j = valid.shape
 
     idx = cache["plan"].index
     jac = project_rig_jacobian(rig, cache["cam_pts"], idx % j)       # (E, 2, 3)
-    g_pts = _scatter_rows(idx // j, jac[:, 0, :] * g["u"][valid][:, None]
-                          + jac[:, 1, :] * g["v"][valid][:, None], nq * m * k)
+    g_pts = _scatter_rows(idx // j, jac[:, 0, :] * g["u"][:, None]
+                          + jac[:, 1, :] * g["v"][:, None], nq * m * k)
     g_pts = g_pts.reshape(nq, m, k, 3)
     g_offsets = np.einsum("qab,qmka->qmkb", cache["rot"], g_pts, optimize=True)
     g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
-                                g["attn"].reshape(nq, m, k * j), axis=-1)
+                                _dense(valid, g["attn"]).reshape(nq, m, k * j), axis=-1)
     return _param_grads(params, cache["queries"], g_offsets.reshape(nq, m * k * 3),
                         g_logits.reshape(nq, m * k * j), g)
 
@@ -509,14 +533,14 @@ def view_attn_backward(ctx: QueryContext, params: AttnParams, features, rig,
     return grads
 
 
-def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig):
-    """Projection-first attention weights (Q, M, K, J), the visible-camera
-    mask they are taken over (Q, M, K, J), the pixel locations (Q, M, K, J, 2)
-    and whether each query is visible anywhere (Q,)."""
+def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig,
+                        shapes):
+    """The projection-first sampling plan, attention weights (Q, M, K, J)
+    taken over the cameras that see each query's reference point, and whether
+    each query is visible anywhere (Q,)."""
     nq = queries.shape[0]
     m, k, j = params.heads, params.points, params.cameras
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
-    offsets = off_flat.reshape(nq, m, k, 2)
     logits = queries @ params.logit_head.weight.T + params.logit_head.bias
 
     ref_uv, _, cam_vis = project_rig(rig, refs)                     # (Q, J, ...)
@@ -526,9 +550,15 @@ def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParam
     masked = np.where(mask, logits.reshape(nq, m, k, j), -np.inf)
     attn = softmax_norm(masked.reshape(nq, m, k * j)).reshape(nq, m, k, j)
 
-    # reference pixel per camera plus the shared 2-d offset
-    uv = ref_uv[:, None, None, :, :] + offsets[:, :, :, None, :]
-    return attn, mask, uv, cam_vis.any(axis=1)
+    # reference pixel plus the shared 2-d offset, at the visible cameras only
+    index = np.flatnonzero(mask)
+    cam = index % j
+    ref = ref_uv[index // (m * k * j), cam]
+    off = off_flat.reshape(-1, 2)[index // j]
+    u, v = ref[:, 0] + off[:, 0], ref[:, 1] + off[:, 1]
+    heights, widths = np.array([s[:2] for s in shapes]).T
+    ok = bilinear_valid(u, v, heights[cam], widths[cam])
+    return plan_samples(index[ok], u[ok], v[ok], attn, shapes), attn, cam_vis.any(axis=1)
 
 
 def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
@@ -549,17 +579,16 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
 
     if not keep_cache:
         def build():
-            attn, mask, uv, any_vis = _proj_first_samples(queries, refs, params, rig)
-            return (*plan_samples(attn, mask, uv[..., 0], uv[..., 1], shapes)[0], any_vis)
+            plan, _, any_vis = _proj_first_samples(queries, refs, params, rig, shapes)
+            return (*plan, any_vis)
         *plan, any_vis = _cached_plan(("proj-first",), queries, refs, params, rig, shapes,
                                       build)
         out, _, _ = read_plan(SamplingPlan(*plan), queries.shape[0], fdata,
                               params.value_maps, params.output_maps)
         return np.where(any_vis[:, None], out, 0.0), None
 
-    attn, mask, uv, any_vis = _proj_first_samples(queries, refs, params, rig)
-    out, cache = deform_aggregate(attn, mask, uv[..., 0], uv[..., 1], fdata,
-                                  params.value_maps, params.output_maps)
+    plan, attn, any_vis = _proj_first_samples(queries, refs, params, rig, shapes)
+    out, cache = _aggregate(plan, attn, fdata, params.value_maps, params.output_maps)
     # "sample_ok" is the name the benchmark's tracer reads the valid mask by
     cache.update(queries=queries, sample_ok=cache["valid"], any_vis=any_vis)
     return np.where(any_vis[:, None], out, 0.0), cache
@@ -570,14 +599,17 @@ def proj_first_backward_batch(cache: dict, params: AttnParams, features, rig,
     """Gradients for the projection-first baseline (shared 2-d pixel offsets)."""
     fdata = _feature_arrays(features, params)
     g_out = np.asarray(g_out, dtype=FLOAT) * cache["any_vis"][:, None]
-    g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps,
-                                  g_out, want_feature_grads)
-    nq, m, k, j = cache["valid"].shape
+    g = _sample_grads(cache, fdata, params.value_maps, params.output_maps, g_out,
+                      want_feature_grads)
+    valid = cache["valid"]
+    nq, m, k, j = valid.shape
     # the offset is shared across cameras; attn is exactly zero off the
     # visible set, so its softmax gradient is too
-    g_offsets = np.stack([g["u"].sum(axis=3), g["v"].sum(axis=3)], axis=-1)
+    point = cache["plan"].index // j
+    g_offsets = np.stack([np.bincount(point, weights=g[c], minlength=nq * m * k)
+                          for c in ("u", "v")], axis=-1)
     g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
-                                g["attn"].reshape(nq, m, k * j), axis=-1)
+                                _dense(valid, g["attn"]).reshape(nq, m, k * j), axis=-1)
     return _param_grads(params, cache["queries"], g_offsets.reshape(nq, m * k * 2),
                         g_logits.reshape(nq, m * k * j), g)
 

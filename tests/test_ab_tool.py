@@ -34,6 +34,15 @@ def test_ab_against_this_checkout_is_identical(layer):
         assert 0.0 < case["sign_p"] <= 1.0
 
 
+@pytest.mark.parametrize("layer", ["attn_forward", "attn_backward"])
+def test_ab_attention_layers_against_this_checkout_are_identical(layer):
+    code, summary, done = _ab(ROOT, layer)
+    assert code == 0, done.stdout + done.stderr
+    assert summary["identical"] and sorted(summary["cases"]) == ["proj-first", "view-attn"]
+    for case in summary["cases"].values():
+        assert case["pairs"] == 3 and case["q1"] <= case["median_ratio"] <= case["q3"]
+
+
 def test_ab_fails_on_a_read_one_ulp_off(tmp_path):
     src = tmp_path / "tree" / "src" / "viewocc"
     shutil.copytree(ROOT / "src" / "viewocc", src,

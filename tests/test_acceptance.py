@@ -83,7 +83,8 @@ def _spatial_instance(seed: int):
         mode = "one-dof" if seed % 2 == 0 else "two-dof"
         _, cache = attn_forward_batch(q[None], ref[None], params, feats, rig, mode,
                                       keep_cache=True)
-        if _generic_lattice_positions(cache["uv"]) and cache["valid"].any():
+        if (_generic_lattice_positions(viewocc.project_rig(rig, cache["points"])[0])
+                and cache["valid"].any()):
             return rng, params, feats, rig, q, ref, mode
     raise AssertionError("could not find a generic spatial instance")
 

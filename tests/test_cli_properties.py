@@ -671,6 +671,60 @@ def test_queue_of_another_depth_than_the_models_exits_2_naming_both(inputs, tmp_
     assert result.stdout == "" and not (tmp_path / "eval.json").exists()
 
 
+def _observed(monkeypatch) -> list:
+    """A list that grows by one on each frame observation (a render and a
+    visibility march), which frame preparation runs per frame."""
+    calls = []
+    inner = viewocc.scene_sim.observe
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(viewocc.scene_sim, "observe", counted)
+    monkeypatch.setattr(viewocc.harness, "observe", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fault, command, ids", [
+    ("wall renumbered 2 -> 5", "train", [1, 3, 5]),
+    ("wall renumbered 2 -> 5", "compare", [1, 3, 5]),
+    ("walls in an added class 4", "eval", [1, 2, 3, 4]),
+    ("no mover class", "eval", [1, 2]),
+])
+def test_a_class_table_the_model_lacks_is_refused_before_any_frame_is_observed(
+        inputs, tmp_path, monkeypatch, fault, command, ids):
+    scene = _with_class_table(json.loads((inputs / "scene.json").read_text()), fault)
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    options = (["--params", inputs / "model", "--frames", "0"] if command == "eval"
+               else ["--epochs", "1"])
+    observed = _observed(monkeypatch)
+    code, err = _run([command, "--scene", tmp_path / "scene.json", *options])
+    assert code == 2, err
+    assert json.loads(err) == {
+        "error": f"scene class ids {ids} must be the model's class ids [1, 2, 3]"}
+    assert observed == []
+
+
+def test_a_queue_of_another_depth_is_refused_before_any_frame_is_observed(
+        inputs, tmp_path, monkeypatch):
+    scene = preset_scene("training")
+    config, _ = resolve_preset("small", scene, queue_len=2)
+    save_params(tmp_path / "model2", init_model(np.random.default_rng(0), config,
+                                                len(scene.cameras)))
+    observed = _observed(monkeypatch)
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params",
+                      tmp_path / "model2", "--frames", "0", "--queue-out", tmp_path / "queue"])
+    assert code == 0, err
+    assert observed == [0]          # a model that fits observes its frame
+    code, err = _run(["eval", "--scene", inputs / "scene.json", "--params", inputs / "model",
+                      "--frames", "1:", "--queue-in", tmp_path / "queue"])
+    assert code == 2, err
+    assert json.loads(err) == {
+        "error": "memory queue capacity 2 must be the model's queue_len 4"}
+    assert observed == [0]
+
+
 @pytest.mark.parametrize("field", ["capacity", "count"])
 def test_queue_count_of_10_to_the_400_exits_2_with_a_short_error(inputs, tmp_path, field):
     # the error used to hold the 401-digit integer

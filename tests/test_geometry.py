@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from viewocc import geometry
 from viewocc.errors import ContractViolation
 from viewocc.geometry import (CameraModel, Pose, project_rig, project_rig_jacobian,
-                              relative_pose, rotation_z, view_rotations)
+                              project_rig_sparse, relative_pose, rotation_z, view_rotations)
 from viewocc.scene_sim import preset_scene
 
 from helpers import (altitude_angle, altitude_rotation, central_diff, pinhole_project,
@@ -309,6 +311,112 @@ def test_project_rig_jacobian_matches_project_jacobian_bit_for_bit(preset):
         assert (cams == j).any()
         want = project_jacobian(cam, pts[point[cams == j]])
         assert jac[cams == j].tobytes() == want.tobytes()
+
+
+# --- the frustum cull --------------------------------------------------------
+
+# the 24 rotations whose entries are 0 and +-1: they move a point exactly, so a
+# camera-frame point picked on a pixel edge is the one `project_rig` computes
+_AXIS_ROTATIONS = [r for r in (np.eye(3)[list(perm)] * np.array(signs)[:, None]
+                               for perm in itertools.permutations(range(3))
+                               for signs in itertools.product((1.0, -1.0), repeat=3))
+                   if np.linalg.det(r) > 0]
+
+
+def _cull_rig(rng):
+    """Three cameras of random pose and three axis-aligned ones at the
+    origin, all of random size and with intrinsics in steps of 1/8; the
+    first axis-aligned camera's principal point lies outside its image."""
+    rig = []
+    for j in range(6):
+        width, height = (int(n) for n in rng.integers(4, 40, 2))
+        fx, fy = (float(n) / 8.0 for n in rng.integers(40, 500, 2))
+        cx, cy = float(rng.integers(0, 8 * width)) / 8.0, float(rng.integers(0, 8 * height)) / 8.0
+        if j < 3:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            pose = Pose(q * np.sign(np.linalg.det(q)), rng.uniform(-2.0, 2.0, 3))
+        else:
+            pose = Pose(_AXIS_ROTATIONS[int(rng.integers(len(_AXIS_ROTATIONS)))], np.zeros(3))
+        if j == 3:
+            cx, cy = -3.25, height + 2.5
+        rig.append(CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
+                               extrinsics=pose))
+    return rig
+
+
+def _edge_points(cam):
+    """(ego point, kind) pairs for an axis-aligned camera at the origin: u or
+    v exactly on each image edge ("edge"), then stepped outward one ulp of
+    the larger of its two addends at a time until it is out of view
+    ("outside"); depth exactly
+    1e-12 ("eps") and one ulp more ("past eps") at the image centre; and
+    depth zero or negative ("behind")."""
+    focal, centre = np.array([cam.fx, cam.fy]), np.array([cam.cx, cam.cy])
+    middle = (np.array([cam.width, cam.height]) - 1.0) / 2.0 - centre
+    out = []
+    for axis, size in enumerate((cam.width, cam.height)):
+        for edge, outward in ((0.0, -1.0), (size - 1.0, 1.0)):
+            # at depth f, the offset edge - c multiplies and divides exactly
+            q = np.append(middle * focal[axis] / focal, focal[axis])
+            q[axis] = edge - centre[axis]
+            out.append((cam.extrinsics.rotation.T @ q, "edge"))
+            for _ in range(64):
+                q[axis] += outward * np.spacing(max(abs(q[axis]), abs(centre[axis])))
+                if not project_rig([cam], cam.extrinsics.rotation.T @ q)[2][0]:
+                    break
+            out.append((cam.extrinsics.rotation.T @ q, "outside"))
+    for depth, kind in ((1e-12, "eps"), (np.nextafter(1e-12, np.inf), "past eps")):
+        out.append((cam.extrinsics.rotation.T @ np.append(middle * depth / focal, depth), kind))
+    for q in ((0.0, 0.0, 0.0), (0.0, 0.0, -0.0), (0.1, -0.1, -1.5), (3.0, 2.0, -1e-12)):
+        out.append((cam.extrinsics.rotation.T @ np.array(q), "behind"))
+    return out
+
+
+def _far_points(rig, rng):
+    """Points near 1e150: one on each camera's optical centre line and ten
+    in random directions."""
+    pts = [cam.extrinsics.inverse().apply(
+        1e150 * np.array([((cam.width - 1.0) / 2.0 - cam.cx) / cam.fx,
+                          ((cam.height - 1.0) / 2.0 - cam.cy) / cam.fy, 1.0])) for cam in rig]
+    return np.concatenate([pts, 1e150 * rng.normal(size=(10, 3))])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_project_rig_sparse_equals_dense_project_rig_bit_for_bit(seed):
+    rng = np.random.default_rng([seed, 0xC0])
+    rig = _cull_rig(rng)
+    # maps larger and smaller than the random cameras' images; the
+    # axis-aligned cameras' maps are their images, so their edges count
+    shapes = [(rig[0].height - 1, rig[0].width + 2, 4), (rig[1].height + 3, rig[1].width - 1, 4),
+              (rig[2].height, rig[2].width - 1, 4)] + [(c.height, c.width, 4) for c in rig[3:]]
+    edges = [(j, p, kind) for j, cam in enumerate(rig[3:], 3) for p, kind in _edge_points(cam)]
+    near = rng.uniform(-6.0, 6.0, (2000, 3))
+    far = _far_points(rig, rng)
+    pts = np.concatenate([near, far, [p for _, p, _ in edges]])[:, None, :]   # (N, 1, 3)
+
+    uv, cam_pts, in_view = project_rig(rig, pts)
+    map_h, map_w = np.array([s[:2] for s in shapes]).T
+    u_all, v_all = uv[..., 0], uv[..., 1]
+    valid = (in_view & (u_all >= 0.0) & (u_all <= map_w - 1.0)
+             & (v_all >= 0.0) & (v_all <= map_h - 1.0))
+    index, got_pts, u, v = project_rig_sparse(rig, pts, shapes)
+    assert index.dtype == np.int64 and index.tobytes() == np.flatnonzero(valid).tobytes()
+    assert got_pts.tobytes() == cam_pts.reshape(-1, 3)[index].tobytes()
+    assert u.tobytes() == u_all.reshape(-1)[index].tobytes()
+    assert v.tobytes() == v_all.reshape(-1)[index].tobytes()
+
+    # the inputs reach every case
+    flat = valid.reshape(-1, len(rig))
+    assert flat[:2000].any() and not flat[:2000].all()
+    assert flat[range(2000, 2000 + len(rig)), range(len(rig))].all()     # from 1e150 away
+    first = 2000 + far.shape[0]
+    want = {"edge": True, "outside": False, "eps": False, "past eps": True, "behind": False}
+    for i, (j, _, kind) in enumerate(edges):
+        assert flat[first + i, j] == want[kind], (j, kind)
+    for j in range(3, 6):
+        on_edge = [first + i for i, (jj, _, kind) in enumerate(edges) if jj == j and kind == "edge"]
+        assert {0.0, rig[j].width - 1.0} <= set(u_all[on_edge, 0, j])
+        assert {0.0, rig[j].height - 1.0} <= set(v_all[on_edge, 0, j])
 
 
 def test_camera_json_round_trip():

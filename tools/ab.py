@@ -7,12 +7,15 @@
 name beside this tree's, and each tree builds the same training-size inputs
 with its own code:
 
-- `read_plan`, `aggregate_backward`: cases `view-attn` and `proj-first`, the
+- `attn_forward`, `attn_backward`: cases `view-attn` and `proj-first`, the
   `small` preset's attention layer (16 channels, 2 heads x 4 points x 6
   cameras, offset and logit heads seeded at scales 0.15 and 0.5) over the
-  1600 voxel queries of the `training` scene's frame 0; and `temporal-2`,
-  `temporal-4`, the preset's temporal fusion (28 channels, 4 points) on the
-  20 x 20 BEV grid with 2 and 4 memory levels;
+  1600 voxel queries of the `training` scene's frame 0, run forward with
+  `keep_cache=True` (compared: the output, the plan, the valid mask and the
+  attention weights, which both trees keep) and backward from such a cache;
+- `read_plan`, `aggregate_backward`: the same two layers' aggregation core,
+  and `temporal-2`, `temporal-4`, the preset's temporal fusion (28 channels,
+  4 points) on the 20 x 20 BEV grid with 2 and 4 memory levels;
 - `warp_bev` warps that BEV grid by a planar ego motion.
 
 The file layers run on files each tree writes with its own code, in a
@@ -49,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("read_plan", "aggregate_backward", "warp_bev", "load_scene", "load_params",
-          "write_blob")
+LAYERS = ("attn_forward", "attn_backward", "read_plan", "aggregate_backward", "warp_bev",
+          "load_scene", "load_params", "write_blob")
 HEAD_SCALE = {"offset_head": 0.15, "logit_head": 0.5}
 SEED = 7
 
@@ -73,8 +76,9 @@ def _seed_heads(params, rng) -> None:
 
 
 def _attention_case(vo, method: str):
-    """(forward cache, feature maps, value maps, output maps, query count) of
-    one attention layer."""
+    """(forward, backward, feature maps, params, query count) of one
+    attention layer: `forward()` runs it with `keep_cache=True`, and
+    `backward(cache)` takes such a forward's cache back."""
     va = vo.view_attention
     scene = vo.scene_sim.preset_scene("training", seed=SEED)
     config, _ = vo.harness.resolve_preset("small", scene)
@@ -86,9 +90,18 @@ def _attention_case(vo, method: str):
     refs = config.grid.voxel_centers().reshape(-1, 3)
     queries = rng.normal(0.0, 0.3, (refs.shape[0], config.voxel_channels))
     maps = [f.data for f in vo.scene_sim.render_all_cameras(scene, 0)]
+    nq = queries.shape[0]
     forward = va.attn_forward_batch if method == "view-attn" else va.proj_first_forward_batch
-    _, cache = forward(queries, refs, params, maps, scene.cameras, keep_cache=True)
-    return cache, maps, params.value_maps, params.output_maps, queries.shape[0]
+    backward = va.attn_backward_batch if method == "view-attn" else va.proj_first_backward_batch
+    g_out = np.random.default_rng([SEED, 0x6D]).normal(0.0, 1.0, (nq, config.voxel_channels))
+    return (lambda: forward(queries, refs, params, maps, scene.cameras, keep_cache=True),
+            lambda cache: backward(cache, params, maps, scene.cameras, g_out),
+            maps, params, nq)
+
+
+def _kept(out, cache):
+    """A forward's output and the cache entries that both trees keep."""
+    return out, cache["plan"], cache["valid"], cache["attn"]
 
 
 def _temporal_case(vo, levels: int):
@@ -143,7 +156,14 @@ def cases(vo, layer: str, work: Path):
         bev, rel = _bev_case(vo)
         return {"warp_bev": lambda: vo.temporal_stream.warp_bev(bev, rel).data}
     va = vo.view_attention
-    built = {name: _attention_case(vo, name) for name in ("view-attn", "proj-first")}
+    layers = {name: _attention_case(vo, name) for name in ("view-attn", "proj-first")}
+    if layer == "attn_forward":
+        return {name: (lambda f=forward: _kept(*f())) for name, (forward, *_) in layers.items()}
+    if layer == "attn_backward":
+        return {name: (lambda b=backward, c=forward()[1]: b(c))
+                for name, (forward, backward, *_) in layers.items()}
+    built = {name: (forward()[1], maps, params.value_maps, params.output_maps, nq)
+             for name, (forward, _, maps, params, nq) in layers.items()}
     built.update({f"temporal-{n}": _temporal_case(vo, n) for n in (2, 4)})
     out = {}
     for name, (cache, maps, value_maps, output_maps, nq) in built.items():
