@@ -207,8 +207,7 @@ def _rig_frames(rig, points: np.ndarray):
     pts = np.asarray(points, dtype=FLOAT)
     rot = np.concatenate([cam.extrinsics.rotation for cam in rig])          # (3J, 3)
     trans = np.concatenate([cam.extrinsics.translation for cam in rig])
-    # in place: these are the largest arrays of a training step, and a
-    # second copy raises its peak memory
+    # in place: a second copy of the largest arrays of a step raises its peak
     q = pts.reshape(-1, 3) @ rot.T
     q += trans
     intrinsics = np.array([(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig],
@@ -244,8 +243,7 @@ def project_rig_sparse(rig, points: np.ndarray, shapes):
     max(|cx|, |W - 1 - cx|), so |x| * fx / (that + 1 pixel) <= z; same for v.
     """
     q, (fx, fy, cx, cy, widths, heights) = _rig_frames(rig, points)
-    # the relative 2**-40 keeps the bound conservative where rounding
-    # outgrows the pixel, for a principal point beyond 2**50 pixels
+    # the relative 2**-40 covers rounding beyond a pixel (|cx| past 2**50)
     reach_u = (np.maximum(np.abs(cx), np.abs(widths - 1.0 - cx)) + 1.0) * (1.0 + 2.0**-40)
     reach_v = (np.maximum(np.abs(cy), np.abs(heights - 1.0 - cy)) + 1.0) * (1.0 + 2.0**-40)
     near = q[..., 2] > _DEPTH_EPS

@@ -1,10 +1,10 @@
 """Deformable attention over multi-camera features, two sampling strategies.
 
 The learning-first strategy (`view_attn_*`) generates 3-d offsets around the
-query's reference point inside its view-coordinate frame, then takes every
-sample point into every camera frame and projects only the samples inside a
-conservative frustum bound (`geometry.project_rig_sparse`): out-of-view
-samples contribute nothing, and attention weights are never renormalized. The projection-first baseline
+query's reference point inside its view-coordinate frame, then projects only
+the sample points a conservative frustum bound keeps in some camera
+(`geometry.project_rig_sparse`): out-of-view samples contribute nothing, and
+attention weights are never renormalized. The projection-first baseline
 (`projection_first_*`) projects the bare reference point, drops cameras where
 it is not visible, and runs planar 2-d deformable attention around the
 surviving pixel locations with the softmax taken over the visible set only.
@@ -23,16 +23,16 @@ where they sample and how they weight; the aggregation itself is one sparse,
 value-first core in two steps. The plan (`plan_samples`) takes the valid
 (query, head, point, source) samples by flat index and pixel location and
 fixes their bilinear corners and weights; the attention layers build it from
-their in-view samples alone, the temporal fusion and the BEV warp through
-the dense adapter `plan_dense`. The read (`read_plan`) value-maps every
-source pixel once, then gathers only those samples, so no per-sample array
-is ever built for the invalid majority. The attention backwards keep the
-position gradients per sample; only the attention-weight gradient, which
-feeds the dense softmax, is scattered to (Q, M, K, J). The read and the backward gather corner rows in blocks of whole
-output groups of at most `_BLOCK_BYTES`, so their working memory does not
-grow with the sample count; every sum keeps the order of one unblocked pass.
-The plan depends on the queries but not on the features, so a forward
-without a cache reuses it from a small cache keyed by value.
+their in-view samples, temporal fusion and the BEV warp through `plan_dense`.
+The read (`read_plan`) value-maps every source pixel once, then gathers only
+those samples, so no per-sample array is built for the invalid majority. The
+attention backwards keep position gradients per sample and scatter only the
+attention-weight gradient, which feeds the dense softmax, to (Q, M, K, J).
+The read and the backward gather corner rows in blocks of whole output
+groups of at most `_BLOCK_BYTES`, so their working memory does not grow with
+the sample count; every sum keeps the order of one unblocked pass. The plan
+depends on the queries but not on the features, so a forward without a cache
+reuses it from a small cache keyed by value.
 """
 
 from __future__ import annotations

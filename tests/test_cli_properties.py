@@ -672,8 +672,8 @@ def test_queue_of_another_depth_than_the_models_exits_2_naming_both(inputs, tmp_
 
 
 def _observed(monkeypatch) -> list:
-    """A list that grows by one on each frame observation (a render and a
-    visibility march), which frame preparation runs per frame."""
+    """A list of the frame index of each frame observation (a render and a
+    visibility march), which frame preparation runs once per frame."""
     calls = []
     inner = viewocc.scene_sim.observe
 

@@ -414,7 +414,8 @@ def test_project_rig_sparse_equals_dense_project_rig_bit_for_bit(seed):
     for i, (j, _, kind) in enumerate(edges):
         assert flat[first + i, j] == want[kind], (j, kind)
     for j in range(3, 6):
-        on_edge = [first + i for i, (jj, _, kind) in enumerate(edges) if jj == j and kind == "edge"]
+        on_edge = [first + i for i, (jj, _, kind) in enumerate(edges)
+                   if (jj, kind) == (j, "edge")]
         assert {0.0, rig[j].width - 1.0} <= set(u_all[on_edge, 0, j])
         assert {0.0, rig[j].height - 1.0} <= set(v_all[on_edge, 0, j])
 
