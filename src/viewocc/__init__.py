@@ -7,8 +7,8 @@ from .encoder import (METHODS, MODES, FrameResult, ModelConfig, ModelParams, Mom
 from .errors import ContractViolation, require
 from .flow_annotation import (BEVFlowField, FlowField, GridSpec, TrackedBox, flow_vector,
                               generate_flow_field, map_point_back, reduce_bev_flow)
-from .geometry import (CameraModel, Pose, project_rig, project_rig_jacobian, relative_pose,
-                       rotation_z, view_rotations)
+from .geometry import (CameraModel, Pose, project_rig_jacobian, relative_pose, rotation_z,
+                       view_rotations)
 from .harness import (PRESETS, MetricAccumulator, TrainSettings, compare_methods,
                       coverage_report, decode_prediction, evaluate_model, jsonable,
                       prepare_frames, resolve_preset, train_model)

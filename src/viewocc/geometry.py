@@ -201,48 +201,25 @@ class CameraModel:
 _DEPTH_EPS = 1e-12
 
 
-def _rig_frames(rig, points: np.ndarray):
-    """Ego-frame points (..., 3) in every camera frame of a rig (..., J, 3), by one
-    (N, 3) @ (3, 3J) product, and the rig's fx, fy, cx, cy, widths, heights (J,)."""
+def project_rig_sparse(rig, points: np.ndarray, shapes):
+    """Project ego-frame points (..., 3) through all J cameras of a rig, keeping
+    the samples in view and inside the (H_j, W_j, ...) shapes of J feature maps
+    (a camera's own (height, width) keeps exactly its in-view samples): (index
+    (E,), their ascending flat positions in the (..., J) samples; camera-frame
+    points (E, 3); u (E,); v (E,)). A sample is in view where its camera-frame
+    depth z is > 1e-12 and `bilinear_valid` accepts its pixel. Only the samples
+    inside a conservative frustum bound are divided: in view, |u - cx| <=
+    max(|cx|, |W - 1 - cx|), so |x| * fx / (that + 1 pixel) <= z; same for v.
+    """
     pts = np.asarray(points, dtype=FLOAT)
     rot = np.concatenate([cam.extrinsics.rotation for cam in rig])          # (3J, 3)
     trans = np.concatenate([cam.extrinsics.translation for cam in rig])
     # in place: a second copy of the largest arrays of a step raises its peak
     q = pts.reshape(-1, 3) @ rot.T
     q += trans
-    intrinsics = np.array([(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig],
-                          dtype=FLOAT).T
-    return q.reshape(pts.shape[:-1] + (len(rig), 3)), intrinsics
-
-
-def project_rig(rig, points: np.ndarray):
-    """Project ego-frame points (..., 3) through all J cameras of a rig at once.
-
-    Returns (uv (..., J, 2), camera-frame points (..., J, 3), in_view
-    (..., J)). Points at depth <= 1e-12 are behind the camera: out of view,
-    with uv pinned to zero. Camera j's depth is the camera-frame z.
-    """
-    q, (fx, fy, cx, cy, widths, heights) = _rig_frames(rig, points)
-    depth = q[..., 2]
-    safe = depth > _DEPTH_EPS
-    zdiv = np.where(safe, depth, 1.0)
-    u = fx * q[..., 0] / zdiv + cx
-    v = fy * q[..., 1] / zdiv + cy
-    in_view = safe & bilinear_valid(u, v, heights, widths)
-    u[~safe] = 0.0
-    v[~safe] = 0.0
-    return np.stack([u, v], axis=-1), q, in_view
-
-
-def project_rig_sparse(rig, points: np.ndarray, shapes):
-    """`project_rig`'s samples of ego-frame points (..., 3) that are in view
-    and inside the (H_j, W_j, ...) shapes of J feature maps: (index (E,),
-    their ascending flat positions in the (..., J) samples; camera-frame
-    points (E, 3); u (E,); v (E,)), bit for bit. Only the samples inside a
-    conservative frustum bound are divided: in view, |u - cx| <=
-    max(|cx|, |W - 1 - cx|), so |x| * fx / (that + 1 pixel) <= z; same for v.
-    """
-    q, (fx, fy, cx, cy, widths, heights) = _rig_frames(rig, points)
+    q = q.reshape(-1, len(rig), 3)
+    fx, fy, cx, cy, widths, heights = np.array(
+        [(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig], dtype=FLOAT).T
     # the relative 2**-40 covers rounding beyond a pixel (|cx| past 2**50)
     reach_u = (np.maximum(np.abs(cx), np.abs(widths - 1.0 - cx)) + 1.0) * (1.0 + 2.0**-40)
     reach_v = (np.maximum(np.abs(cy), np.abs(heights - 1.0 - cy)) + 1.0) * (1.0 + 2.0**-40)
@@ -263,7 +240,7 @@ def project_rig_sparse(rig, points: np.ndarray, shapes):
 def project_rig_jacobian(rig, cam_points: np.ndarray, cams: np.ndarray) -> np.ndarray:
     """d(uv)/d(ego point) (E, 2, 3) of E samples in front of their cameras.
 
-    cam_points (E, 3) are camera-frame points as `project_rig` returns them
+    cam_points (E, 3) are camera-frame points as `project_rig_sparse` returns them
     and cams (E,) their camera indices.
     """
     fx = np.array([cam.fx for cam in rig], dtype=FLOAT)[cams]

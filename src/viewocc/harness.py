@@ -20,7 +20,7 @@ from .encoder import (METHODS, ModelConfig, ModelParams, MomentumSGD, backward_f
                       forward_frame, init_model)
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import BEVFlowField, reduce_bev_flow
-from .geometry import Pose, project_rig
+from .geometry import Pose, project_rig_sparse
 from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, class_means,
                         geo_counts, geo_ratio, iou_counts, total_loss)
 from .scene_sim import SceneSpec, observe, scene_ground_truth
@@ -182,7 +182,7 @@ def check_fit(scene: SceneSpec, config: ModelConfig, queue: MemoryQueue | None =
     g = scene.grid
     require(tuple(g.shape) == tuple(config.grid_shape)
             and abs(g.pitch - config.pitch) < 1e-12
-            and np.allclose(g.origin, np.asarray(config.origin), atol=1e-12),
+            and np.allclose(g.origin, np.asarray(config.origin), rtol=0, atol=1e-12),
             "model grid geometry must match the scene grid")
     require(scene.feature_channels == config.voxel_channels,
             "scene feature channels must match model voxel channels")
@@ -326,8 +326,10 @@ def coverage_report(scene: SceneSpec, frame: int = 0) -> dict:
     require(0 <= frame < scene.num_frames,
             f"frame {frame} is outside the scene's {scene.num_frames} frames")
     centers = scene.grid.voxel_centers().reshape(-1, 3)
-    counts = project_rig(scene.cameras, centers)[2].sum(axis=1)
-    hist = {int(k): int((counts == k).sum()) for k in range(len(scene.cameras) + 1)}
+    rig = scene.cameras
+    index = project_rig_sparse(rig, centers, [(c.height, c.width) for c in rig])[0]
+    counts = np.bincount(index // len(rig), minlength=centers.shape[0])
+    hist = {int(k): int((counts == k).sum()) for k in range(len(rig) + 1)}
     total = centers.shape[0]
     return {
         "scene": scene.name,

@@ -149,8 +149,7 @@ def warp_bev(bev: BEVGrid, rel: Pose) -> BEVGrid:
     iv = (src_y - bev.origin[1]) / bev.pitch - 0.5
     h, w, c = bev.data.shape
     cells = (h * w, 1, 1, 1)        # one sample of weight 1 per cell, from one map
-    plan = plan_dense(np.ones(cells), True, iu.reshape(cells), iv.reshape(cells),
-                      [bev.data.shape])
+    plan = plan_dense(np.ones(cells), iu.reshape(cells), iv.reshape(cells), [bev.data.shape])
     vals = np.zeros((h * w, c), dtype=FLOAT)
     vals[plan.index] = gather_samples(plan, bev.data.reshape(-1, c))
     return BEVGrid(vals.reshape(h, w, c), bev.pitch, bev.origin)
@@ -230,7 +229,7 @@ def temporal_forward_arrays(current: np.ndarray, warped: np.ndarray,
     v = row[:, None, None] + off[..., 1]
 
     # one head: each (cell, point, level) sample is a (Q, 1, K, J) core entry
-    agg, cache = deform_aggregate(attn[:, None], True, u[:, None], v[:, None], list(warped),
+    agg, cache = deform_aggregate(attn[:, None], u[:, None], v[:, None], list(warped),
                                   [params.value_map], [params.output_map])
     pre = cells + agg
     out = pre @ params.feed_forward.weight.T + params.feed_forward.bias

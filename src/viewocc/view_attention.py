@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require
-from .geometry import project_rig, project_rig_jacobian, project_rig_sparse, view_rotations
+from .geometry import project_rig_jacobian, project_rig_sparse, view_rotations
 from .numerics import (FLOAT, AffineMap, FeatureMap, as_float_array, bilinear_valid,
                        corner_indices, softmax_backward, softmax_norm)
 from .scene_sim import _cached, _camera_key
@@ -228,12 +228,11 @@ def plan_samples(index: np.ndarray, u: np.ndarray, v: np.ndarray, attn: np.ndarr
                         attn.reshape(-1)[index], group.astype(itype), (group % m).astype(itype))
 
 
-def plan_dense(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, shapes):
+def plan_dense(attn: np.ndarray, u: np.ndarray, v: np.ndarray, shapes):
     """`plan_samples` of dense samples: attn, u, v (Q, M, K, J), valid where
-    the mask (broadcasting to them) allows a sample and (u, v) lies in its
-    map."""
+    (u, v) lies in its map."""
     heights, widths = np.array([s[:2] for s in shapes]).T
-    valid = mask & bilinear_valid(u, v, heights, widths)
+    valid = bilinear_valid(u, v, heights, widths)
     return plan_samples(np.flatnonzero(valid), u[valid], v[valid], attn, shapes)
 
 
@@ -324,13 +323,13 @@ def _aggregate(plan: SamplingPlan, attn: np.ndarray, maps, value_maps, output_ma
                  "head_out": head_out}
 
 
-def deform_aggregate(attn: np.ndarray, mask, u: np.ndarray, v: np.ndarray, maps,
-                     value_maps, output_maps):
+def deform_aggregate(attn: np.ndarray, u: np.ndarray, v: np.ndarray, maps, value_maps,
+                     output_maps):
     """The deformable aggregation of dense (Q, M, K, J) samples, as the
     temporal fusion reads it: `plan_dense`, then `_aggregate`. Invalid
     samples contribute nothing. Returns (out (Q, C_out), cache).
     """
-    plan = plan_dense(attn, mask, u, v, [f.shape for f in maps])
+    plan = plan_dense(attn, u, v, [f.shape for f in maps])
     return _aggregate(plan, attn, maps, value_maps, output_maps)
 
 
@@ -543,7 +542,10 @@ def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParam
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
     logits = queries @ params.logit_head.weight.T + params.logit_head.bias
 
-    ref_uv, _, cam_vis = project_rig(rig, refs)                     # (Q, J, ...)
+    # the reference points' in-view (query, camera) pairs, by flat index
+    vis, _, ref_u, ref_v = project_rig_sparse(rig, refs, [(c.height, c.width) for c in rig])
+    cam_vis = np.zeros((nq, j), dtype=bool)
+    cam_vis.flat[vis] = True
 
     # softmax over points x visible cameras, per head
     mask = np.broadcast_to(cam_vis[:, None, None, :], (nq, m, k, j))
@@ -553,9 +555,9 @@ def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParam
     # reference pixel plus the shared 2-d offset, at the visible cameras only
     index = np.flatnonzero(mask)
     cam = index % j
-    ref = ref_uv[index // (m * k * j), cam]
+    pair = np.searchsorted(vis, index // (m * k * j) * j + cam)
     off = off_flat.reshape(-1, 2)[index // j]
-    u, v = ref[:, 0] + off[:, 0], ref[:, 1] + off[:, 1]
+    u, v = ref_u[pair] + off[:, 0], ref_v[pair] + off[:, 1]
     heights, widths = np.array([s[:2] for s in shapes]).T
     ok = bilinear_valid(u, v, heights[cam], widths[cam])
     return plan_samples(index[ok], u[ok], v[ok], attn, shapes), attn, cam_vis.any(axis=1)
@@ -624,4 +626,4 @@ def projection_first_forward(ctx: QueryContext, params: AttnParams, features, ri
 def camera_coverage(p, rig) -> int:
     """Number of rig cameras in which point p is visible."""
     p = as_float_array(p, shape=(3,), name="p")
-    return int(project_rig(rig, p)[2].sum())
+    return len(project_rig_sparse(rig, p, [(c.height, c.width) for c in rig])[0])

@@ -1,7 +1,7 @@
 """Shared test utilities: finite differences, tolerance helpers, a zero
 gradient dict, the dense reference ray march, the one-pose-at-a-time pose
 reader, the single-point view rotation, the single-camera and single-point
-references and the unblocked aggregation core."""
+references, the dense rig projection and the unblocked aggregation core."""
 
 import numpy as np
 
@@ -70,10 +70,10 @@ def zero_grads(params) -> dict:
 
 # --- single-camera and single-point references -------------------------------
 # One camera or one point at a time, as the production code was first
-# written; the batched versions (geometry.project_rig, project_rig_jacobian,
-# the render) must agree with them. Reads through a sampling plan (the BEV
-# warp, the attention layers) must equal the reference sampler
-# `bilinear_many`.
+# written; the batched versions (the dense `project_rig` below, and through it
+# geometry.project_rig_sparse, project_rig_jacobian, the render) must agree
+# with them. Reads through a sampling plan (the BEV warp, the attention
+# layers) must equal the reference sampler `bilinear_many`.
 
 
 def altitude_rotation(phi: float) -> np.ndarray:
@@ -129,6 +129,32 @@ def project_points(cam: CameraModel, points: np.ndarray):
     v = np.where(safe, v, 0.0)
     uv = np.stack([u, v], axis=-1)
     return uv, depth, in_view
+
+
+def project_rig(rig, points: np.ndarray):
+    """Project ego-frame points (..., 3) through all J cameras of a rig at once,
+    densely: the reference whose in-view entries `geometry.project_rig_sparse`
+    must return bit for bit.
+
+    Returns (uv (..., J, 2), camera-frame points (..., J, 3), in_view
+    (..., J)). Points at depth <= 1e-12 are behind the camera: out of view,
+    with uv pinned to zero. Camera j's depth is the camera-frame z.
+    """
+    pts = np.asarray(points, dtype=FLOAT)
+    rot = np.concatenate([cam.extrinsics.rotation for cam in rig])          # (3J, 3)
+    trans = np.concatenate([cam.extrinsics.translation for cam in rig])
+    q = (pts.reshape(-1, 3) @ rot.T + trans).reshape(pts.shape[:-1] + (len(rig), 3))
+    fx, fy, cx, cy, widths, heights = np.array(
+        [(c.fx, c.fy, c.cx, c.cy, c.width, c.height) for c in rig], dtype=FLOAT).T
+    depth = q[..., 2]
+    safe = depth > _DEPTH_EPS
+    zdiv = np.where(safe, depth, 1.0)
+    u = fx * q[..., 0] / zdiv + cx
+    v = fy * q[..., 1] / zdiv + cy
+    in_view = safe & bilinear_valid(u, v, heights, widths)
+    u[~safe] = 0.0
+    v[~safe] = 0.0
+    return np.stack([u, v], axis=-1), q, in_view
 
 
 def project_jacobian(cam: CameraModel, points: np.ndarray) -> np.ndarray:

@@ -59,6 +59,24 @@ def test_ab_fails_on_a_read_one_ulp_off(tmp_path):
     assert summary["cases"] == {}
 
 
+def test_ab_notices_a_slower_read(tmp_path):
+    src = tmp_path / "tree" / "src" / "viewocc"
+    shutil.copytree(ROOT / "src" / "viewocc", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = src / "view_attention.py"
+    text = module.read_text()
+    head = "def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):\n"
+    assert text.count(head) == 1
+    text = text.replace("import numpy as np\n", "import time\n\nimport numpy as np\n", 1)
+    module.write_text(text.replace(head, head + "    time.sleep(0.005)\n"))
+    code, summary, done = _ab(tmp_path / "tree", "read_plan")
+    assert code == 0, done.stdout + done.stderr
+    assert summary["identical"] and not summary["differing"]
+    assert sorted(summary["cases"]) == ["proj-first", "temporal-2", "temporal-4", "view-attn"]
+    for case in summary["cases"].values():
+        assert case["wins"] == 3 and case["median_ratio"] < 0.5, summary
+
+
 @pytest.mark.parametrize("layer", ["load_scene", "load_params", "write_blob"])
 def test_ab_file_layers_against_this_checkout_are_identical(layer):
     code, summary, done = _ab(ROOT, layer)

@@ -41,7 +41,7 @@ from viewocc.view_attention import (QueryContext, attn_forward_batch, camera_cov
                                     projection_first_forward, view_attn_backward,
                                     view_attn_forward)
 
-from helpers import check_grad_array
+from helpers import check_grad_array, project_rig
 
 GRAD_TOL = 1e-4
 
@@ -83,7 +83,7 @@ def _spatial_instance(seed: int):
         mode = "one-dof" if seed % 2 == 0 else "two-dof"
         _, cache = attn_forward_batch(q[None], ref[None], params, feats, rig, mode,
                                       keep_cache=True)
-        if (_generic_lattice_positions(viewocc.project_rig(rig, cache["points"])[0])
+        if (_generic_lattice_positions(project_rig(rig, cache["points"])[0])
                 and cache["valid"].any()):
             return rng, params, feats, rig, q, ref, mode
     raise AssertionError("could not find a generic spatial instance")

@@ -112,9 +112,8 @@ def test_a_plan_without_valid_samples_reads_the_output_biases():
     maps = [rng.normal(size=(5, 6, 8)), rng.normal(size=(4, 4, 8))]
     shape = (3, 2, 2, 2)
     attn = np.full(shape, 0.25)
-    uv = rng.uniform(0.0, 3.0, shape)
-    _, cache = deform_aggregate(attn, False, uv, uv, maps, params.value_maps,
-                                params.output_maps)
+    uv = np.full(shape, -1.0)                    # outside both maps
+    _, cache = deform_aggregate(attn, uv, uv, maps, params.value_maps, params.output_maps)
     assert cache["plan"].attn.shape == (0,)
     _assert_core_matches_reference(cache, maps, params.value_maps, params.output_maps)
     out = read_plan(cache["plan"], 3, maps, params.value_maps, params.output_maps)[0]

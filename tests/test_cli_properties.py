@@ -754,6 +754,29 @@ def test_params_header_without_a_config_key_exits_2_naming_it(inputs, tmp_path, 
     assert repr(key) in json.loads(err)["error"], err
 
 
+def test_a_params_origin_3e_5_off_the_scene_grid_exits_2(inputs, tmp_path):
+    # np.allclose's default relative tolerance of 1e-5 let an origin of
+    # -3.99997 pass for the scene's -4.0
+    shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
+    header = json.loads((inputs / "model.json").read_text())
+    header["meta"]["config"]["origin"][0] += 3e-5
+    (tmp_path / "model.json").write_text(json.dumps(header))
+    argv = ["eval", "--scene", inputs / "scene.json", "--params", tmp_path / "model",
+            "--frames", "0", "--out", tmp_path / "eval.json"]
+    code, err = _run(argv)
+    named = "model grid geometry must match the scene grid"
+    assert code == 2, err
+    assert named in json.loads(err)["error"], err
+    package_root = str(Path(viewocc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "viewocc.cli", *map(str, argv)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert named in json.loads(result.stderr)["error"], result.stderr
+    assert result.stdout == "" and not (tmp_path / "eval.json").exists()
+
+
 BAD_COMMAND_LINES = {
     "non-integer-epochs": ["train", "--scene", "training", "--epochs", "abc"],
     "non-integer-frame": ["coverage", "--scene", "training", "--frame", "x"],

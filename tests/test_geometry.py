@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from viewocc import geometry
 from viewocc.errors import ContractViolation
-from viewocc.geometry import (CameraModel, Pose, project_rig, project_rig_jacobian,
-                              project_rig_sparse, relative_pose, rotation_z, view_rotations)
+from viewocc.geometry import (CameraModel, Pose, project_rig_jacobian, project_rig_sparse,
+                              relative_pose, rotation_z, view_rotations)
 from viewocc.scene_sim import preset_scene
 
 from helpers import (altitude_angle, altitude_rotation, central_diff, pinhole_project,
-                     project_jacobian, project_points, rel_err, view_angle, view_rotation)
+                     project_jacobian, project_points, project_rig, rel_err, view_angle,
+                     view_rotation)
 
 finite_coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 

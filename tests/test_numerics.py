@@ -26,7 +26,7 @@ def _bilinear_grads(data, u, v, g_vals):
     and identity value and output maps, so its output is the bare sample."""
     eye = [AffineMap.identity(data.shape[2])]
     u, v = np.full((1, 1, 1, 1), u), np.full((1, 1, 1, 1), v)
-    _, cache = deform_aggregate(np.ones((1, 1, 1, 1)), True, u, v, [data], eye, eye)
+    _, cache = deform_aggregate(np.ones((1, 1, 1, 1)), u, v, [data], eye, eye)
     g = deform_aggregate_backward(cache, [data], eye, eye, np.asarray(g_vals)[None, :],
                                   want_map_grads=True)
     return g["u"][0, 0, 0, 0], g["v"][0, 0, 0, 0], g["maps"][0]
