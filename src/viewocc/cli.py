@@ -158,7 +158,7 @@ def _cmd_eval(args) -> int:
     params = load_params(args.params)
     queue = load_queue(args.queue_in) if args.queue_in else None
     frames = _parse_frames(args.frames, scene.num_frames)
-    check_fit(scene, params.config, queue)
+    check_fit(scene, params.config, queue, params.layers[0].cameras)
     data = prepare_frames(scene, frames)
     report, queue = evaluate_model(scene, params, data=data, queue=queue)
     if args.queue_out:

@@ -32,18 +32,18 @@ _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
 
 
-def _check_rotations(rots: np.ndarray) -> None:
-    """Raise for the first of the finite matrices rots (N, 3, 3) that is not
-    a rotation: not orthonormal within ROTATION_TOL, or a reflection."""
-    errs = np.abs(rots @ rots.transpose(0, 2, 1) - _IDENTITY).max(axis=(1, 2))
-    for err, ((a, b, c), (d, e, f), (g, h, i)) in zip(errs.tolist(), rots.tolist()):
-        if err > ROTATION_TOL:
-            raise ContractViolation(f"rotation is not orthonormal (max deviation {err:.3e})")
-        # the determinant of an orthonormal matrix is +-1, so the cofactor
-        # expansion on Python floats has np.linalg.det's sign at a fraction of
-        # its call cost
-        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
-            raise ContractViolation("rotation has negative determinant (reflection)")
+def _check_rotations(rot: np.ndarray) -> None:
+    """Raise if the finite matrix rot (3, 3) is not a rotation: not
+    orthonormal within ROTATION_TOL, or a reflection."""
+    err = float(np.abs(rot @ rot.T - _IDENTITY).max())
+    if err > ROTATION_TOL:
+        raise ContractViolation(f"rotation is not orthonormal (max deviation {err:.3e})")
+    # the determinant of an orthonormal matrix is +-1, so the cofactor
+    # expansion on Python floats has np.linalg.det's sign at a fraction of
+    # its call cost
+    (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
+        raise ContractViolation("rotation has negative determinant (reflection)")
 
 
 @dataclass
@@ -56,7 +56,7 @@ class Pose:
     def __post_init__(self):
         self.rotation = as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation")
         self.translation = as_float_array(self.translation, shape=(3,), name="Pose.translation")
-        _check_rotations(self.rotation[None])
+        _check_rotations(self.rotation)
 
     @classmethod
     def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":

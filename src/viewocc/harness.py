@@ -24,7 +24,7 @@ from .geometry import Pose, project_rig_sparse
 from .objective import (FrameTruth, LossWeights, PredictionBundle, ave_sums, class_means,
                         geo_counts, geo_ratio, iou_counts, total_loss)
 from .scene_sim import SceneSpec, observe, scene_ground_truth
-from .temporal_stream import MemoryQueue
+from .temporal_stream import BEVGrid, MemoryQueue, _same_layout
 
 # the loss terms as `total_loss` names its parts, then their sum
 LOSS_COLUMNS = ("focal", "ce", "lovasz", "l1_flow", "total")
@@ -176,9 +176,12 @@ def resolve_preset(name: str, scene: SceneSpec, method: str = "view-attn",
     return config, TrainSettings(**train_kwargs)
 
 
-def check_fit(scene: SceneSpec, config: ModelConfig, queue: MemoryQueue | None = None) -> None:
-    """Refuse a model whose grid, channels or class ids are not the scene's, or
-    a queue whose capacity is not its queue_len; callers check before rendering."""
+def check_fit(scene: SceneSpec, config: ModelConfig, queue: MemoryQueue | None = None,
+              cameras: int | None = None) -> None:
+    """Refuse a model whose grid, channels, class ids or, when given, number of
+    cameras its attention layers read are not the scene's, or a queue whose
+    capacity is not its queue_len or whose grids are not laid out as the BEV
+    grid it fuses; callers check before rendering."""
     g = scene.grid
     require(tuple(g.shape) == tuple(config.grid_shape)
             and abs(g.pitch - config.pitch) < 1e-12
@@ -189,9 +192,25 @@ def check_fit(scene: SceneSpec, config: ModelConfig, queue: MemoryQueue | None =
     scene_ids, model_ids = sorted(scene.class_ids), list(range(1, config.n_classes + 1))
     require(scene_ids == model_ids,
             f"scene class ids {scene_ids} must be the model's class ids {model_ids}")
+    require(cameras is None or cameras == len(scene.cameras),
+            f"the model's attention layers read {cameras} cameras but the scene has "
+            f"{len(scene.cameras)}")
     if queue is not None:
         require(queue.capacity == config.queue_len, f"memory queue capacity {queue.capacity} "
                 f"must be the model's queue_len {config.queue_len}")
+        # the layout rule `warp_queue` applies, against a stand-in for the fused
+        # grid; a queue's grids share one layout, which `MemoryQueue.push` checks
+        h, w = config.grid_shape[1:]
+        fused = BEVGrid(np.broadcast_to(0.0, (h, w, config.bev_channels)), config.pitch,
+                        config.origin[:2])
+        for bev, _ in queue.entries[:1]:
+            require(_same_layout(bev, fused), f"queued grid layout {_layout(bev)} does not "
+                    f"match the model's BEV grid {_layout(fused)}")
+
+
+def _layout(bev: BEVGrid) -> str:
+    origin = [float(x) for x in bev.origin]
+    return f"(shape {bev.data.shape}, pitch {float(bev.pitch)}, origin {origin})"
 
 
 def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings, data):
@@ -251,7 +270,7 @@ def evaluate_model(scene: SceneSpec, params: ModelParams, data=None,
     queue_len = params.config.queue_len
     if queue is None:
         queue = MemoryQueue(queue_len)
-    check_fit(scene, params.config, queue)
+    check_fit(scene, params.config, queue, params.layers[0].cameras)
     if data is None:
         data = prepare_frames(scene)
     rig = scene.cameras

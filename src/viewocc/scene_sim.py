@@ -29,7 +29,7 @@ import numpy as np
 
 from .blobio import MAX_COUNT, count_field, flag_field, name_field, number_field
 from .errors import ContractViolation, open_output, require
-from .flow_annotation import FlowField, GridSpec, TrackedBox, generate_flow_field
+from .flow_annotation import GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, rotation_z
 from .numerics import FLOAT, FeatureMap, as_float_array
 
@@ -551,7 +551,8 @@ def scene_ground_truth(scene: SceneSpec, frame: int, flow_mode: str = "occupancy
     the nearest box center (ties to the lower track id, as the boxes are
     visited in ascending id); the statics label the rest, the earliest of
     `scene.elements_in_frame` winning. Flow lives on box voxels; frame 0 has
-    no predecessor so all flow is zero there.
+    no predecessor so all flow is zero there. The field's foreground classes
+    are the scene's, whichever boxes the frame holds.
     """
     grid = scene.grid
     elements = scene.elements_in_frame(frame)
@@ -571,10 +572,7 @@ def scene_ground_truth(scene: SceneSpec, frame: int, flow_mode: str = "occupancy
         ego_boxes.append(TrackedBox(box.track_id, box.category, box.size, poses))
     flow = generate_flow_field(ego_boxes, frame, grid, scene.frame_dt, mode=flow_mode)
     labels[flow.occupied] = flow.category[flow.occupied]
-    if not flow.foreground_classes:
-        flow = FlowField(grid=grid, flow=flow.flow, occupied=flow.occupied,
-                         category=flow.category,
-                         foreground_classes=tuple(scene.foreground_class_ids))
+    flow.foreground_classes = tuple(sorted(scene.foreground_class_ids))
     return labels, flow
 
 

@@ -8,6 +8,7 @@ attention weights are never renormalized. The projection-first baseline
 (`projection_first_*`) projects the bare reference point, drops cameras where
 it is not visible, and runs planar 2-d deformable attention around the
 surviving pixel locations with the softmax taken over the visible set only.
+Both run one forward and one backward, given a sampler and offset gradient.
 
 Per head m, with A the attention weights and W/W' the output/value maps,
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -421,29 +423,11 @@ def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
     return grads
 
 
-def _param_grads(params: AttnParams, queries: np.ndarray, g_off_flat: np.ndarray,
-                 g_logits: np.ndarray, g: dict):
-    """(grads by params.arrays() name, g_queries, feature grads) of one layer."""
-    grads = {
-        "offset_head.weight": g_off_flat.T @ queries,
-        "offset_head.bias": g_off_flat.sum(axis=0),
-        "logit_head.weight": g_logits.T @ queries,
-        "logit_head.bias": g_logits.sum(axis=0),
-    }
-    for i in range(params.heads):
-        grads[f"value_maps.{i}.weight"] = g["value_w"][i]
-        grads[f"value_maps.{i}.bias"] = g["value_b"][i]
-        grads[f"output_maps.{i}.weight"] = g["out_w"][i]
-        grads[f"output_maps.{i}.bias"] = g["out_b"][i]
-    g_queries = g_off_flat @ params.offset_head.weight + g_logits @ params.logit_head.weight
-    return grads, g_queries, g["maps"]
-
-
-def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig, mode: str,
-                  shapes):
-    """The learning-first sampling plan, attention weights (Q, M, K, J), view
-    rotations (Q, 3, 3), sample points (Q, M, K, 3) and the valid samples'
-    camera-frame points (E, 3)."""
+def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig, shapes,
+                  mode: str):
+    """The learning-first sampling plan, attention weights (Q, M, K, J), the
+    queries read (all) and the cache entries: sample points (Q, M, K, 3), the
+    valid samples' camera-frame points (E, 3) and view rotations (Q, 3, 3)."""
     nq = queries.shape[0]
     m, k, j = params.heads, params.points, params.cameras
     off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
@@ -453,7 +437,114 @@ def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig
     rot = view_rotations(refs, mode)
     sample_pts = refs[:, None, None, :] + np.einsum("qab,qmkb->qmka", rot, offsets, optimize=True)
     index, cam_pts, u, v = project_rig_sparse(rig, sample_pts, shapes)
-    return plan_samples(index, u, v, attn, shapes), attn, rot, sample_pts, cam_pts
+    return (plan_samples(index, u, v, attn, shapes), attn, np.ones(nq, dtype=bool),
+            {"points": sample_pts, "cam_pts": cam_pts, "rot": rot})
+
+
+def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig,
+                        shapes):
+    """The projection-first sampling plan, attention weights (Q, M, K, J)
+    taken over the cameras that see each query's reference point, the queries
+    read (those visible anywhere, (Q,)) and the cache entries."""
+    nq = queries.shape[0]
+    m, k, j = params.heads, params.points, params.cameras
+    off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
+    logits = queries @ params.logit_head.weight.T + params.logit_head.bias
+
+    # the reference points' in-view (query, camera) pairs, by flat index
+    vis, _, ref_u, ref_v = project_rig_sparse(rig, refs, [(c.height, c.width) for c in rig])
+    cam_vis = np.zeros((nq, j), dtype=bool)
+    cam_vis.flat[vis] = True
+
+    # softmax over points x visible cameras, per head; zero, as is its gradient, elsewhere
+    mask = np.broadcast_to(cam_vis[:, None, None, :], (nq, m, k, j))
+    masked = np.where(mask, logits.reshape(nq, m, k, j), -np.inf)
+    attn = softmax_norm(masked.reshape(nq, m, k * j)).reshape(nq, m, k, j)
+
+    # reference pixel plus the shared 2-d offset, at the visible cameras only
+    index = np.flatnonzero(mask)
+    cam = index % j
+    pair = np.searchsorted(vis, index // (m * k * j) * j + cam)
+    off = off_flat.reshape(-1, 2)[index // j]
+    u, v = ref_u[pair] + off[:, 0], ref_v[pair] + off[:, 1]
+    heights, widths = np.array([s[:2] for s in shapes]).T
+    ok = bilinear_valid(u, v, heights[cam], widths[cam])
+    any_vis = cam_vis.any(axis=1)
+    return plan_samples(index[ok], u[ok], v[ok], attn, shapes), attn, any_vis, {"any_vis": any_vis}
+
+
+def _forward(kind: tuple, sampler, queries, refs, params: AttnParams, fdata, rig, keep_cache):
+    """(out (Q, C), cache or None) of either strategy; `sampler` gives (plan,
+    attn, queries read, cache entries), and an unread query's out is exactly
+    zero. Without a cache the plan comes from the plan cache under `kind`."""
+    require(len(rig) == params.cameras, "rig size does not match params.cameras")
+    queries, refs = np.asarray(queries, dtype=FLOAT), np.asarray(refs, dtype=FLOAT)
+    shapes = [f.shape for f in fdata]
+    cache = None
+    if keep_cache:
+        plan, attn, reads, entries = sampler(queries, refs, params, rig, shapes)
+        out, cache = _aggregate(plan, attn, fdata, params.value_maps, params.output_maps)
+        cache.update(queries=queries, **entries)
+    else:
+        def build():
+            plan, _, reads, _ = sampler(queries, refs, params, rig, shapes)
+            return (*plan, reads)
+        *plan, reads = _cached_plan(kind, queries, refs, params, rig, shapes, build)
+        out, _, _ = read_plan(SamplingPlan(*plan), queries.shape[0], fdata,
+                              params.value_maps, params.output_maps)
+    out[~reads] = 0.0
+    return out, cache
+
+
+def _backward(cache: dict, params: AttnParams, features, rig, g_out, want_feature_grads,
+              offset_grads, reads=None):
+    """(grads by params.arrays() name, g_queries, feature grads) of either
+    strategy. `offset_grads` maps the per-sample "u" and "v" gradients to the
+    offset head's outputs; `reads` (Q,) are the queries the forward read."""
+    fdata = _feature_arrays(features, params)
+    if reads is not None:
+        g_out = np.asarray(g_out, dtype=FLOAT) * reads[:, None]
+    g = _sample_grads(cache, fdata, params.value_maps, params.output_maps, g_out,
+                      want_feature_grads)
+    valid = cache["valid"]
+    nq, m, k, j = valid.shape
+    g_off_flat = offset_grads(cache, g, rig, nq, m, k, j)
+    g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
+                                _dense(valid, g["attn"]).reshape(nq, m, k * j),
+                                axis=-1).reshape(nq, m * k * j)
+    grads = {}
+    for head, g_head in (("offset_head", g_off_flat), ("logit_head", g_logits)):
+        grads[f"{head}.weight"] = g_head.T @ cache["queries"]
+        grads[f"{head}.bias"] = g_head.sum(axis=0)
+    for i in range(params.heads):
+        grads[f"value_maps.{i}.weight"] = g["value_w"][i]
+        grads[f"value_maps.{i}.bias"] = g["value_b"][i]
+        grads[f"output_maps.{i}.weight"] = g["out_w"][i]
+        grads[f"output_maps.{i}.bias"] = g["out_b"][i]
+    g_queries = g_off_flat @ params.offset_head.weight + g_logits @ params.logit_head.weight
+    return grads, g_queries, g["maps"]
+
+
+def _view_offset_grads(cache: dict, g: dict, rig, nq, m, k, j) -> np.ndarray:
+    idx = cache["plan"].index
+    jac = project_rig_jacobian(rig, cache["cam_pts"], idx % j)       # (E, 2, 3)
+    g_pts = _scatter_rows(idx // j, jac[:, 0, :] * g["u"][:, None]
+                          + jac[:, 1, :] * g["v"][:, None], nq * m * k)
+    return np.einsum("qab,qmka->qmkb", cache["rot"], g_pts.reshape(nq, m, k, 3),
+                     optimize=True).reshape(nq, m * k * 3)
+
+
+def _proj_first_offset_grads(cache: dict, g: dict, rig, nq, m, k, j) -> np.ndarray:
+    # the 2-d offset is shared across cameras
+    point = cache["plan"].index // j
+    return np.stack([np.bincount(point, weights=g[c], minlength=nq * m * k)
+                     for c in ("u", "v")], axis=-1).reshape(nq, m * k * 2)
+
+
+def _single_forward(forward, ctx: QueryContext, params: AttnParams, features, rig):
+    out, cache = forward(ctx.query[None, :], ctx.ref_point[None, :], params, features, rig,
+                         keep_cache=True)
+    return out[0], TraceRecord(in_view=cache["valid"][0])
 
 
 def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
@@ -466,23 +557,8 @@ def attn_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams
     """
     fdata = _feature_arrays(features, params)
     require(params.offset_dim == 3, "learning-first attention needs 3-d offsets")
-    require(len(rig) == params.cameras, "rig size does not match params.cameras")
-    queries = np.asarray(queries, dtype=FLOAT)
-    refs = np.asarray(refs, dtype=FLOAT)
-    shapes = [f.shape for f in fdata]
-
-    if not keep_cache:
-        plan = _cached_plan(("view-attn", mode), queries, refs, params, rig, shapes,
-                            lambda: _view_samples(queries, refs, params, rig, mode, shapes)[0])
-        out, _, _ = read_plan(plan, queries.shape[0], fdata, params.value_maps,
-                              params.output_maps)
-        return out, None
-
-    plan, attn, rot, points, cam_pts = _view_samples(queries, refs, params, rig, mode, shapes)
-    out, cache = _aggregate(plan, attn, fdata, params.value_maps, params.output_maps)
-    # the Jacobian needs the camera-frame points of the valid samples only
-    cache.update(queries=queries, points=points, cam_pts=cam_pts, rot=rot)
-    return out, cache
+    return _forward(("view-attn", mode), partial(_view_samples, mode=mode), queries, refs,
+                    params, fdata, rig, keep_cache)
 
 
 def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
@@ -493,29 +569,13 @@ def attn_backward_batch(cache: dict, params: AttnParams, features, rig,
     (as yielded by params.arrays()) to arrays, and feature_grads is a list of
     per-camera arrays or None.
     """
-    fdata = _feature_arrays(features, params)
-    g = _sample_grads(cache, fdata, params.value_maps, params.output_maps, g_out,
-                      want_feature_grads)
-    valid = cache["valid"]
-    nq, m, k, j = valid.shape
-
-    idx = cache["plan"].index
-    jac = project_rig_jacobian(rig, cache["cam_pts"], idx % j)       # (E, 2, 3)
-    g_pts = _scatter_rows(idx // j, jac[:, 0, :] * g["u"][:, None]
-                          + jac[:, 1, :] * g["v"][:, None], nq * m * k)
-    g_pts = g_pts.reshape(nq, m, k, 3)
-    g_offsets = np.einsum("qab,qmka->qmkb", cache["rot"], g_pts, optimize=True)
-    g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
-                                _dense(valid, g["attn"]).reshape(nq, m, k * j), axis=-1)
-    return _param_grads(params, cache["queries"], g_offsets.reshape(nq, m * k * 3),
-                        g_logits.reshape(nq, m * k * j), g)
+    return _backward(cache, params, features, rig, g_out, want_feature_grads,
+                     _view_offset_grads)
 
 
 def view_attn_forward(ctx: QueryContext, params: AttnParams, features, rig):
     """Single-query one-dof learning-first attention; returns (out, TraceRecord)."""
-    out, cache = attn_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
-                                    params, features, rig, keep_cache=True)
-    return out[0], TraceRecord(in_view=cache["valid"][0])
+    return _single_forward(attn_forward_batch, ctx, params, features, rig)
 
 
 def view_attn_backward(ctx: QueryContext, params: AttnParams, features, rig,
@@ -532,37 +592,6 @@ def view_attn_backward(ctx: QueryContext, params: AttnParams, features, rig,
     return grads
 
 
-def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig,
-                        shapes):
-    """The projection-first sampling plan, attention weights (Q, M, K, J)
-    taken over the cameras that see each query's reference point, and whether
-    each query is visible anywhere (Q,)."""
-    nq = queries.shape[0]
-    m, k, j = params.heads, params.points, params.cameras
-    off_flat = queries @ params.offset_head.weight.T + params.offset_head.bias
-    logits = queries @ params.logit_head.weight.T + params.logit_head.bias
-
-    # the reference points' in-view (query, camera) pairs, by flat index
-    vis, _, ref_u, ref_v = project_rig_sparse(rig, refs, [(c.height, c.width) for c in rig])
-    cam_vis = np.zeros((nq, j), dtype=bool)
-    cam_vis.flat[vis] = True
-
-    # softmax over points x visible cameras, per head
-    mask = np.broadcast_to(cam_vis[:, None, None, :], (nq, m, k, j))
-    masked = np.where(mask, logits.reshape(nq, m, k, j), -np.inf)
-    attn = softmax_norm(masked.reshape(nq, m, k * j)).reshape(nq, m, k, j)
-
-    # reference pixel plus the shared 2-d offset, at the visible cameras only
-    index = np.flatnonzero(mask)
-    cam = index % j
-    pair = np.searchsorted(vis, index // (m * k * j) * j + cam)
-    off = off_flat.reshape(-1, 2)[index // j]
-    u, v = ref_u[pair] + off[:, 0], ref_v[pair] + off[:, 1]
-    heights, widths = np.array([s[:2] for s in shapes]).T
-    ok = bilinear_valid(u, v, heights[cam], widths[cam])
-    return plan_samples(index[ok], u[ok], v[ok], attn, shapes), attn, cam_vis.any(axis=1)
-
-
 def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: AttnParams,
                              features, rig, keep_cache: bool = False):
     """Vectorized projection-first baseline forward.
@@ -574,53 +603,23 @@ def proj_first_forward_batch(queries: np.ndarray, refs: np.ndarray, params: Attn
     """
     fdata = _feature_arrays(features, params)
     require(params.offset_dim == 2, "projection-first attention needs 2-d pixel offsets")
-    require(len(rig) == params.cameras, "rig size does not match params.cameras")
-    queries = np.asarray(queries, dtype=FLOAT)
-    refs = np.asarray(refs, dtype=FLOAT)
-    shapes = [f.shape for f in fdata]
-
-    if not keep_cache:
-        def build():
-            plan, _, any_vis = _proj_first_samples(queries, refs, params, rig, shapes)
-            return (*plan, any_vis)
-        *plan, any_vis = _cached_plan(("proj-first",), queries, refs, params, rig, shapes,
-                                      build)
-        out, _, _ = read_plan(SamplingPlan(*plan), queries.shape[0], fdata,
-                              params.value_maps, params.output_maps)
-        return np.where(any_vis[:, None], out, 0.0), None
-
-    plan, attn, any_vis = _proj_first_samples(queries, refs, params, rig, shapes)
-    out, cache = _aggregate(plan, attn, fdata, params.value_maps, params.output_maps)
-    # "sample_ok" is the name the benchmark's tracer reads the valid mask by
-    cache.update(queries=queries, sample_ok=cache["valid"], any_vis=any_vis)
-    return np.where(any_vis[:, None], out, 0.0), cache
+    out, cache = _forward(("proj-first",), _proj_first_samples, queries, refs, params, fdata,
+                          rig, keep_cache)
+    if cache is not None:   # the name the benchmark's tracer reads the valid mask by
+        cache["sample_ok"] = cache["valid"]
+    return out, cache
 
 
 def proj_first_backward_batch(cache: dict, params: AttnParams, features, rig,
                               g_out: np.ndarray, want_feature_grads: bool = False):
     """Gradients for the projection-first baseline (shared 2-d pixel offsets)."""
-    fdata = _feature_arrays(features, params)
-    g_out = np.asarray(g_out, dtype=FLOAT) * cache["any_vis"][:, None]
-    g = _sample_grads(cache, fdata, params.value_maps, params.output_maps, g_out,
-                      want_feature_grads)
-    valid = cache["valid"]
-    nq, m, k, j = valid.shape
-    # the offset is shared across cameras; attn is exactly zero off the
-    # visible set, so its softmax gradient is too
-    point = cache["plan"].index // j
-    g_offsets = np.stack([np.bincount(point, weights=g[c], minlength=nq * m * k)
-                          for c in ("u", "v")], axis=-1)
-    g_logits = softmax_backward(cache["attn"].reshape(nq, m, k * j),
-                                _dense(valid, g["attn"]).reshape(nq, m, k * j), axis=-1)
-    return _param_grads(params, cache["queries"], g_offsets.reshape(nq, m * k * 2),
-                        g_logits.reshape(nq, m * k * j), g)
+    return _backward(cache, params, features, rig, g_out, want_feature_grads,
+                     _proj_first_offset_grads, cache["any_vis"])
 
 
 def projection_first_forward(ctx: QueryContext, params: AttnParams, features, rig):
     """Single-query projection-first baseline; returns (out, TraceRecord)."""
-    out, cache = proj_first_forward_batch(ctx.query[None, :], ctx.ref_point[None, :],
-                                          params, features, rig, keep_cache=True)
-    return out[0], TraceRecord(in_view=cache["valid"][0])
+    return _single_forward(proj_first_forward_batch, ctx, params, features, rig)
 
 
 def camera_coverage(p, rig) -> int:

@@ -393,11 +393,9 @@ def scene_ground_truth_reference(scene: SceneSpec, frame: int,
             ego_boxes.append(TrackedBox(box.track_id, box.category, box.size, poses))
     flow = generate_flow_field(ego_boxes, frame, grid, scene.frame_dt, mode=flow_mode)
     labels[flow.occupied] = flow.category[flow.occupied]
-    if not flow.foreground_classes:
-        flow = FlowField(grid=grid, flow=flow.flow, occupied=flow.occupied,
-                         category=flow.category,
-                         foreground_classes=tuple(scene.foreground_class_ids))
-    return labels, flow
+    return labels, FlowField(grid=grid, flow=flow.flow, occupied=flow.occupied,
+                             category=flow.category,
+                             foreground_classes=tuple(scene.foreground_class_ids))
 
 
 # --- unblocked aggregation core -------------------------------------------------

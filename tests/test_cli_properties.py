@@ -530,6 +530,22 @@ def test_training_scene_without_boxes_trains_evaluates_and_annotates(tmp_path, c
     assert json.loads(capsys.readouterr().out)["bev_valid_cells"] == 0
 
 
+def test_gen_flow_writes_the_scenes_foreground_classes_on_every_frame(tmp_path):
+    # a frame with a box used to list only its boxes' classes, [3], and a
+    # frame without one the scene's, [3, 4]
+    scene = preset_scene("training").to_json()
+    scene["classes"].append({"id": 4, "name": "cart", "foreground": True})
+    for box in scene["boxes"]:
+        del box["poses"]["2"]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for frame in (1, 2):
+        code, err = _run(["gen-flow", "--scene", tmp_path / "scene.json", "--frame", frame,
+                          "--out", tmp_path / f"flow{frame}"])
+        assert code == 0, err
+        header = json.loads((tmp_path / f"flow{frame}.json").read_text())
+        assert header["meta"]["foreground_classes"] == [3, 4], frame
+
+
 def test_params_array_at_another_arrays_offset_exits_2_naming_it(inputs, tmp_path):
     # with offset 0 this array used to be read from expand.bias's bytes
     shutil.copy(inputs / "model.bin", tmp_path / "model.bin")
@@ -723,6 +739,56 @@ def test_a_queue_of_another_depth_is_refused_before_any_frame_is_observed(
     assert json.loads(err) == {
         "error": "memory queue capacity 2 must be the model's queue_len 4"}
     assert observed == [0]
+
+
+def _refused_before_any_frame_is_observed(monkeypatch, tmp_path, argv, error) -> None:
+    """argv exits 2 with exactly `error`, in-process without observing a
+    frame, and through `python -m viewocc.cli` without writing a report."""
+    observed = _observed(monkeypatch)
+    code, err = _run(argv)
+    assert code == 2, err
+    assert json.loads(err) == {"error": error}
+    assert observed == []
+    package_root = str(Path(viewocc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "eval.json"
+    result = subprocess.run([sys.executable, "-m", "viewocc.cli", *map(str, argv),
+                             "--out", str(out)], env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stderr) == {"error": error}
+    assert result.stdout == "" and not out.exists()
+
+
+def test_a_scene_with_fewer_cameras_than_the_model_reads_is_refused_before_any_frame(
+        inputs, tmp_path, monkeypatch):
+    # a 6-camera model on a 5-camera copy of the scene used to render every
+    # frame before failing with "expected 6 feature maps, got 5"
+    scene = json.loads((inputs / "scene.json").read_text())
+    scene["cameras"] = scene["cameras"][:5]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    _refused_before_any_frame_is_observed(
+        monkeypatch, tmp_path,
+        ["eval", "--scene", tmp_path / "scene.json", "--params", inputs / "model"],
+        "the model's attention layers read 6 cameras but the scene has 5")
+
+
+def test_a_queue_of_another_grid_layout_is_refused_before_any_frame_is_observed(
+        inputs, tmp_path, monkeypatch):
+    # a queue whose layout pitch was edited used to be read only after the
+    # requested frames were rendered, failing in warp_queue
+    shutil.copy(inputs / "queue.bin", tmp_path / "queue.bin")
+    header = json.loads((inputs / "queue.json").read_text())
+    layout = header["meta"]["layout"]
+    old = f"(shape (20, 20, 28), pitch {layout['pitch']}, origin {layout['origin']})"
+    layout["pitch"] = 0.5
+    (tmp_path / "queue.json").write_text(json.dumps(header))
+    new = f"(shape (20, 20, 28), pitch 0.5, origin {layout['origin']})"
+    _refused_before_any_frame_is_observed(
+        monkeypatch, tmp_path,
+        ["eval", "--scene", inputs / "scene.json", "--params", inputs / "model", "--frames", "1:",
+         "--queue-in", tmp_path / "queue"],
+        f"queued grid layout {new} does not match the model's BEV grid {old}")
 
 
 @pytest.mark.parametrize("field", ["capacity", "count"])

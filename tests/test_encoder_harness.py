@@ -546,3 +546,37 @@ def test_prepared_frames_carry_consistent_shapes():
     assert fd.visibility.shape == scene.grid.shape
     assert fd.truth.bev_flow.flow.shape == (scene.grid.shape[1], scene.grid.shape[2], 2)
     assert len(fd.features) == len(scene.cameras)
+
+
+# edits of a queued grid's (shape, pitch, origin) away from the model's BEV grid
+_LAYOUT_EDITS = {
+    "none": lambda shape, pitch, origin: (shape, pitch, origin),
+    "pitch one ulp up": lambda shape, pitch, origin: (shape, np.nextafter(pitch, 1.0), origin),
+    "origin x one ulp down": lambda shape, pitch, origin: (
+        shape, pitch, origin - [np.spacing(origin[0]), 0.0]),
+    "origin y shifted a cell": lambda shape, pitch, origin: (shape, pitch, origin + [0.0, pitch]),
+    "one channel fewer": lambda shape, pitch, origin: ((*shape[:2], shape[2] - 1), pitch, origin),
+    "one row more": lambda shape, pitch, origin: ((shape[0] + 1, *shape[1:]), pitch, origin),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_LAYOUT_EDITS))
+def test_check_fit_refuses_exactly_the_queued_layouts_the_forward_refuses(edit):
+    scene = preset_scene("training")
+    config, _ = resolve_preset("small", scene)
+    params = init_model(np.random.default_rng(0), config, len(scene.cameras))
+    _, h, w = config.grid_shape
+    shape, pitch, origin = _LAYOUT_EDITS[edit]((h, w, config.bev_channels), config.pitch,
+                                               np.array(config.origin[:2]))
+    queue = MemoryQueue(config.queue_len).push(BEVGrid(np.zeros(shape), pitch, origin),
+                                               Pose.identity())
+    features = [np.zeros((cam.height, cam.width, config.voxel_channels)) for cam in scene.cameras]
+    outcomes = []
+    for step in (lambda: harness.check_fit(scene, config, queue),
+                 lambda: forward_frame(params, features, scene.cameras, Pose.identity(), queue)):
+        try:
+            step()
+            outcomes.append("accepted")
+        except ContractViolation:
+            outcomes.append("refused")
+    assert outcomes == ["accepted" if edit == "none" else "refused"] * 2
