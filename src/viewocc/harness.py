@@ -136,6 +136,12 @@ class TrainSettings:
     focal_alpha: float | None = 0.25
     seed: int = 0
 
+    def __post_init__(self):
+        # checked when built, so a bad setting stops a run before any render
+        require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        require(self.lr > 0, "learning rate must be positive")
+
     def loss_weights(self) -> LossWeights:
         return LossWeights(focal_alpha=self.focal_alpha)
 
@@ -221,8 +227,6 @@ def train_model(scene: SceneSpec, config: ModelConfig, settings: TrainSettings, 
     frame does one optimizer step. History rows carry the per-epoch mean loss
     terms plus metrics accumulated from the training predictions themselves.
     """
-    require(settings.epochs >= 1, f"epochs must be >= 1, got {settings.epochs}")
-    require(settings.seed >= 0, f"seed must be >= 0, got {settings.seed}")
     check_fit(scene, config)
     rig = scene.cameras
     params = init_model(np.random.default_rng(settings.seed), config, len(rig))
@@ -309,12 +313,13 @@ def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
         for qlen in queue_lens:
             config, settings = resolve_preset(preset, scene, method=method, mode=mode,
                                               queue_len=qlen)
+            override = dict(settings_override or {})
+            if seed is not None:
+                override["seed"] = seed
             try:
-                settings = replace(settings, **(settings_override or {}))
+                settings = replace(settings, **override)
             except TypeError as exc:
                 raise ContractViolation(f"unknown train settings override: {exc}") from exc
-            if seed is not None:
-                settings.seed = seed
             combos.append((method, qlen, config, settings))
     for _, _, config, _ in combos:
         check_fit(scene, config)

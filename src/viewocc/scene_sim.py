@@ -496,30 +496,27 @@ def _voxel_runs(cam: CameraModel, grid: GridSpec):
     return _cached(key, build)
 
 
-def _feature_map(scene: SceneSpec, frame: int, cam: CameraModel, hit, hit_points,
-                 class_idx) -> FeatureMap:
+def _render(scene: SceneSpec, frame: int, cam: CameraModel, elements):
+    """(FeatureMap, each ray's first-hit step) of one march of the camera's
+    rays through the frame's elements; misses are zero."""
+    hit, first, hit_points, class_idx = _march(scene, elements, *_ray_grid(cam))
     data = np.zeros((cam.height * cam.width, scene.feature_channels), dtype=FLOAT)
     world_pts = scene.ego_trajectory[frame].apply(hit_points[hit])
     anchor_pts = scene.feature_anchor.inverse().apply(world_pts)
     data[hit] = scene.basis().features(class_idx[hit], anchor_pts)
-    return FeatureMap(data.reshape(cam.height, cam.width, scene.feature_channels))
-
-
-def _render(scene: SceneSpec, frame: int, cam: CameraModel, elements) -> FeatureMap:
-    hit, _, hit_points, class_idx = _march(scene, elements, *_ray_grid(cam))
-    return _feature_map(scene, frame, cam, hit, hit_points, class_idx)
+    return FeatureMap(data.reshape(cam.height, cam.width, scene.feature_channels)), first
 
 
 def render_camera_features(scene: SceneSpec, frame: int, cam_index: int) -> FeatureMap:
     """Render one camera's feature image for a frame; misses are zero."""
     require(0 <= cam_index < len(scene.cameras), "camera index out of range")
-    return _render(scene, frame, scene.cameras[cam_index], scene.elements_in_frame(frame))
+    return _render(scene, frame, scene.cameras[cam_index], scene.elements_in_frame(frame))[0]
 
 
 def render_all_cameras(scene: SceneSpec, frame: int):
     """Every camera's `render_camera_features`, from one element list."""
     elements = scene.elements_in_frame(frame)
-    return [_render(scene, frame, cam, elements) for cam in scene.cameras]
+    return [_render(scene, frame, cam, elements)[0] for cam in scene.cameras]
 
 
 def observe(scene: SceneSpec, frame: int):
@@ -536,8 +533,8 @@ def observe(scene: SceneSpec, frame: int):
     features = []
     elements = scene.elements_in_frame(frame)
     for cam in scene.cameras:
-        hit, first, hit_points, class_idx = _march(scene, elements, *_ray_grid(cam))
-        features.append(_feature_map(scene, frame, cam, hit, hit_points, class_idx))
+        feature_map, first = _render(scene, frame, cam, elements)
+        features.append(feature_map)
         ray, start, voxel = _voxel_runs(cam, grid)
         observed.reshape(-1)[voxel[start <= first[ray]]] = True
     return features, observed

@@ -229,8 +229,9 @@ def temporal_forward_arrays(current: np.ndarray, warped: np.ndarray,
     v = row[:, None, None] + off[..., 1]
 
     # one head: each (cell, point, level) sample is a (Q, 1, K, J) core entry
-    agg, cache = deform_aggregate(attn[:, None], u[:, None], v[:, None], list(warped),
-                                  [params.value_map], [params.output_map])
+    plan = plan_dense(attn[:, None], u[:, None], v[:, None], [f.shape for f in warped])
+    agg, cache = deform_aggregate(plan, attn[:, None], list(warped), [params.value_map],
+                                  [params.output_map])
     pre = cells + agg
     out = pre @ params.feed_forward.weight.T + params.feed_forward.bias
 
@@ -253,13 +254,17 @@ def temporal_backward_arrays(cache: dict, params: TemporalParams, g_out: np.ndar
     g = deform_aggregate_backward(cache, list(cache["warped"]), [params.value_map],
                                   [params.output_map], g_pre)
 
+    # the per-sample gradients, in plan order, go straight to the valid
+    # (cell, point, level) entries of the offsets and attention weights
+    valid = cache["valid"].reshape(h * w, p, levels)
     g_off = np.zeros((h * w, p, n, 2), dtype=FLOAT)
-    g_off[:, :, :levels, 0] = g["u"][:, 0]
-    g_off[:, :, :levels, 1] = g["v"][:, 0]
+    g_off[:, :, :levels, 0][valid] = g["u"]
+    g_off[:, :, :levels, 1][valid] = g["v"]
     g_off_flat = g_off.reshape(h * w, p * n * 2)
 
-    g_logits_used = softmax_backward(cache["attn"].reshape(-1, p * levels),
-                                     g["attn"].reshape(-1, p * levels), axis=-1)
+    g_attn = np.zeros((h * w, p * levels), dtype=FLOAT)
+    g_attn[valid.reshape(h * w, -1)] = g["attn"]
+    g_logits_used = softmax_backward(cache["attn"].reshape(-1, p * levels), g_attn, axis=-1)
     g_logits = np.zeros((h * w, p, n), dtype=FLOAT)
     g_logits[:, :, :levels] = g_logits_used.reshape(-1, p, levels)
     g_logits_flat = g_logits.reshape(h * w, p * n)

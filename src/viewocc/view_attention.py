@@ -26,9 +26,11 @@ value-first core in two steps. The plan (`plan_samples`) takes the valid
 fixes their bilinear corners and weights; the attention layers build it from
 their in-view samples, temporal fusion and the BEV warp through `plan_dense`.
 The read (`read_plan`) value-maps every source pixel once, then gathers only
-those samples, so no per-sample array is built for the invalid majority. The
-attention backwards keep position gradients per sample and scatter only the
-attention-weight gradient, which feeds the dense softmax, to (Q, M, K, J).
+those samples, so no per-sample array is built for the invalid majority.
+`deform_aggregate` takes a plan in and `deform_aggregate_backward` gives its
+attention-weight and position gradients out per valid sample, in plan order;
+the attention layers and temporal fusion each scatter them once into their
+own offset and attention-weight layouts.
 The read and the backward gather corner rows in blocks of whole output
 groups of at most `_BLOCK_BYTES`, so their working memory does not grow with
 the sample count; every sum keeps the order of one unblocked pass. The plan
@@ -315,24 +317,16 @@ def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
     return out, table, head_out
 
 
-def _aggregate(plan: SamplingPlan, attn: np.ndarray, maps, value_maps, output_maps):
-    """(out, cache) of a plan's read; the cache holds the plan, attn, its
-    boolean (Q, M, K, J) "valid" mask and what the backward pass needs."""
+def deform_aggregate(plan: SamplingPlan, attn: np.ndarray, maps, value_maps, output_maps):
+    """The deformable aggregation of a plan's samples of attn's Q queries:
+    `read_plan`, with invalid samples contributing nothing. Returns (out
+    (Q, C_out), cache); the cache holds the plan, attn, its boolean
+    (Q, M, K, J) "valid" mask and what `deform_aggregate_backward` needs."""
     valid = np.zeros(attn.shape, dtype=bool)
     valid.flat[plan.index] = True
     out, table, head_out = read_plan(plan, attn.shape[0], maps, value_maps, output_maps)
     return out, {"plan": plan, "attn": attn, "valid": valid, "table": table,
                  "head_out": head_out}
-
-
-def deform_aggregate(attn: np.ndarray, u: np.ndarray, v: np.ndarray, maps, value_maps,
-                     output_maps):
-    """The deformable aggregation of dense (Q, M, K, J) samples, as the
-    temporal fusion reads it: `plan_dense`, then `_aggregate`. Invalid
-    samples contribute nothing. Returns (out (Q, C_out), cache).
-    """
-    plan = plan_dense(attn, u, v, [f.shape for f in maps])
-    return _aggregate(plan, attn, maps, value_maps, output_maps)
 
 
 # At most this many sampling plans stay cached per process, apart from the
@@ -354,10 +348,15 @@ def _cached_plan(kind: tuple, queries, refs, params: AttnParams, rig, shapes, bu
     return _cached(key, build, _plans, _PLAN_CACHE_SIZE)
 
 
-def _sample_grads(cache: dict, maps, value_maps, output_maps, g_out: np.ndarray,
-                  want_map_grads: bool = False) -> dict:
-    """`deform_aggregate_backward`'s gradients, with "attn", "u" and "v" per
-    valid sample (E,), in plan order."""
+def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
+                              g_out: np.ndarray, want_map_grads: bool = False) -> dict:
+    """Gradients of sum(g_out * out) for `deform_aggregate`.
+
+    Returns a dict with "attn", "u" and "v" per valid sample (E,), in plan
+    order; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
+    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the
+    per-source map gradients when asked for, else None.
+    """
     plan = cache["plan"]
     head = plan.head
     w_v, _ = _stacked_maps(value_maps)
@@ -406,21 +405,6 @@ def _dense(valid: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros(valid.shape, dtype=FLOAT)
     out[valid] = values
     return out
-
-
-def deform_aggregate_backward(cache: dict, maps, value_maps, output_maps,
-                              g_out: np.ndarray, want_map_grads: bool = False) -> dict:
-    """Gradients of sum(g_out * out) for `deform_aggregate`.
-
-    Returns a dict with "attn", "u" and "v" (Q, M, K, J), zero at invalid
-    samples; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
-    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
-    map gradients when asked for, else None.
-    """
-    grads = _sample_grads(cache, maps, value_maps, output_maps, g_out, want_map_grads)
-    for name in ("attn", "u", "v"):
-        grads[name] = _dense(cache["valid"], grads[name])
-    return grads
 
 
 def _view_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParams, rig, shapes,
@@ -483,7 +467,8 @@ def _forward(kind: tuple, sampler, queries, refs, params: AttnParams, fdata, rig
     cache = None
     if keep_cache:
         plan, attn, reads, entries = sampler(queries, refs, params, rig, shapes)
-        out, cache = _aggregate(plan, attn, fdata, params.value_maps, params.output_maps)
+        out, cache = deform_aggregate(plan, attn, fdata, params.value_maps,
+                                      params.output_maps)
         cache.update(queries=queries, **entries)
     else:
         def build():
@@ -504,8 +489,8 @@ def _backward(cache: dict, params: AttnParams, features, rig, g_out, want_featur
     fdata = _feature_arrays(features, params)
     if reads is not None:
         g_out = np.asarray(g_out, dtype=FLOAT) * reads[:, None]
-    g = _sample_grads(cache, fdata, params.value_maps, params.output_maps, g_out,
-                      want_feature_grads)
+    g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps, g_out,
+                                  want_feature_grads)
     valid = cache["valid"]
     nq, m, k, j = valid.shape
     g_off_flat = offset_grads(cache, g, rig, nq, m, k, j)

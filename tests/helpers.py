@@ -443,14 +443,14 @@ def deform_aggregate_backward_reference(cache: dict, maps, value_maps, output_ma
                                         g_out: np.ndarray, want_map_grads: bool = False) -> dict:
     """Gradients of sum(g_out * out) for `deform_aggregate`.
 
-    Returns a dict with "attn", "u" and "v" (Q, M, K, J), zero at invalid
-    samples; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
-    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the per-source
-    map gradients when asked for, else None.
+    Returns a dict with "attn", "u" and "v" per valid sample (E,), in plan
+    order; the per-head stacks "value_w" (M, c_v, C), "value_b" (M, c_v),
+    "out_w" (M, C_out, c_v) and "out_b" (M, C_out); and "maps", the
+    per-source map gradients when asked for, else None.
     """
-    plan, valid = cache["plan"], cache["valid"]
+    plan = cache["plan"]
     head = plan.head
-    nq, m = valid.shape[:2]
+    nq, m = cache["valid"].shape[:2]
     w_v, _ = _stacked_maps(value_maps)
     w_o, _ = _stacked_maps(output_maps)
     c_v = w_v.shape[1]
@@ -463,17 +463,11 @@ def deform_aggregate_backward_reference(cache: dict, maps, value_maps, output_ma
     dots = np.einsum("cev,ev->ce", cache["table"][plan.rows * m + head], g_head)   # (4, E)
     d00, d10, d01, d11 = dots
     fx, fy = plan.fx, plan.fy
-    per_sample = {
+    grads = {
         "attn": np.einsum("ce,ce->e", plan.weights, dots),
         "u": a * ((1.0 - fy) * (d10 - d00) + fy * (d11 - d01)),
         "v": a * ((1.0 - fx) * (d01 - d00) + fx * (d11 - d10)),
     }
-    grads = {}
-    for name, values in per_sample.items():
-        dense = np.zeros(valid.shape, dtype=FLOAT)
-        dense[valid] = values
-        grads[name] = dense
-
     g_value = a[:, None] * g_head
     pixels = _pixel_table(maps)
     raw = gather_samples_reference(plan, pixels)

@@ -23,7 +23,8 @@ def _ab(parent: Path, layer: str):
     return done.returncode, json.loads(done.stdout.splitlines()[-1]), done
 
 
-@pytest.mark.parametrize("layer", ["read_plan", "aggregate_backward", "warp_bev"])
+@pytest.mark.parametrize("layer", ["read_plan", "aggregate_backward", "temporal_forward",
+                                   "temporal_backward", "warp_bev"])
 def test_ab_against_this_checkout_is_identical(layer):
     code, summary, done = _ab(ROOT, layer)
     assert code == 0, done.stdout + done.stderr

@@ -19,7 +19,8 @@ from viewocc.scene_sim import preset_scene, render_all_cameras
 from viewocc.temporal_stream import init_temporal_params, temporal_forward_arrays
 from viewocc.view_attention import (attn_forward_batch, deform_aggregate,
                                     deform_aggregate_backward, init_proj_first_params,
-                                    init_view_attn_params, proj_first_forward_batch, read_plan)
+                                    init_view_attn_params, plan_dense,
+                                    proj_first_forward_batch, read_plan)
 
 from helpers import deform_aggregate_backward_reference, read_plan_reference
 
@@ -113,7 +114,8 @@ def test_a_plan_without_valid_samples_reads_the_output_biases():
     shape = (3, 2, 2, 2)
     attn = np.full(shape, 0.25)
     uv = np.full(shape, -1.0)                    # outside both maps
-    _, cache = deform_aggregate(attn, uv, uv, maps, params.value_maps, params.output_maps)
+    plan = plan_dense(attn, uv, uv, [f.shape for f in maps])
+    _, cache = deform_aggregate(plan, attn, maps, params.value_maps, params.output_maps)
     assert cache["plan"].attn.shape == (0,)
     _assert_core_matches_reference(cache, maps, params.value_maps, params.output_maps)
     out = read_plan(cache["plan"], 3, maps, params.value_maps, params.output_maps)[0]

@@ -791,6 +791,21 @@ def test_a_queue_of_another_grid_layout_is_refused_before_any_frame_is_observed(
         f"queued grid layout {new} does not match the model's BEV grid {old}")
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("option, error", [
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--lr", "0"], "learning rate must be positive"),
+    (["--lr", "-1"], "learning rate must be positive"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["epochs-0", "lr-0", "lr-minus-1", "seed-minus-1"])
+def test_bad_train_settings_are_refused_before_any_frame_is_observed(
+        inputs, tmp_path, monkeypatch, command, option, error):
+    # these used to be refused only when training began, after every frame
+    # of the scene was rendered
+    _refused_before_any_frame_is_observed(
+        monkeypatch, tmp_path, [command, "--scene", inputs / "scene.json", *option], error)
+
+
 @pytest.mark.parametrize("field", ["capacity", "count"])
 def test_queue_count_of_10_to_the_400_exits_2_with_a_short_error(inputs, tmp_path, field):
     # the error used to hold the 401-digit integer

@@ -329,6 +329,26 @@ def test_compare_prepares_once_and_trains_through_the_module_attribute(monkeypat
             [alone["aggregate"][k] for k in ("miou", "iou_geo", "mave")])
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("lr", 0.0, "learning rate must be positive"),
+    ("lr", float("nan"), "learning rate must be positive"),
+])
+def test_train_settings_are_checked_whenever_they_are_built(monkeypatch, field, value, error):
+    with pytest.raises(ContractViolation) as exc:
+        TrainSettings(**{field: value})
+    assert str(exc.value) == error
+    # compare_methods builds every run's settings before it prepares a frame
+    calls = []
+    monkeypatch.setattr(harness, "prepare_frames", lambda *args: calls.append(args))
+    override = {} if field == "seed" else {field: value}
+    seed = value if field == "seed" else None
+    with pytest.raises(ContractViolation) as exc:
+        compare_methods(preset_scene("training"), "small", settings_override=override, seed=seed)
+    assert str(exc.value) == error and calls == []
+
+
 def test_preset_requires_matching_channels():
     scene = preset_scene("rotation")  # renders 12 channels, preset wants 16
     with pytest.raises(ContractViolation):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from viewocc.errors import ContractViolation
 from viewocc.numerics import FLOAT, AffineMap, FeatureMap, softmax_backward, softmax_norm
-from viewocc.view_attention import deform_aggregate, deform_aggregate_backward
+from viewocc.view_attention import deform_aggregate, deform_aggregate_backward, plan_dense
 
 from helpers import bilinear_many, bilinear_sample, central_diff, rel_err
 
@@ -25,11 +25,12 @@ def _bilinear_grads(data, u, v, g_vals):
     the shared aggregation core with one query, head, point and map, weight 1
     and identity value and output maps, so its output is the bare sample."""
     eye = [AffineMap.identity(data.shape[2])]
-    u, v = np.full((1, 1, 1, 1), u), np.full((1, 1, 1, 1), v)
-    _, cache = deform_aggregate(np.ones((1, 1, 1, 1)), u, v, [data], eye, eye)
+    attn, u, v = np.ones((1, 1, 1, 1)), np.full((1, 1, 1, 1), u), np.full((1, 1, 1, 1), v)
+    plan = plan_dense(attn, u, v, [data.shape])
+    _, cache = deform_aggregate(plan, attn, [data], eye, eye)
     g = deform_aggregate_backward(cache, [data], eye, eye, np.asarray(g_vals)[None, :],
                                   want_map_grads=True)
-    return g["u"][0, 0, 0, 0], g["v"][0, 0, 0, 0], g["maps"][0]
+    return g["u"][0], g["v"][0], g["maps"][0]
 
 
 def test_bilinear_hand_value():

@@ -16,6 +16,10 @@ with its own code:
 - `read_plan`, `aggregate_backward`: the same two layers' aggregation core,
   and `temporal-2`, `temporal-4`, the preset's temporal fusion (28 channels,
   4 points) on the 20 x 20 BEV grid with 2 and 4 memory levels;
+- `temporal_forward`, `temporal_backward`: cases `temporal-2` and
+  `temporal-4`, that temporal fusion run forward with `keep_cache=True`
+  (compared: the output and the cache entries `_kept` names) and backward
+  from such a cache;
 - `warp_bev` warps that BEV grid by a planar ego motion.
 
 The file layers run on files each tree writes with its own code, in a
@@ -52,8 +56,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("attn_forward", "attn_backward", "read_plan", "aggregate_backward", "warp_bev",
-          "load_scene", "load_params", "write_blob")
+LAYERS = ("attn_forward", "attn_backward", "read_plan", "aggregate_backward",
+          "temporal_forward", "temporal_backward", "warp_bev", "load_scene", "load_params",
+          "write_blob")
 HEAD_SCALE = {"offset_head": 0.15, "logit_head": 0.5}
 SEED = 7
 
@@ -104,15 +109,24 @@ def _kept(out, cache):
     return out, cache["plan"], cache["valid"], cache["attn"]
 
 
-def _temporal_case(vo, levels: int):
+def _temporal_layer(vo, levels: int):
+    """(forward, backward, warped frames, params) of the temporal fusion over
+    `levels` memory frames, called as in `_attention_case`."""
     ts = vo.temporal_stream
     rng = np.random.default_rng([SEED, 0x7E])
     params = ts.init_temporal_params(rng, 28, points=4, levels=4)
     _seed_heads(params, rng)
     current = rng.normal(0.0, 1.0, (20, 20, 28))
     warped = rng.normal(0.0, 1.0, (levels, 20, 20, 28))
-    _, cache = ts.temporal_forward_arrays(current, warped, params, keep_cache=True)
-    return cache, list(warped), [params.value_map], [params.output_map], 400
+    g_out = np.random.default_rng([SEED, 0x6D]).normal(0.0, 1.0, current.shape)
+    return (lambda: ts.temporal_forward_arrays(current, warped, params, keep_cache=True),
+            lambda cache: ts.temporal_backward_arrays(cache, params, g_out),
+            warped, params)
+
+
+def _temporal_case(vo, levels: int):
+    forward, _, warped, params = _temporal_layer(vo, levels)
+    return forward()[1], list(warped), [params.value_map], [params.output_map], 400
 
 
 def _bev_case(vo):
@@ -156,10 +170,13 @@ def cases(vo, layer: str, work: Path):
         bev, rel = _bev_case(vo)
         return {"warp_bev": lambda: vo.temporal_stream.warp_bev(bev, rel).data}
     va = vo.view_attention
-    layers = {name: _attention_case(vo, name) for name in ("view-attn", "proj-first")}
-    if layer == "attn_forward":
+    if layer in ("temporal_forward", "temporal_backward"):
+        layers = {f"temporal-{n}": _temporal_layer(vo, n) for n in (2, 4)}
+    else:
+        layers = {name: _attention_case(vo, name) for name in ("view-attn", "proj-first")}
+    if layer in ("attn_forward", "temporal_forward"):
         return {name: (lambda f=forward: _kept(*f())) for name, (forward, *_) in layers.items()}
-    if layer == "attn_backward":
+    if layer in ("attn_backward", "temporal_backward"):
         return {name: (lambda b=backward, c=forward()[1]: b(c))
                 for name, (forward, backward, *_) in layers.items()}
     built = {name: (forward()[1], maps, params.value_maps, params.output_maps, nq)
