@@ -44,7 +44,7 @@ _COUNT_FIELDS = ("voxel_channels", "bev_channels", "n_classes", "layers", "heads
                  "queue_len", "temporal_points")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; geometry must match the scene's grid."""
 

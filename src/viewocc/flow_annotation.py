@@ -31,7 +31,7 @@ from .numerics import FLOAT, as_float_array
 FLOW_MODES = ("occupancy-flow", "object-flow")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     """Voxel lattice: counts (z, h, w), metric pitch, and min-corner origin."""
 
@@ -40,11 +40,12 @@ class GridSpec:
     origin: np.ndarray
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
+        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         require(len(self.shape) == 3 and min(self.shape) >= 1, "GridSpec.shape must be (z, h, w)")
         require(self.pitch > 0, "GridSpec.pitch must be positive")
         require(math.isfinite(self.pitch), "GridSpec.pitch must be finite")
-        self.origin = as_float_array(self.origin, shape=(3,), name="GridSpec.origin")
+        object.__setattr__(self, "origin",
+                           as_float_array(self.origin, shape=(3,), name="GridSpec.origin"))
 
     def voxel_centers(self) -> np.ndarray:
         """(Z, H, W, 3) metric centers; x along w, y along h, z along the first axis."""
@@ -66,7 +67,7 @@ class GridSpec:
                    number_entries(obj["origin"], "GridSpec.origin"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackedBox:
     """Rigid box with per-frame poses; size is the full extent along box axes."""
 
@@ -76,7 +77,8 @@ class TrackedBox:
     poses: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.size = as_float_array(self.size, shape=(3,), name="TrackedBox.size")
+        object.__setattr__(self, "size",
+                           as_float_array(self.size, shape=(3,), name="TrackedBox.size"))
         require((self.size > 0).all(), "TrackedBox.size must be positive")
         require(self.category >= 1, "TrackedBox.category must be a nonzero class id")
 

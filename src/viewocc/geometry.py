@@ -38,15 +38,11 @@ def _check_rotations(rot: np.ndarray) -> None:
     err = float(np.abs(rot @ rot.T - _IDENTITY).max())
     if err > ROTATION_TOL:
         raise ContractViolation(f"rotation is not orthonormal (max deviation {err:.3e})")
-    # the determinant of an orthonormal matrix is +-1, so the cofactor
-    # expansion on Python floats has np.linalg.det's sign at a fraction of
-    # its call cost
-    (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
-    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
+    if np.linalg.det(rot) < 0.0:
         raise ContractViolation("rotation has negative determinant (reflection)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
     """Rigid transform p_target = rotation @ p_source + translation."""
 
@@ -54,15 +50,17 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation = as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation")
-        self.translation = as_float_array(self.translation, shape=(3,), name="Pose.translation")
+        object.__setattr__(self, "rotation",
+                           as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation"))
+        object.__setattr__(self, "translation",
+                           as_float_array(self.translation, shape=(3,), name="Pose.translation"))
         _check_rotations(self.rotation)
 
     @classmethod
     def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
         """A pose of arrays derived from checked poses, by compose and inverse."""
         pose = object.__new__(cls)
-        pose.rotation, pose.translation = rotation, translation
+        vars(pose).update(rotation=rotation, translation=translation)
         return pose
 
     @classmethod
@@ -161,7 +159,7 @@ def view_rotations(points: np.ndarray, mode: str) -> np.ndarray:
     raise ContractViolation(f"unknown view-coordinate mode: {mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera: intrinsics, image size, and camera-from-ego extrinsics."""
 

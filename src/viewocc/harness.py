@@ -129,7 +129,7 @@ class MetricAccumulator:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
     epochs: int = 200
     lr: float = 1e-2
@@ -141,6 +141,7 @@ class TrainSettings:
         require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         require(self.lr > 0, "learning rate must be positive")
+        self.loss_weights()
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(focal_alpha=self.focal_alpha)

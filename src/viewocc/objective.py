@@ -32,7 +32,7 @@ LOG_EPS = 1e-12
 FOCAL_GAMMA = 2.0   # the focusing exponent of the training objective's focal term
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     focal_alpha: float | None = 0.25
 

@@ -37,7 +37,7 @@ RAY_STEP_FRACTION = 0.25  # step length as a fraction of the grid pitch
 MAX_RAY_STEPS = 10**6     # per ray; the presets need 135
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneClass:
     id: int
     name: str
@@ -47,7 +47,7 @@ class SceneClass:
         require(self.id >= 1, "class ids start at 1; 0 is reserved for free space")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticElement:
     """Oriented box: a scene's static in the world frame, or any element of
     `SceneSpec.elements_in_frame` in the ego frame."""
@@ -57,14 +57,15 @@ class StaticElement:
     pose: Pose
 
     def __post_init__(self):
-        self.size = as_float_array(self.size, shape=(3,), name="StaticElement.size")
+        object.__setattr__(self, "size",
+                           as_float_array(self.size, shape=(3,), name="StaticElement.size"))
         require((self.size > 0).all(), "StaticElement.size must be positive")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return in_box(self.pose, self.size, points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     """Complete synthetic scene description; serializable to JSON."""
 
@@ -96,7 +97,6 @@ class SceneSpec:
                     f"box track {box.track_id} category {box.category} is not a foreground class")
         for st in self.statics:
             require(st.category in set(ids), "static element category not in class table")
-        self._basis = None
 
     @property
     def num_frames(self) -> int:
@@ -111,8 +111,9 @@ class SceneSpec:
         return [c.id for c in self.classes if c.foreground]
 
     def basis(self) -> "_FeatureBasis":
-        if self._basis is None:
-            self._basis = _FeatureBasis(self.seed, self.feature_channels, len(self.classes))
+        # built on first use: a process that never renders never imports numpy.random
+        if "_basis" not in vars(self):
+            vars(self)["_basis"] = _FeatureBasis(self.seed, self.feature_channels, len(self.classes))
         return self._basis
 
     def elements_in_frame(self, frame: int):
@@ -275,10 +276,10 @@ _scenes: OrderedDict = OrderedDict()
 
 def load_scene(path) -> SceneSpec:
     """The scene in the JSON file at `path`, which is read on every call. A
-    text parsed and checked before in this process gives the same SceneSpec,
-    shared with every earlier load, so callers must not change it: `_cached`
-    makes its arrays read-only, but its lists and fields stay writable. A
-    file that fails a check is never cached."""
+    text parsed and checked before in this process gives the same frozen
+    SceneSpec, shared with every earlier load. `_cached` makes its arrays
+    read-only; its lists and box pose tables can still be changed in place,
+    and callers must not. A file that fails a check is never cached."""
     try:
         with open(path) as fh:
             text = fh.read()

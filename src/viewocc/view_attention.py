@@ -453,8 +453,7 @@ def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParam
     u, v = ref_u[pair] + off[:, 0], ref_v[pair] + off[:, 1]
     heights, widths = np.array([s[:2] for s in shapes]).T
     ok = bilinear_valid(u, v, heights[cam], widths[cam])
-    any_vis = cam_vis.any(axis=1)
-    return plan_samples(index[ok], u[ok], v[ok], attn, shapes), attn, any_vis, {"any_vis": any_vis}
+    return plan_samples(index[ok], u[ok], v[ok], attn, shapes), attn, cam_vis.any(axis=1), {}
 
 
 def _forward(kind: tuple, sampler, queries, refs, params: AttnParams, fdata, rig, keep_cache):
@@ -469,7 +468,7 @@ def _forward(kind: tuple, sampler, queries, refs, params: AttnParams, fdata, rig
         plan, attn, reads, entries = sampler(queries, refs, params, rig, shapes)
         out, cache = deform_aggregate(plan, attn, fdata, params.value_maps,
                                       params.output_maps)
-        cache.update(queries=queries, **entries)
+        cache.update(queries=queries, reads=reads, **entries)
     else:
         def build():
             plan, _, reads, _ = sampler(queries, refs, params, rig, shapes)
@@ -482,13 +481,12 @@ def _forward(kind: tuple, sampler, queries, refs, params: AttnParams, fdata, rig
 
 
 def _backward(cache: dict, params: AttnParams, features, rig, g_out, want_feature_grads,
-              offset_grads, reads=None):
+              offset_grads):
     """(grads by params.arrays() name, g_queries, feature grads) of either
     strategy. `offset_grads` maps the per-sample "u" and "v" gradients to the
-    offset head's outputs; `reads` (Q,) are the queries the forward read."""
+    offset head's outputs; `g_out` reaches only the queries read, `cache["reads"]`."""
     fdata = _feature_arrays(features, params)
-    if reads is not None:
-        g_out = np.asarray(g_out, dtype=FLOAT) * reads[:, None]
+    g_out = np.asarray(g_out, dtype=FLOAT) * cache["reads"][:, None]
     g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps, g_out,
                                   want_feature_grads)
     valid = cache["valid"]
@@ -599,7 +597,7 @@ def proj_first_backward_batch(cache: dict, params: AttnParams, features, rig,
                               g_out: np.ndarray, want_feature_grads: bool = False):
     """Gradients for the projection-first baseline (shared 2-d pixel offsets)."""
     return _backward(cache, params, features, rig, g_out, want_feature_grads,
-                     _proj_first_offset_grads, cache["any_vis"])
+                     _proj_first_offset_grads)
 
 
 def projection_first_forward(ctx: QueryContext, params: AttnParams, features, rig):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -278,7 +279,7 @@ def test_momentum_sgd_two_step_hand_values():
 def test_two_epoch_training_writes_history(tmp_path):
     scene = preset_scene("training")
     config, settings = resolve_preset("small", scene)
-    settings.epochs = 2
+    settings = dataclasses.replace(settings, epochs=2)
     csv_path = tmp_path / "curve.csv"
     params, history = train_model(scene, config, settings, data=prepare_frames(scene))
     write_history_csv(csv_path, history)
@@ -320,7 +321,7 @@ def test_compare_prepares_once_and_trains_through_the_module_attribute(monkeypat
     monkeypatch.undo()
     for method, run in zip(methods, report["runs"]):
         config, settings = resolve_preset("small", scene, method=method)
-        settings.epochs, settings.seed = 2, 5
+        settings = dataclasses.replace(settings, epochs=2, seed=5)
         params, history = train_model(scene, config, settings, data=prepare_frames(scene))
         alone, _ = evaluate_model(scene, params)
         assert jsonable([run["initial_loss"], run["final_loss"]]) == jsonable(
@@ -347,6 +348,37 @@ def test_train_settings_are_checked_whenever_they_are_built(monkeypatch, field, 
     with pytest.raises(ContractViolation) as exc:
         compare_methods(preset_scene("training"), "small", settings_override=override, seed=seed)
     assert str(exc.value) == error and calls == []
+
+
+@pytest.mark.parametrize("alpha", [2.0, float("nan")])
+def test_focal_alpha_is_refused_before_any_frame_is_observed(monkeypatch, alpha):
+    with pytest.raises(ContractViolation, match=r"^focal_alpha must lie in \[0, 1\]$"):
+        TrainSettings(focal_alpha=alpha)
+    calls = []
+    inner = harness.observe
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "observe", counted)
+    with pytest.raises(ContractViolation, match=r"^focal_alpha must lie in \[0, 1\]$"):
+        compare_methods(preset_scene("training"), "small",
+                        settings_override={"focal_alpha": alpha, "epochs": 1})
+    assert calls == []
+
+
+def test_checked_settings_cannot_be_reassigned():
+    scene = preset_scene("training")
+    config, settings = resolve_preset("small", scene)
+    targets = [(settings, "epochs", 0), (settings.loss_weights(), "focal_alpha", 2.0),
+               (config, "heads", 3)]
+    for obj, name, value in targets:
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+        assert getattr(obj, name) == before
+    assert settings.epochs == 200
 
 
 def test_preset_requires_matching_channels():

@@ -3,13 +3,14 @@ process, and outputs are rewritten in place.
 
 `scene_sim.load_scene` reads its file on every call and keys a small store
 by the text, so an edited file is a miss. A stored scene is shared, with
-read-only arrays, and no command changes it. `encoder.load_params` reads and
+frozen fields and read-only arrays, and no command changes it. `encoder.load_params` reads and
 checks its blob on every call, so each load is a writable copy of its own.
 `errors.open_output` opens without truncating and cuts a regular file to
 what was written when the block ends.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -112,6 +113,24 @@ def test_a_loaded_scene_refuses_in_place_writes(tmp_path):
             arr[...] = 0.0
     fresh = SceneSpec.from_json(json.loads((tmp_path / "scene.json").read_text()))
     assert load_scene(tmp_path / "scene.json").to_json() == fresh.to_json()
+
+
+def test_a_loaded_scene_refuses_field_reassignment(tmp_path):
+    save_scene(tmp_path / "scene.json", preset_scene("stream", seed=31))
+    scene = load_scene(tmp_path / "scene.json")
+    targets = [(scene, "frame_dt", -1.0), (scene, "cameras", []), (scene.grid, "pitch", 0.0),
+               (scene.classes[0], "id", 0), (scene.cameras[0], "fx", -1.0),
+               (scene.cameras[0].extrinsics, "rotation", -np.eye(3)),
+               (scene.ego_trajectory[1].inverse(), "translation", np.zeros(3)),
+               (scene.statics[0], "size", np.zeros(3)), (scene.boxes[0], "category", 0),
+               (scene.elements_in_frame(0)[0], "pose", None)]
+    for obj, name, value in targets:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    again = load_scene(tmp_path / "scene.json")
+    fresh = SceneSpec.from_json(json.loads((tmp_path / "scene.json").read_text()))
+    assert again is scene and again.to_json() == fresh.to_json()
+    scene_sim.scene_ground_truth(again, 1)      # a frame_dt of -1.0 fails here
 
 
 @pytest.fixture

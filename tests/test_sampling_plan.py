@@ -7,6 +7,7 @@ the plan depends on must build a new one, and nothing else may.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -101,7 +102,8 @@ EDITS = {
     "offset head bias": lambda q, p, rig, f: _bump(p.offset_head.bias),
     "logit head weight": lambda q, p, rig, f: _bump(p.logit_head.weight),
     "logit head bias": lambda q, p, rig, f: _bump(p.logit_head.bias),
-    "intrinsics": lambda q, p, rig, f: setattr(rig[0], "fx", rig[0].fx * 1.01),
+    "intrinsics": lambda q, p, rig, f: rig.__setitem__(
+        0, dataclasses.replace(rig[0], fx=rig[0].fx * 1.01)),
     "extrinsics": lambda q, p, rig, f: _bump(rig[1].extrinsics.translation),
     "map size": lambda q, p, rig, f: f.__setitem__(2, f[2][:-1]),
 }

@@ -519,19 +519,20 @@ def _assert_observe_matches_dense(scene, frame):
 
 
 def test_cached_tables_follow_every_camera_and_grid_change():
-    # each change is made in place, so only a cache keyed by value sees it
+    # the array edits are made in place, so only a cache keyed by value sees them
     scene = preset_scene("training", seed=4)
     cam = scene.cameras[2]
     _assert_observe_matches_dense(scene, 1)            # warms the tables
     cam.extrinsics.translation[1] += 0.25
     _assert_observe_matches_dense(scene, 1)
-    cam.extrinsics = cam.extrinsics.compose(Pose.from_z_rotation(0.2))
+    cam = scene.cameras[2] = dataclasses.replace(
+        cam, extrinsics=cam.extrinsics.compose(Pose.from_z_rotation(0.2)))
     _assert_observe_matches_dense(scene, 1)
-    cam.fx *= 1.2
+    cam = scene.cameras[2] = dataclasses.replace(cam, fx=cam.fx * 1.2)
     _assert_observe_matches_dense(scene, 1)
     scene.grid.origin[0] += 0.13
     _assert_observe_matches_dense(scene, 1)
-    scene.grid.pitch = 0.45
+    scene = dataclasses.replace(scene, grid=dataclasses.replace(scene.grid, pitch=0.45))
     _assert_observe_matches_dense(scene, 1)
 
 

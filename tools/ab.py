@@ -20,7 +20,10 @@ with its own code:
   `temporal-4`, that temporal fusion run forward with `keep_cache=True`
   (compared: the output and the cache entries `_kept` names) and backward
   from such a cache;
-- `warp_bev` warps that BEV grid by a planar ego motion.
+- `warp_bev` warps that BEV grid by a planar ego motion;
+- `observe`, `render_all_cameras`: the `stream` scene's frame 1, its
+  elements built and posed in the ego frame, marched once per camera
+  (compared: the feature maps, and for `observe` the visibility).
 
 The file layers run on files each tree writes with its own code, in a
 temporary directory of its own:
@@ -57,8 +60,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("attn_forward", "attn_backward", "read_plan", "aggregate_backward",
-          "temporal_forward", "temporal_backward", "warp_bev", "load_scene", "load_params",
-          "write_blob")
+          "temporal_forward", "temporal_backward", "warp_bev", "observe", "render_all_cameras",
+          "load_scene", "load_params", "write_blob")
 HEAD_SCALE = {"offset_head": 0.15, "logit_head": 0.5}
 SEED = 7
 
@@ -169,6 +172,9 @@ def cases(vo, layer: str, work: Path):
     if layer == "warp_bev":
         bev, rel = _bev_case(vo)
         return {"warp_bev": lambda: vo.temporal_stream.warp_bev(bev, rel).data}
+    if layer in ("observe", "render_all_cameras"):
+        scene, call = vo.scene_sim.preset_scene("stream", seed=SEED), getattr(vo.scene_sim, layer)
+        return {layer: lambda: call(scene, 1)}
     va = vo.view_attention
     if layer in ("temporal_forward", "temporal_backward"):
         layers = {f"temporal-{n}": _temporal_layer(vo, n) for n in (2, 4)}
@@ -197,7 +203,8 @@ def cases(vo, layer: str, work: Path):
 
 def _arrays(result):
     """The arrays of a layer's result, in a fixed order: a scene as its
-    `to_json` text, params as their arrays, a path as the file's bytes."""
+    `to_json` text, params as their arrays, a feature map as its data, a
+    path as the file's bytes."""
     if isinstance(result, dict):
         return [a for key in sorted(result) for a in _arrays(result[key])]
     if isinstance(result, (tuple, list)):
@@ -209,6 +216,8 @@ def _arrays(result):
         return [np.frombuffer(text.encode(), dtype=np.uint8)]
     if hasattr(result, "arrays"):
         return [a for _, a in result.arrays()]
+    if isinstance(getattr(result, "data", None), np.ndarray):      # a FeatureMap
+        return [result.data]
     return [] if result is None else [np.asarray(result)]
 
 
