@@ -50,11 +50,10 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation",
-                           as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation"))
-        object.__setattr__(self, "translation",
-                           as_float_array(self.translation, shape=(3,), name="Pose.translation"))
-        _check_rotations(self.rotation)
+        rotation = as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation")
+        translation = as_float_array(self.translation, shape=(3,), name="Pose.translation")
+        _check_rotations(rotation)
+        vars(self).update(rotation=rotation, translation=translation)
 
     @classmethod
     def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":

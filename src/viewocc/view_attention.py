@@ -486,7 +486,8 @@ def _backward(cache: dict, params: AttnParams, features, rig, g_out, want_featur
     strategy. `offset_grads` maps the per-sample "u" and "v" gradients to the
     offset head's outputs; `g_out` reaches only the queries read, `cache["reads"]`."""
     fdata = _feature_arrays(features, params)
-    g_out = np.asarray(g_out, dtype=FLOAT) * cache["reads"][:, None]
+    if not cache["reads"].all():    # a copy of g_out here slows view attention's backward
+        g_out = np.asarray(g_out, dtype=FLOAT) * cache["reads"][:, None]
     g = deform_aggregate_backward(cache, fdata, params.value_maps, params.output_maps, g_out,
                                   want_feature_grads)
     valid = cache["valid"]
