@@ -133,7 +133,6 @@ def _cmd_train(args) -> int:
     config, settings = resolve_preset(args.preset, scene, method=args.method,
                                       mode=args.mode, queue_len=args.queue_len)
     settings = replace(settings, seed=args.seed, **_settings_override(args))
-    check_fit(scene, config)
     data = prepare_frames(scene)
     params, history = train_model(scene, config, settings, data)
     if args.curve is not None:

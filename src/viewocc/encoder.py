@@ -63,15 +63,18 @@ class ModelConfig:
     mode: str
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            blobio.count_field(getattr(self, name), f"model config {name}")
+        object.__setattr__(self, "pitch", blobio.number_field(self.pitch, "model config pitch"))
+        for name, check in (("grid_shape", blobio.count_field), ("origin", blobio.number_field)):
+            object.__setattr__(self, name, tuple(check(x, f"model config {name}")
+                                                 for x in getattr(self, name)))
         require(len(self.grid_shape) == 3 and min(self.grid_shape) >= 1 and len(self.origin) == 3,
                 "grid needs a 3-d shape of counts >= 1 and a 3-d origin")
         require(self.method in METHODS, f"method must be one of {METHODS}")
         require(self.mode in MODES, f"mode must be one of {MODES}")
         for name in _COUNT_FIELDS:
             require(getattr(self, name) >= 1, f"{name} must be >= 1")
-            # a count beyond the int64 range never reaches an allocation
-            require(blobio.is_count(getattr(self, name)),
-                    f"{name} must be an integer from 1 to 2**63 - 1")
         require(self.voxel_channels % self.heads == 0,
                 "voxel_channels must be divisible by heads")
 
@@ -98,12 +101,6 @@ class ModelConfig:
             require(f.name in obj, f"model config is missing key {f.name!r}")
             kwargs[f.name] = obj[f.name]
         try:
-            for name in _COUNT_FIELDS:
-                blobio.count_field(kwargs[name], f"model config {name}")
-            kwargs["pitch"] = blobio.number_field(kwargs["pitch"], "model config pitch")
-            for name, check in (("grid_shape", blobio.count_field),
-                                ("origin", blobio.number_field)):
-                kwargs[name] = tuple(check(x, f"model config {name}") for x in kwargs[name])
             return cls(**kwargs)
         except TypeError as exc:
             raise ContractViolation(f"malformed model config: {exc}") from exc

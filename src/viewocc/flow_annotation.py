@@ -18,7 +18,6 @@ carry zero flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +39,14 @@ class GridSpec:
     origin: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        object.__setattr__(self, "shape",
+                           tuple(count_field(n, "GridSpec.shape") for n in self.shape))
+        object.__setattr__(self, "pitch", number_field(self.pitch, "GridSpec.pitch"))
+        origin = number_entries(self.origin, "GridSpec.origin")
         require(len(self.shape) == 3 and min(self.shape) >= 1, "GridSpec.shape must be (z, h, w)")
         require(self.pitch > 0, "GridSpec.pitch must be positive")
-        require(math.isfinite(self.pitch), "GridSpec.pitch must be finite")
         object.__setattr__(self, "origin",
-                           as_float_array(self.origin, shape=(3,), name="GridSpec.origin"))
+                           as_float_array(origin, shape=(3,), name="GridSpec.origin"))
 
     def voxel_centers(self) -> np.ndarray:
         """(Z, H, W, 3) metric centers; x along w, y along h, z along the first axis."""
@@ -62,9 +63,7 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridSpec":
-        return cls(tuple(count_field(n, "GridSpec.shape") for n in obj["shape"]),
-                   number_field(obj["pitch"], "GridSpec.pitch"),
-                   number_entries(obj["origin"], "GridSpec.origin"))
+        return cls(obj["shape"], obj["pitch"], obj["origin"])
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,10 @@ class TrackedBox:
     poses: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "size",
-                           as_float_array(self.size, shape=(3,), name="TrackedBox.size"))
+        count_field(self.track_id, "box track_id")
+        count_field(self.category, "box category")
+        object.__setattr__(self, "size", as_float_array(
+            number_entries(self.size, "box size"), shape=(3,), name="box size"))
         require((self.size > 0).all(), "TrackedBox.size must be positive")
         require(self.category >= 1, "TrackedBox.category must be a nonzero class id")
 

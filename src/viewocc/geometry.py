@@ -18,7 +18,6 @@ exercises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,9 +171,12 @@ class CameraModel:
     name: str = ""
 
     def __post_init__(self):
+        for n in ("width", "height"):
+            count_field(getattr(self, n), "CameraModel.image_size")
+        for n in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, n, number_field(getattr(self, n), f"CameraModel.{n}"))
+        name_field(self.name, "CameraModel.name")
         require(self.fx > 0 and self.fy > 0, "CameraModel: focal lengths must be positive")
-        require(all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))),
-                "CameraModel: intrinsics must be finite")
         require(self.width >= 2 and self.height >= 2, "CameraModel: image must be at least 2x2")
 
     def to_json(self) -> dict:
@@ -187,12 +189,9 @@ class CameraModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CameraModel":
-        k = obj["intrinsics"]
-        width, height = (count_field(n, "CameraModel.image_size") for n in obj["image_size"])
-        fx, fy, cx, cy = (number_field(k[n], f"CameraModel.{n}") for n in ("fx", "fy", "cx", "cy"))
-        return cls(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
-                   extrinsics=Pose.from_json(obj["extrinsics"]),
-                   name=name_field(obj.get("name", ""), "CameraModel.name"))
+        k, (width, height) = obj["intrinsics"], obj["image_size"]
+        return cls(k["fx"], k["fy"], k["cx"], k["cy"], width, height,
+                   Pose.from_json(obj["extrinsics"]), obj.get("name", ""))
 
 
 _DEPTH_EPS = 1e-12

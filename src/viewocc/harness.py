@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blobio import count_field, number_field
 from .encoder import (METHODS, ModelConfig, ModelParams, MomentumSGD, backward_frame,
                       forward_frame, init_model)
 from .errors import ContractViolation, open_output, require
@@ -141,6 +142,10 @@ class TrainSettings:
         require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
         require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         require(self.lr > 0, "learning rate must be positive")
+        # kinds after ranges, so that 0, -1 and NaN keep their range messages
+        count_field(self.epochs, "epochs")
+        count_field(self.seed, "seed")
+        number_field(self.lr, "learning rate")
         self.loss_weights()
 
     def loss_weights(self) -> LossWeights:
@@ -165,21 +170,20 @@ PRESETS = {
 
 def resolve_preset(name: str, scene: SceneSpec, method: str = "view-attn",
                    mode: str = "one-dof", queue_len: int | None = None):
-    """(ModelConfig, TrainSettings) for a preset, geometry taken from the scene."""
+    """(ModelConfig, TrainSettings) for a preset, geometry taken from the scene;
+    the config fits the scene by `check_fit`."""
     if name not in PRESETS:
         raise ContractViolation(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     model_kwargs, train_kwargs = PRESETS[name]
     model_kwargs = dict(model_kwargs)
     if queue_len is not None:
         model_kwargs["queue_len"] = queue_len
-    require(scene.feature_channels == model_kwargs["voxel_channels"],
-            f"scene renders {scene.feature_channels} channels but preset {name!r} expects "
-            f"{model_kwargs['voxel_channels']}; regenerate the scene with matching channels")
     grid = scene.grid
     config = ModelConfig(grid_shape=grid.shape, pitch=grid.pitch,
                          origin=tuple(float(x) for x in grid.origin),
                          n_classes=len(scene.classes), method=method, mode=mode,
                          **model_kwargs)
+    check_fit(scene, config)
     return config, TrainSettings(**train_kwargs)
 
 
@@ -195,7 +199,8 @@ def check_fit(scene: SceneSpec, config: ModelConfig, queue: MemoryQueue | None =
             and np.allclose(g.origin, np.asarray(config.origin), rtol=0, atol=1e-12),
             "model grid geometry must match the scene grid")
     require(scene.feature_channels == config.voxel_channels,
-            "scene feature channels must match model voxel channels")
+            f"scene renders {scene.feature_channels} channels but the model expects "
+            f"{config.voxel_channels}; regenerate the scene with matching channels")
     scene_ids, model_ids = sorted(scene.class_ids), list(range(1, config.n_classes + 1))
     require(scene_ids == model_ids,
             f"scene class ids {scene_ids} must be the model's class ids {model_ids}")
@@ -322,8 +327,6 @@ def compare_methods(scene: SceneSpec, preset: str, methods=METHODS,
             except TypeError as exc:
                 raise ContractViolation(f"unknown train settings override: {exc}") from exc
             combos.append((method, qlen, config, settings))
-    for _, _, config, _ in combos:
-        check_fit(scene, config)
     data = prepare_frames(scene)
     runs = []
     for method, qlen, config, settings in combos:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .blobio import MAX_COUNT, count_field, flag_field, name_field, number_field
+from .blobio import count_field, flag_field, name_field, number_entries, number_field
 from .errors import ContractViolation, open_output, require
 from .flow_annotation import GridSpec, TrackedBox, generate_flow_field
 from .geometry import CameraModel, Pose, in_box, rotation_z
@@ -44,6 +44,9 @@ class SceneClass:
     foreground: bool = False
 
     def __post_init__(self):
+        count_field(self.id, "class id")
+        name_field(self.name, "class name")
+        flag_field(self.foreground, "class foreground")
         require(self.id >= 1, "class ids start at 1; 0 is reserved for free space")
 
 
@@ -57,8 +60,9 @@ class StaticElement:
     pose: Pose
 
     def __post_init__(self):
-        object.__setattr__(self, "size",
-                           as_float_array(self.size, shape=(3,), name="StaticElement.size"))
+        count_field(self.category, "static category")
+        object.__setattr__(self, "size", as_float_array(
+            number_entries(self.size, "static size"), shape=(3,), name="static size"))
         require((self.size > 0).all(), "StaticElement.size must be positive")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -82,11 +86,13 @@ class SceneSpec:
     feature_anchor: Pose = dataclass_field(default_factory=Pose.identity)
 
     def __post_init__(self):
-        require(0 <= self.seed <= MAX_COUNT, "scene seed must be from 0 to 2**63 - 1")
+        name_field(self.name, "scene name")
+        count_field(self.seed, "scene seed")
+        count_field(self.feature_channels, "scene feature_channels")
+        object.__setattr__(self, "frame_dt", number_field(self.frame_dt, "scene frame_dt"))
         require(self.feature_channels >= max(1, len(self.classes)),
                 "feature_channels must cover the class table")
         require(self.frame_dt > 0, "frame_dt must be positive")
-        require(math.isfinite(self.frame_dt), "frame_dt must be finite")
         require(len(self.ego_trajectory) >= 1, "scene needs at least one frame")
         require(len(self.cameras) >= 1, "scene needs at least one camera")
         ids = [c.id for c in self.classes]
@@ -153,24 +159,18 @@ class SceneSpec:
     def from_json(cls, obj: dict) -> "SceneSpec":
         try:
             return cls(
-                name=name_field(obj.get("name", "scene"), "scene name"),
-                seed=count_field(obj["seed"], "scene seed"),
-                feature_channels=count_field(obj["feature_channels"], "scene feature_channels"),
-                classes=[SceneClass(count_field(c["id"], "class id"),
-                                    name_field(c["name"], "class name"),
-                                    flag_field(c.get("foreground", False), "class foreground"))
+                name=obj.get("name", "scene"),
+                seed=obj["seed"],
+                feature_channels=obj["feature_channels"],
+                classes=[SceneClass(c["id"], c["name"], c.get("foreground", False))
                          for c in obj["classes"]],
                 grid=GridSpec.from_json(obj["grid"]),
                 cameras=[CameraModel.from_json(c) for c in obj["cameras"]],
                 ego_trajectory=[Pose.from_json(p) for p in obj["ego_trajectory"]],
-                frame_dt=number_field(obj["frame_dt"], "scene frame_dt"),
-                statics=[StaticElement(count_field(s["category"], "static category"),
-                                       [number_field(x, "static size") for x in s["size"]],
-                                       Pose.from_json(s["pose"]))
+                frame_dt=obj["frame_dt"],
+                statics=[StaticElement(s["category"], s["size"], Pose.from_json(s["pose"]))
                          for s in obj.get("statics", [])],
-                boxes=[TrackedBox(count_field(b["track_id"], "box track_id"),
-                                  count_field(b["category"], "box category"),
-                                  [number_field(x, "box size") for x in b["size"]],
+                boxes=[TrackedBox(b["track_id"], b["category"], b["size"],
                                   _box_poses(b["poses"]))
                        for b in obj.get("boxes", [])],
                 feature_anchor=Pose.from_json(obj["feature_anchor"])
@@ -200,9 +200,7 @@ def save_scene(path, scene: SceneSpec) -> None:
 
 def with_feature_channels(scene: SceneSpec, channels: int) -> SceneSpec:
     """Same scene rendered at a different feature width (fresh basis)."""
-    obj = scene.to_json()
-    obj["feature_channels"] = int(channels)
-    return SceneSpec.from_json(obj)
+    return replace(scene, feature_channels=channels)
 
 
 class _FeatureBasis:
@@ -589,20 +587,13 @@ def rotated_about_z(scene: SceneSpec, alpha: float) -> SceneSpec:
                 "rotated_about_z requires an identity ego trajectory")
     rot = Pose.from_z_rotation(alpha)
     rot_inv = rot.inverse()
-    return SceneSpec(
+    return replace(
+        scene,
         name=f"{scene.name}@rot{alpha:.3f}",
-        seed=scene.seed,
-        feature_channels=scene.feature_channels,
-        classes=list(scene.classes),
-        grid=scene.grid,
-        cameras=[CameraModel(cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
-                             cam.extrinsics.compose(rot_inv), cam.name)
+        cameras=[replace(cam, extrinsics=cam.extrinsics.compose(rot_inv))
                  for cam in scene.cameras],
-        ego_trajectory=list(scene.ego_trajectory),
-        frame_dt=scene.frame_dt,
-        statics=[StaticElement(s.category, s.size, rot.compose(s.pose)) for s in scene.statics],
-        boxes=[TrackedBox(b.track_id, b.category, b.size,
-                          {f: rot.compose(p) for f, p in b.poses.items()})
+        statics=[replace(s, pose=rot.compose(s.pose)) for s in scene.statics],
+        boxes=[replace(b, poses={f: rot.compose(p) for f, p in b.poses.items()})
                for b in scene.boxes],
         feature_anchor=rot.compose(scene.feature_anchor),
     )

@@ -24,8 +24,8 @@ def _ab(parent: Path, layer: str):
 
 
 @pytest.mark.parametrize("layer", ["read_plan", "aggregate_backward", "temporal_forward",
-                                   "temporal_backward", "warp_bev", "observe",
-                                   "render_all_cameras"])
+                                   "temporal_backward", "warp_bev", "project_rig_sparse",
+                                   "observe", "render_all_cameras"])
 def test_ab_against_this_checkout_is_identical(layer):
     code, summary, done = _ab(ROOT, layer)
     assert code == 0, done.stdout + done.stderr

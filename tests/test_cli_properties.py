@@ -9,6 +9,7 @@ image or array.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -28,6 +29,7 @@ import viewocc
 from viewocc import blobio, cli
 from viewocc.cli import main as cli_main
 from viewocc.encoder import init_model, load_params, save_params
+from viewocc.errors import ContractViolation
 from viewocc.harness import resolve_preset
 from viewocc.scene_sim import SceneSpec, preset_scene, render_all_cameras, save_scene
 
@@ -350,7 +352,7 @@ def test_every_call_rereads_its_scene_file(tmp_path):
         np.testing.assert_array_equal(after[f"cam.{j}"], fmap.data)
 
 
-@pytest.mark.parametrize("path, value, field", [
+NON_INTEGER_COUNTS = [
     (("grid", "shape", 0), 4.5, "GridSpec.shape"),
     (("cameras", 0, "image_size", 0), 48.9, "CameraModel.image_size"),
     (("seed",), 7.9, "seed"),
@@ -360,7 +362,10 @@ def test_every_call_rereads_its_scene_file(tmp_path):
     (("statics", 0, "category"), 1.5, "static category"),
     (("boxes", 0, "track_id"), 0.5, "box track_id"),
     (("boxes", 0, "category"), 3.5, "box category"),
-])
+]
+
+
+@pytest.mark.parametrize("path, value, field", NON_INTEGER_COUNTS)
 def test_non_integer_count_in_a_scene_file_exits_2_naming_the_field(tmp_path, path, value,
                                                                     field):
     # int() would truncate each of these to a valid count
@@ -408,6 +413,48 @@ def test_non_number_in_a_scene_file_exits_2_naming_the_field(tmp_path, path, val
         code, err = _run(argv + ["--scene", tmp_path / "scene.json"])
         assert code == 2, (argv, err)
         assert field in json.loads(err)["error"], (argv, err)
+
+
+def _built_with(path, value):
+    """(type, constructor arguments) of the value that holds the `stream`
+    scene file's entry at `path`, or of the `small` model config for a path
+    starting "config", with that entry set to `value`."""
+    owner, keys = preset_scene("stream"), list(path)
+    if keys[0] == "config":
+        owner = resolve_preset("small", owner)[0]
+        keys.pop(0)
+    elif keys[0] in ("grid", "classes", "cameras", "statics", "boxes"):
+        owner = getattr(owner, keys.pop(0))
+        if isinstance(owner, list):
+            owner = owner[keys.pop(0)]
+    key = keys.pop(0)
+    if key == "intrinsics":
+        key = keys.pop(0)
+    elif key == "image_size":
+        key = ("width", "height")[keys.pop(0)]
+    if keys:                                    # one entry of a list field
+        entries = list(getattr(owner, key))
+        entries[keys.pop(0)] = value
+        value = entries
+    kwargs = {f.name: getattr(owner, f.name) for f in dataclasses.fields(owner)}
+    return type(owner), dict(kwargs, **{key: value})
+
+
+BUILT_IN_CODE = NON_INTEGER_COUNTS + NON_NUMBERS + [
+    (("config", "pitch"), "0.4", "model config pitch"),
+    (("config", "heads"), 2.5, "model config heads"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", BUILT_IN_CODE,
+                         ids=[".".join(map(str, p)) + ("=10**400" if v == 10**400 else f"={v!r}")
+                              for p, v, _ in BUILT_IN_CODE])
+def test_a_value_built_in_code_is_refused_naming_the_field_as_the_file_does(path, value, field):
+    # these were accepted, truncated or raised a bare TypeError in code
+    cls, kwargs = _built_with(path, value)
+    with pytest.raises(ContractViolation) as exc:
+        cls(**kwargs)
+    assert field in str(exc.value)
 
 
 POSE_AND_ORIGIN_NON_NUMBERS = [
@@ -797,7 +844,8 @@ def test_a_queue_of_another_grid_layout_is_refused_before_any_frame_is_observed(
     (["--lr", "0"], "learning rate must be positive"),
     (["--lr", "-1"], "learning rate must be positive"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["epochs-0", "lr-0", "lr-minus-1", "seed-minus-1"])
+    (["--lr", "inf"], "learning rate must be a finite number, got inf"),
+], ids=["epochs-0", "lr-0", "lr-minus-1", "seed-minus-1", "lr-inf"])
 def test_bad_train_settings_are_refused_before_any_frame_is_observed(
         inputs, tmp_path, monkeypatch, command, option, error):
     # these used to be refused only when training began, after every frame

@@ -335,6 +335,10 @@ def test_compare_prepares_once_and_trains_through_the_module_attribute(monkeypat
     ("seed", -1, "seed must be >= 0, got -1"),
     ("lr", 0.0, "learning rate must be positive"),
     ("lr", float("nan"), "learning rate must be positive"),
+    ("epochs", 2.5, "epochs must be an integer from 0 to 2**63 - 1, got 2.5"),
+    ("epochs", True, "epochs must be an integer from 0 to 2**63 - 1, got True"),
+    ("seed", 1.5, "seed must be an integer from 0 to 2**63 - 1, got 1.5"),
+    ("lr", float("inf"), "learning rate must be a finite number, got inf"),
 ])
 def test_train_settings_are_checked_whenever_they_are_built(monkeypatch, field, value, error):
     with pytest.raises(ContractViolation) as exc:

@@ -21,6 +21,10 @@ with its own code:
   (compared: the output and the cache entries `_kept` names) and backward
   from such a cache;
 - `warp_bev` warps that BEV grid by a planar ego motion;
+- `project_rig_sparse`: case `view-attn`, the `view-attn` layer's sample
+  points from a `keep_cache=True` forward at the feature maps' shapes, and
+  case `proj-first`, the voxel centers at each camera's own (height, width)
+  (compared: index, camera-frame points, u and v);
 - `observe`, `render_all_cameras`: the `stream` scene's frame 1, its
   elements built and posed in the ego frame, marched once per camera
   (compared: the feature maps, and for `observe` the visibility).
@@ -60,8 +64,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("attn_forward", "attn_backward", "read_plan", "aggregate_backward",
-          "temporal_forward", "temporal_backward", "warp_bev", "observe", "render_all_cameras",
-          "load_scene", "load_params", "write_blob")
+          "temporal_forward", "temporal_backward", "warp_bev", "project_rig_sparse", "observe",
+          "render_all_cameras", "load_scene", "load_params", "write_blob")
 HEAD_SCALE = {"offset_head": 0.15, "logit_head": 0.5}
 SEED = 7
 
@@ -139,6 +143,20 @@ def _bev_case(vo):
     return bev, rel
 
 
+def _projection_cases(vo):
+    """{case: a `project_rig_sparse` call} on the training rig: the
+    `view-attn` layer's sample points at the maps' shapes, and the voxel
+    centers at each camera's own (height, width)."""
+    scene = vo.scene_sim.preset_scene("training", seed=SEED)
+    rig, project = scene.cameras, vo.geometry.project_rig_sparse
+    forward, _, maps, _, _ = _attention_case(vo, "view-attn")
+    points, shapes = forward()[1]["points"], [m.shape for m in maps]
+    centers = scene.grid.voxel_centers().reshape(-1, 3)
+    own = [(cam.height, cam.width) for cam in rig]
+    return {"view-attn": lambda: project(rig, points, shapes),
+            "proj-first": lambda: project(rig, centers, own)}
+
+
 def _file_case(vo, layer: str, work: Path):
     """A call of a file layer on files this tree writes under `work`."""
     work.mkdir(parents=True)
@@ -169,6 +187,8 @@ def cases(vo, layer: str, work: Path):
     write their files under `work`."""
     if layer in ("load_scene", "load_params", "write_blob"):
         return {layer: _file_case(vo, layer, work)}
+    if layer == "project_rig_sparse":
+        return _projection_cases(vo)
     if layer == "warp_bev":
         bev, rel = _bev_case(vo)
         return {"warp_bev": lambda: vo.temporal_stream.warp_bev(bev, rel).data}
