@@ -41,6 +41,18 @@ def _check_rotations(rot: np.ndarray) -> None:
         raise ContractViolation("rotation has negative determinant (reflection)")
 
 
+def _number_input(values, name: str):
+    """`values` once each of its entries, unless it is an integer or float
+    array, is a number by `blobio.number_field`'s rule or a numpy number: a
+    boolean or a string built in code is refused as a file's is, never
+    coerced."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for value in np.asarray(values, dtype=object).ravel():
+            if not isinstance(value, (float, np.number)):
+                number_field(value, name)
+    return values
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform p_target = rotation @ p_source + translation."""
@@ -49,8 +61,10 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        rotation = as_float_array(self.rotation, shape=(3, 3), name="Pose.rotation")
-        translation = as_float_array(self.translation, shape=(3,), name="Pose.translation")
+        rotation = as_float_array(_number_input(self.rotation, "Pose.rotation"), shape=(3, 3),
+                                  name="Pose.rotation")
+        translation = as_float_array(_number_input(self.translation, "Pose.translation"),
+                                     shape=(3,), name="Pose.translation")
         _check_rotations(rotation)
         vars(self).update(rotation=rotation, translation=translation)
 
@@ -220,8 +234,12 @@ def project_rig_sparse(rig, points: np.ndarray, shapes):
     reach_u = (np.maximum(np.abs(cx), np.abs(widths - 1.0 - cx)) + 1.0) * (1.0 + 2.0**-40)
     reach_v = (np.maximum(np.abs(cy), np.abs(heights - 1.0 - cy)) + 1.0) * (1.0 + 2.0**-40)
     near = q[..., 2] > _DEPTH_EPS
-    near &= np.abs(q[..., 0]) * (fx / reach_u) <= q[..., 2]
-    near &= np.abs(q[..., 1]) * (fy / reach_v) <= q[..., 2]
+    bound = np.abs(q[..., 0])                      # one buffer for both axes' bounds
+    bound *= fx / reach_u
+    near &= bound <= q[..., 2]
+    np.abs(q[..., 1], out=bound)
+    bound *= fy / reach_v
+    near &= bound <= q[..., 2]
     index = np.flatnonzero(near)
     cams = index % len(rig)
     cam_pts = q.reshape(-1, 3)[index]

@@ -138,11 +138,15 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        # checked when built, so a bad setting stops a run before any render
-        require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
-        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        require(self.lr > 0, "learning rate must be positive")
-        # kinds after ranges, so that 0, -1 and NaN keep their range messages
+        # checked when built, so a bad setting stops a run before any render;
+        # a range first where the kind admits the comparison, so that 0, -1
+        # and NaN keep their range messages, then every kind
+        if isinstance(self.epochs, int):
+            require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
+        if isinstance(self.seed, int):
+            require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        if isinstance(self.lr, (int, float)):
+            require(self.lr > 0, "learning rate must be positive")
         count_field(self.epochs, "epochs")
         count_field(self.seed, "seed")
         number_field(self.lr, "learning rate")

@@ -83,15 +83,22 @@ def softmax_norm(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     z = np.asarray(logits, dtype=FLOAT)
     zmax = np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z - np.where(np.isfinite(zmax), zmax, 0.0))
+    # one full-size array: the shifted logits, then their exp, then the result
+    e = z - np.where(np.isfinite(zmax), zmax, 0.0)
+    np.exp(e, out=e)
     total = np.sum(e, axis=axis, keepdims=True)
-    return e / np.where(total > 0.0, total, 1.0)
+    e /= np.where(total > 0.0, total, 1.0)
+    return e
 
 
 def softmax_backward(probs: np.ndarray, g_probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Gradient through softmax given its output `probs` and upstream g_probs."""
-    dot = np.sum(g_probs * probs, axis=axis, keepdims=True)
-    return probs * (g_probs - dot)
+    # one full-size array: g_probs * probs, then (g_probs - dot) * probs
+    out = g_probs * probs
+    dot = np.sum(out, axis=axis, keepdims=True)
+    np.subtract(g_probs, dot, out=out)
+    out *= probs
+    return out
 
 
 def corner_indices(u: np.ndarray, v: np.ndarray, height, width):

@@ -25,8 +25,11 @@ value-first core in two steps. The plan (`plan_samples`) takes the valid
 (query, head, point, source) samples by flat index and pixel location and
 fixes their bilinear corners and weights; the attention layers build it from
 their in-view samples, temporal fusion and the BEV warp through `plan_dense`.
-The read (`read_plan`) value-maps every source pixel once, then gathers only
-those samples, so no per-sample array is built for the invalid majority.
+The read (`read_plan`) value-maps every source pixel once, each source map
+where it lies into its own rows of one value table, then gathers only those
+samples, so no per-sample array is built for the invalid majority and no
+stacked copy of the maps; the backward still stacks the maps once
+(`_pixel_table`) for its raw gather.
 `deform_aggregate` takes a plan in and `deform_aggregate_backward` gives its
 attention-weight and position gradients out per valid sample, in plan order;
 the attention layers and temporal fusion each scatter them once into their
@@ -301,8 +304,16 @@ def read_plan(plan: SamplingPlan, nq: int, maps, value_maps, output_maps):
     w_o, b_o = _stacked_maps(output_maps)
     c_v = w_v.shape[1]
     # The bilinear weights of a valid sample sum to 1, so value-mapping every
-    # pixel once and then sampling equals value-mapping every sample.
-    table = _pixel_table(maps) @ w_v.reshape(m * c_v, -1).T
+    # pixel once and then sampling equals value-mapping every sample. Each map
+    # is value-mapped where it lies into its own rows of the table: a row
+    # block of a product equals those rows of the whole product.
+    w_t = w_v.reshape(m * c_v, -1).T
+    sizes = [f.shape[0] * f.shape[1] for f in maps]
+    table = np.empty((sum(sizes), m * c_v), dtype=FLOAT)
+    start = 0
+    for f, n in zip(maps, sizes):
+        np.matmul(f.reshape(n, -1), w_t, out=table[start:start + n])
+        start += n
     table += b_v.reshape(-1)
     table = table.reshape(-1, c_v)                 # row = pixel * M + head
     # each block holds whole groups, so a group's sum runs in sample order
@@ -442,8 +453,9 @@ def _proj_first_samples(queries: np.ndarray, refs: np.ndarray, params: AttnParam
 
     # softmax over points x visible cameras, per head; zero, as is its gradient, elsewhere
     mask = np.broadcast_to(cam_vis[:, None, None, :], (nq, m, k, j))
-    masked = np.where(mask, logits.reshape(nq, m, k, j), -np.inf)
-    attn = softmax_norm(masked.reshape(nq, m, k * j)).reshape(nq, m, k, j)
+    logits = logits.reshape(nq, m, k, j)
+    np.copyto(logits, -np.inf, where=~cam_vis[:, None, None, :])
+    attn = softmax_norm(logits.reshape(nq, m, k * j)).reshape(nq, m, k, j)
 
     # reference pixel plus the shared 2-d offset, at the visible cameras only
     index = np.flatnonzero(mask)

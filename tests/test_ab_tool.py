@@ -86,3 +86,31 @@ def test_ab_file_layers_against_this_checkout_are_identical(layer):
     assert summary["identical"] and list(summary["cases"]) == [layer]
     case = summary["cases"][layer]
     assert case["pairs"] == 3 and case["q1"] <= case["median_ratio"] <= case["q3"]
+
+
+def test_ab_rotates_which_case_runs_first_and_last():
+    # imported here: the module is a script under tools/, not a package
+    sys.path.insert(0, str(AB.parent))
+    try:
+        import ab
+    finally:
+        sys.path.remove(str(AB.parent))
+    calls = []
+    names = ["a", "b", "c"]
+
+    def side(tree):
+        return {name: (lambda name=name: calls.append((tree, name))) for name in names}
+
+    pairs = 4
+    report = ab.measure(side("ours"), side("theirs"), pairs, repeat=1)
+    assert sorted(report) == names and all(r["pairs"] == pairs for r in report.values())
+    per_pair = [calls[i:i + 2 * len(names)] for i in range(0, len(calls), 2 * len(names))]
+    assert len(per_pair) == pairs
+    for i, pair in enumerate(per_pair):
+        # each case on both trees in turn, the tree order alternating by pair
+        assert sorted(pair) == sorted((tree, n) for tree in ("ours", "theirs") for n in names)
+        first = ("theirs", "ours") if i % 2 else ("ours", "theirs")
+        assert all(tuple(t for t, _ in pair[2 * c:2 * c + 2]) == first
+                   for c in range(len(names)))
+    assert {pair[0][1] for pair in per_pair} == set(names)
+    assert {pair[-1][1] for pair in per_pair} == set(names)

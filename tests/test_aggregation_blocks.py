@@ -184,3 +184,16 @@ def test_a_stream_size_temporal_read_holds_at_most_two_blocks_beyond_its_result(
     want, unblocked = _read_peak(read_plan_reference, plan, nq, maps, value_maps, output_maps)
     _assert_bytes_equal(got, want)
     assert unblocked > 2 * bound       # the unblocked read gathers all corner rows at once
+
+
+@pytest.mark.parametrize("method", ["view-attn", "proj-first"])
+def test_a_training_size_attention_read_holds_no_stacked_map_copy(monkeypatch, method):
+    # at 1 MiB blocks the block phase's peak hides a copy of the maps; at
+    # 64 KiB the value-mapping phase sets the peak
+    monkeypatch.setattr(view_attention, "_BLOCK_BYTES", 64 << 10)
+    cache, maps, value_maps, output_maps = _attention(method, "training")
+    plan, nq = cache["plan"], cache["valid"].shape[0]
+    stacked = sum(f.nbytes for f in maps)
+    got, extra = _read_peak(read_plan, plan, nq, maps, value_maps, output_maps)
+    assert extra <= stacked // 2, f"read held {extra} bytes beyond its result, maps {stacked}"
+    _assert_bytes_equal(got, read_plan_reference(plan, nq, maps, value_maps, output_maps))

@@ -423,7 +423,7 @@ def _built_with(path, value):
     if keys[0] == "config":
         owner = resolve_preset("small", owner)[0]
         keys.pop(0)
-    elif keys[0] in ("grid", "classes", "cameras", "statics", "boxes"):
+    elif keys[0] in ("grid", "classes", "cameras", "statics", "boxes", "feature_anchor"):
         owner = getattr(owner, keys.pop(0))
         if isinstance(owner, list):
             owner = owner[keys.pop(0)]
@@ -432,10 +432,10 @@ def _built_with(path, value):
         key = keys.pop(0)
     elif key == "image_size":
         key = ("width", "height")[keys.pop(0)]
-    if keys:                                    # one entry of a list field
-        entries = list(getattr(owner, key))
-        entries[keys.pop(0)] = value
-        value = entries
+    if keys:                                    # one entry of a list field, by flat index
+        entries = np.array(getattr(owner, key), dtype=object)
+        entries.flat[keys.pop(0)] = value
+        value = entries.tolist()
     kwargs = {f.name: getattr(owner, f.name) for f in dataclasses.fields(owner)}
     return type(owner), dict(kwargs, **{key: value})
 
@@ -443,6 +443,10 @@ def _built_with(path, value):
 BUILT_IN_CODE = NON_INTEGER_COUNTS + NON_NUMBERS + [
     (("config", "pitch"), "0.4", "model config pitch"),
     (("config", "heads"), 2.5, "model config heads"),
+    # the anchor is the identity, so each of these reads as a valid pose once coerced
+    (("feature_anchor", "translation", 0), True, "Pose.translation"),
+    (("feature_anchor", "translation", 1), "1", "Pose.translation"),
+    (("feature_anchor", "rotation", 0), True, "Pose.rotation"),
 ]
 
 

@@ -339,6 +339,10 @@ def test_compare_prepares_once_and_trains_through_the_module_attribute(monkeypat
     ("epochs", True, "epochs must be an integer from 0 to 2**63 - 1, got True"),
     ("seed", 1.5, "seed must be an integer from 0 to 2**63 - 1, got 1.5"),
     ("lr", float("inf"), "learning rate must be a finite number, got inf"),
+    ("epochs", "3", "epochs must be an integer from 0 to 2**63 - 1, got '3'"),
+    ("epochs", None, "epochs must be an integer from 0 to 2**63 - 1, got None"),
+    ("seed", "1", "seed must be an integer from 0 to 2**63 - 1, got '1'"),
+    ("lr", "0.1", "learning rate must be a finite number, got '0.1'"),
 ])
 def test_train_settings_are_checked_whenever_they_are_built(monkeypatch, field, value, error):
     with pytest.raises(ContractViolation) as exc:

@@ -58,6 +58,18 @@ def test_pose_rejects_reflections_and_non_orthonormal_matrices(rotation, message
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("rotation, translation, field", [
+    (np.eye(3, dtype=bool), np.zeros(3), "Pose.rotation"),
+    (np.eye(3), np.array([True, False, False]), "Pose.translation"),
+    (np.eye(3), [np.True_, 0.0, 0.0], "Pose.translation"),
+])
+def test_pose_built_in_code_refuses_boolean_arrays_and_entries(rotation, translation, field):
+    # np.asarray would coerce each to a valid pose
+    with pytest.raises(ContractViolation, match=f"^{field} must be a finite number, got "):
+        Pose(rotation, translation)
+    Pose(rotation.astype(float), np.asarray(translation, dtype=float))    # as floats, it builds
+
+
 def test_pose_from_json_reports_a_non_finite_rotation_before_its_size():
     for rotation in ([1.0] * 8 + [float("nan")], [float("inf")] * 4):
         with pytest.raises(ContractViolation, match="Pose.rotation: contains non-finite"):

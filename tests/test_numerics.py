@@ -140,6 +140,28 @@ def test_softmax_bytes_on_finite_rows_match_plain_max_subtraction():
             assert softmax_norm(z, axis=axis).tobytes() == want.tobytes()
 
 
+def test_softmax_passes_never_write_their_inputs():
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=(5, 7))
+    z[1, [0, 3]] = -np.inf
+    z[2] = -np.inf                                 # one fully masked row
+    g = rng.normal(size=z.shape)
+    for arr in (z, g):
+        arr.flags.writeable = False
+    z_before, g_before = z.copy(), g.copy()
+    probs = softmax_norm(z, axis=-1)
+    zmax = np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z - np.where(np.isfinite(zmax), zmax, 0.0))
+    total = np.sum(e, axis=-1, keepdims=True)
+    assert probs.tobytes() == (e / np.where(total > 0.0, total, 1.0)).tobytes()
+    probs.flags.writeable = False
+    dz = softmax_backward(probs, g, axis=-1)
+    dot = np.sum(g * probs, axis=-1, keepdims=True)
+    assert dz.tobytes() == (probs * (g - dot)).tobytes()
+    assert z.tobytes() == z_before.tobytes() and g.tobytes() == g_before.tobytes()
+    assert not np.shares_memory(dz, probs) and not np.shares_memory(dz, g)
+
+
 def test_softmax_backward_matches_fd():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(2, 5))

@@ -40,8 +40,9 @@ temporary directory of its own:
 
 Every case's outputs must be byte-identical between the trees (for the file
 layers: the scene's `to_json`, the params arrays, the written files); any
-difference is reported and the exit status is 1. Then each pair of timings
-runs both trees, in an order that alternates from pair to pair, and takes
+difference is reported and the exit status is 1. Then each pair times every
+case on both trees, in a tree order that alternates from pair to pair and a
+case order that rotates by one case from pair to pair, and takes per case
 the ratio of this tree's time to the other's. Printed per case: the median
 ratio, its quartiles, how many pairs this tree won and the two-sided
 sign-test p-value of that count. The last line of stdout is a JSON summary.
@@ -268,18 +269,23 @@ def sign_test(wins: int, n: int) -> float:
 
 
 def measure(ours, theirs, pairs: int, repeat: int) -> dict:
-    """Per case: ratios of this tree's time to the other's, one per pair."""
-    report = {}
-    for name in sorted(ours):
-        ratios = []
-        for i in range(pairs):
+    """Per case: ratios of this tree's time to the other's, one per pair.
+    Each pair times every case, in an order rotated by one case from pair to
+    pair, so that no case always runs first or last."""
+    names = sorted(ours)
+    timed = {name: [] for name in names}
+    for i in range(pairs):
+        shift = i % len(names)
+        for name in names[shift:] + names[:shift]:
             if i % 2:
                 t_theirs = _time(theirs[name], repeat)
                 t_ours = _time(ours[name], repeat)
             else:
                 t_ours = _time(ours[name], repeat)
                 t_theirs = _time(theirs[name], repeat)
-            ratios.append(t_ours / t_theirs)
+            timed[name].append(t_ours / t_theirs)
+    report = {}
+    for name, ratios in timed.items():
         q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                           if pairs > 1 else ratios * 3)
         wins = sum(r < 1.0 for r in ratios)
